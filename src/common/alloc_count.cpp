@@ -11,10 +11,14 @@
 #include <new>
 
 namespace specmatch::alloc_count {
+
+void note_scoped_alloc();  // Scope's friend: bumps the current scope chain
+
 namespace {
 
 constinit std::atomic<std::int64_t> g_total{0};
 constinit std::atomic<bool> g_counting{false};
+constinit thread_local Scope* t_scope = nullptr;
 
 bool env_counting() {
   const char* env = std::getenv("SPECMATCH_COUNT_ALLOCS");
@@ -27,8 +31,9 @@ const bool g_env_latch = [] {
 }();
 
 inline void note_alloc() {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_total.fetch_add(1, std::memory_order_relaxed);
+  if (!g_counting.load(std::memory_order_relaxed)) return;
+  g_total.fetch_add(1, std::memory_order_relaxed);
+  if (t_scope != nullptr) note_scoped_alloc();
 }
 
 void* checked_malloc(std::size_t size) {
@@ -56,6 +61,23 @@ void set_counting(bool on) {
 }
 
 std::int64_t total() { return g_total.load(std::memory_order_relaxed); }
+
+void note_scoped_alloc() {
+  for (Scope* scope = t_scope; scope != nullptr; scope = scope->parent_)
+    scope->count_.fetch_add(1, std::memory_order_relaxed);
+}
+
+Scope::Scope() : parent_(t_scope) { t_scope = this; }
+
+Scope::~Scope() { t_scope = parent_; }
+
+Scope* current_scope() { return t_scope; }
+
+Scope* exchange_scope(Scope* scope) {
+  Scope* previous = t_scope;
+  t_scope = scope;
+  return previous;
+}
 
 }  // namespace specmatch::alloc_count
 

@@ -8,6 +8,13 @@
 // stays at zero and every `steady_allocs` result field reports -1
 // (= not measured).
 //
+// The process-wide counter also sees every other thread's allocations, so
+// a solve that samples it while another thread parses a request or runs a
+// second solve would be charged for them. A `Scope` narrows the attribution
+// to one unit of work: it counts the allocations of the thread that opened
+// it, plus those of ThreadPool helpers while they run that thread's
+// parallel_for lanes (the pool hands the caller's scope to its helpers).
+//
 // The operator new/delete replacements live in alloc_count.cpp inside
 // libspecmatch_common; like any strong definition in a static library they
 // are linked into a binary only when something in that binary references a
@@ -15,6 +22,7 @@
 // point does via the steady-state accounting.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 namespace specmatch::alloc_count {
@@ -31,5 +39,33 @@ void set_counting(bool on);
 /// process start while counting() was true. Monotone; diff two samples to
 /// attribute a region.
 std::int64_t total();
+
+/// Per-thread allocation attribution. Opening a Scope makes it the calling
+/// thread's current scope until it is destroyed (scopes nest; an allocation
+/// counts toward the current scope and every enclosing one). Counts only
+/// while counting() is true.
+class Scope {
+ public:
+  Scope();
+  ~Scope();
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  /// Allocations attributed to this scope so far. Monotone.
+  std::int64_t total() const { return count_.load(std::memory_order_relaxed); }
+
+ private:
+  friend void note_scoped_alloc();
+  std::atomic<std::int64_t> count_{0};
+  Scope* const parent_;
+};
+
+/// The calling thread's current scope (nullptr if none).
+Scope* current_scope();
+
+/// Makes `scope` the calling thread's current scope and returns the previous
+/// one. ThreadPool helpers use it to work under the dispatching thread's
+/// scope and restore their own afterwards.
+Scope* exchange_scope(Scope* scope);
 
 }  // namespace specmatch::alloc_count

@@ -38,12 +38,15 @@ StageIResult run_deferred_acceptance_prepared(
   // Steady-state allocation accounting: rounds after the first run entirely
   // on warm workspace storage, so with the counter enabled their delta is
   // the proof of the zero-allocation property (round 1 may still grow
-  // capacities on a cold workspace and is excluded by design).
+  // capacities on a cold workspace and is excluded by design). The scope
+  // charges this solve only: its own thread and the pool lanes it fans out
+  // to, not other threads allocating meanwhile.
   const bool counting = alloc_count::counting();
+  const alloc_count::Scope alloc_scope;
   std::int64_t steady_allocs = 0;
 
   while (true) {
-    const std::int64_t round_allocs = counting ? alloc_count::total() : 0;
+    const std::int64_t round_allocs = counting ? alloc_scope.total() : 0;
     // Proposal phase: every unmatched buyer with a non-empty unproposed list
     // proposes to her most-preferred remaining seller. A_j is the buyer's
     // CSR preference row plus a cursor (proposals never revisit a seller,
@@ -242,7 +245,7 @@ StageIResult run_deferred_acceptance_prepared(
       result.trace.push_back(std::move(round_trace));
     }
     if (counting && result.rounds >= 2)
-      steady_allocs += alloc_count::total() - round_allocs;
+      steady_allocs += alloc_scope.total() - round_allocs;
   }
 
   result.matching.check_consistent();

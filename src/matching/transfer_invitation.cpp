@@ -59,6 +59,7 @@ StageIIResult run_transfer_invitation_prepared(
 
   // Steady-state allocation accounting; see deferred_acceptance.cpp.
   const bool counting = alloc_count::counting();
+  const alloc_count::Scope alloc_scope;
   std::int64_t steady_allocs = 0;
 
   // Restricted mode: non-participants get an empty better-prefix, so the
@@ -127,7 +128,7 @@ StageIIResult run_transfer_invitation_prepared(
                        static_cast<double>(ws.better_end[ju]));
 
   while (true) {
-    const std::int64_t round_allocs = counting ? alloc_count::total() : 0;
+    const std::int64_t round_allocs = counting ? alloc_scope.total() : 0;
     bool any_application = false;
     for (BuyerId j = 0; j < N; ++j) {
       const auto ju = static_cast<std::size_t>(j);
@@ -246,7 +247,7 @@ StageIIResult run_transfer_invitation_prepared(
       activate_departure(old_channel, j);
     }
     if (counting && result.phase1_rounds >= 2)
-      steady_allocs += alloc_count::total() - round_allocs;
+      steady_allocs += alloc_scope.total() - round_allocs;
   }
 
   result.after_phase1 = result.matching;
@@ -290,7 +291,7 @@ StageIIResult run_transfer_invitation_prepared(
       config.coalition_policy != graph::MwisAlgorithm::kExact;
 
   while (true) {
-    const std::int64_t round_allocs = counting ? alloc_count::total() : 0;
+    const std::int64_t round_allocs = counting ? alloc_scope.total() : 0;
     bool any_invitation = false;
     for (ChannelId i = 0; i < M; ++i) {
       const auto iu = static_cast<std::size_t>(i);
@@ -368,7 +369,7 @@ StageIIResult run_transfer_invitation_prepared(
     if (!any_invitation) break;
     ++result.phase2_rounds;
     if (counting && result.phase2_rounds >= 2)
-      steady_allocs += alloc_count::total() - round_allocs;
+      steady_allocs += alloc_scope.total() - round_allocs;
   }
   phase2_span.set_arg(result.phase2_rounds);
 

@@ -6,14 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/alloc_count.hpp"
+#include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "matching/stability.hpp"
 #include "matching/two_stage.hpp"
 #include "serve/net_client.hpp"
@@ -413,13 +417,87 @@ TEST(MatchServerTest, TranscriptsIdenticalAcrossDrainLanes) {
   EXPECT_EQ(serial, parallel);
 }
 
+/// Sets the engine pool's lane count (SPECMATCH_THREADS) for one scope.
+class ScopedEngineLanes {
+ public:
+  explicit ScopedEngineLanes(int lanes)
+      : saved_(SpecmatchConfig::global().num_threads) {
+    SpecmatchConfig::global().num_threads = lanes;
+    (void)ThreadPool::global();
+  }
+  ~ScopedEngineLanes() {
+    SpecmatchConfig::global().num_threads = saved_;
+    (void)ThreadPool::global();
+  }
+
+ private:
+  int saved_;
+};
+
+/// This host's lane count, at least 2 so the parallel legs really fan out.
+int host_lanes() {
+  return std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// Two markets solved cold over and over, every request in flight at once,
+/// so drain lanes solve both markets concurrently and each fans its engine
+/// rounds out over the shared engine pool. Responses land in per-request
+/// slots, so the transcript is in submission order whatever the timing.
+std::vector<std::string> run_concurrent_cold_stream(int drain_lanes,
+                                                    int engine_lanes) {
+  const ScopedEngineLanes engine(engine_lanes);
+  ServeConfig config = test_config();
+  config.drain_lanes = drain_lanes;
+  MatchServer server(config);
+  std::vector<std::string> transcript;
+  transcript.push_back(
+      server.handle(create_request("a", random_scenario(71, 6, 240))).text);
+  transcript.push_back(
+      server.handle(create_request("b", random_scenario(72, 5, 200))).text);
+  std::vector<Request> requests;
+  Rng rng(700);
+  for (int step = 0; step < 12; ++step) {
+    for (const auto& [id, m, n] :
+         {std::tuple{"a", 6, 240}, std::tuple{"b", 5, 200}}) {
+      requests.push_back(price_request(
+          id, static_cast<BuyerId>(rng.uniform_int(0, n - 1)),
+          static_cast<ChannelId>(rng.uniform_int(0, m - 1)),
+          rng.uniform(0.0, 1.0)));
+      requests.push_back(solve_request(id, false));
+    }
+  }
+  std::vector<std::string> responses(requests.size());
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    EXPECT_TRUE(server.submit(std::move(requests[r]),
+                              [&responses, r](const Response& response) {
+                                responses[r] = response.text;
+                              }));
+  }
+  server.drain();
+  transcript.insert(transcript.end(), responses.begin(), responses.end());
+  return transcript;
+}
+
+TEST(MatchServerTest, ConcurrentColdSolvesIdenticalAcrossEngineLanes) {
+  const auto reference = run_concurrent_cold_stream(1, 1);
+  EXPECT_EQ(run_concurrent_cold_stream(4, 1), reference);
+  EXPECT_EQ(run_concurrent_cold_stream(4, 4), reference);
+}
+
 // --- zero-allocation steady state -----------------------------------------
 
-TEST(MatchServerTest, SteadyStateServingIsAllocationFree) {
+/// (drain lanes, engine lanes): the contract must hold at any lane count.
+class SteadyStateAllocTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(SteadyStateAllocTest, SteadyStateServingIsAllocationFree) {
+  const auto [drain_lanes, engine_lanes] = GetParam();
+  const ScopedEngineLanes engine(engine_lanes);
   alloc_count::set_counting(true);
   {
     const auto scenario = random_scenario(61, 4, 24);
     ServeConfig config = test_config();
+    config.drain_lanes = drain_lanes;
     config.check_warm = false;  // stability analysers are not alloc-free
     MatchServer server(config);
     ASSERT_TRUE(server.handle(create_request("m", scenario)).ok);
@@ -440,6 +518,15 @@ TEST(MatchServerTest, SteadyStateServingIsAllocationFree) {
   }
   alloc_count::set_counting(false);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneGrid, SteadyStateAllocTest,
+    ::testing::Combine(::testing::Values(1, host_lanes()),
+                       ::testing::Values(1, host_lanes())),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return "drain" + std::to_string(std::get<0>(info.param)) + "_engine" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // --- the wire: format_request / RequestReader line offsets ------------------
 
