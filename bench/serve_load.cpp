@@ -17,14 +17,6 @@
 // bench "serve_net" with the connection count encoded in the algorithm
 // ("closed_c64", "open_c512"), so bench_compare keys them apart.
 //
-// With --cluster, the coordinator tier is measured (src/serve/cluster/,
-// docs/CLUSTER.md): BENCH_cluster.json. A single-process MatchServer
-// baseline and coordinator + {1,2,4} in-process loopback workers each run
-// the identical deterministic mutation/solve stream over a multi-component
-// market; the final `query` must answer byte-identically in every leg, and
-// the rows price the routing/scatter/merge overhead against the baseline
-// (with SPECMATCH_METRICS, the cluster.scatter_ms/gather_ms split too).
-//
 // With --store, the persistence tier is measured instead (src/store/,
 // docs/PERSISTENCE.md): BENCH_store.json. Leg one times cold start both
 // ways — rebuild (create + cold solve from the scenario) vs cold boot (one
@@ -54,7 +46,6 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "market/scenario.hpp"
-#include "serve/cluster/coordinator.hpp"
 #include "serve/net_client.hpp"
 #include "serve/net_server.hpp"
 #include "serve/server.hpp"
@@ -637,199 +628,6 @@ int run_store() {
   return 0;
 }
 
-// --- the cluster tier (--cluster) -------------------------------------------
-
-/// A market whose channel interference graphs stay multi-component: short
-/// ranges on the density-scaled area give placement several supergroups, so
-/// the coordinator's scatter path actually fans out (a dense market
-/// collapses to one group and measures plain routing instead).
-std::shared_ptr<const market::Scenario> make_sparse_scenario(int M, int N) {
-  workload::WorkloadParams params;
-  params.num_sellers = M;
-  params.num_buyers = N;
-  params.area_size = 10.0 * std::sqrt(std::max(N, 500) / 500.0);
-  params.max_range = 0.15 * params.area_size;
-  Rng rng(2000003ull * static_cast<std::uint64_t>(M) +
-          static_cast<std::uint64_t>(N));
-  return std::make_shared<const market::Scenario>(
-      workload::generate_scenario(params, rng));
-}
-
-/// One in-process worker: a worker-mode MatchServer behind a NetServer
-/// event loop on its own thread, on an ephemeral loopback port.
-struct BenchWorker {
-  BenchWorker() : server(worker_config()), net(server, serve::NetConfig{}) {
-    port = net.listen_on_loopback();
-    loop = std::thread([this] { net.run(); });
-  }
-  ~BenchWorker() {
-    net.request_shutdown();
-    loop.join();
-  }
-
-  static serve::ServeConfig worker_config() {
-    serve::ServeConfig config = serve::ServeConfig::from_env();
-    config.worker_mode = true;
-    return config;
-  }
-
-  serve::MatchServer server;
-  serve::NetServer net;
-  std::thread loop;
-  int port = 0;
-};
-
-/// The identical deterministic 4:1 mutation:solve stream (80% warm solves)
-/// driven through `server.handle` — the coordinator processes inline and
-/// single-threaded, so the baseline leg is single-client too.
-template <typename ServerT>
-LegResult run_cluster_stream(ServerT& server, const std::string& id, int M,
-                             int N, int ops, std::uint64_t seed) {
-  serve::Request prime = make_request(serve::RequestType::kSolve, id);
-  prime.warm = false;
-  SPECMATCH_CHECK_MSG(server.handle(std::move(prime)).ok, "prime failed");
-
-  Rng rng(seed);
-  std::vector<double> latencies;
-  latencies.reserve(static_cast<std::size_t>(ops));
-  LegResult result;
-  bench::WallTimer timer;
-  for (int op = 0; op < ops; ++op) {
-    serve::Request request;
-    if (op % 5 == 4) {
-      request = make_request(serve::RequestType::kSolve, id);
-      request.warm = (op % 25) != 24;
-      ++result.solves;
-    } else {
-      const double kind = rng.uniform();
-      const auto buyer = static_cast<BuyerId>(rng.uniform_int(0, N - 1));
-      if (kind < 0.7) {
-        request = make_request(serve::RequestType::kUpdatePrice, id);
-        request.buyer = buyer;
-        request.channel = static_cast<ChannelId>(rng.uniform_int(0, M - 1));
-        request.value = rng.uniform(0.0, 1.0);
-      } else if (kind < 0.85) {
-        request = make_request(serve::RequestType::kLeave, id);
-        request.buyer = buyer;
-      } else {
-        request = make_request(serve::RequestType::kJoin, id);
-        request.buyer = buyer;
-      }
-    }
-    bench::WallTimer op_timer;
-    const serve::Response response = server.handle(std::move(request));
-    latencies.push_back(op_timer.elapsed_ms());
-    SPECMATCH_CHECK_MSG(response.ok,
-                        "cluster stream request failed: " << response.text);
-  }
-  result.wall_ms = timer.elapsed_ms();
-
-  std::sort(latencies.begin(), latencies.end());
-  const auto quantile = [&latencies](double q) {
-    if (latencies.empty()) return 0.0;
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(latencies.size() - 1));
-    return latencies[idx];
-  };
-  result.p50_ms = quantile(0.50);
-  result.p99_ms = quantile(0.99);
-  result.requests = static_cast<std::int64_t>(latencies.size());
-  result.requests_per_sec =
-      result.wall_ms > 0.0
-          ? 1000.0 * static_cast<double>(result.requests) / result.wall_ms
-          : 0.0;
-  return result;
-}
-
-int run_cluster() {
-  const bool smoke = bench::env_int("SPECMATCH_BENCH_SMOKE", 0) != 0;
-  const char* json_env = std::getenv("SPECMATCH_BENCH_JSON");
-  const std::string json_path =
-      (json_env != nullptr && json_env[0] != '\0') ? json_env
-                                                   : "BENCH_cluster.json";
-  const int M = smoke ? 4 : 8;
-  const int N = smoke ? 80 : 1200;
-  const int ops = bench::env_trials(0) > 0 ? bench::env_trials(0) * 50
-                                           : (smoke ? 150 : 2000);
-  const std::vector<int> worker_grid =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
-  const std::string id = "clu";
-  const auto scenario = make_sparse_scenario(M, N);
-  const std::uint64_t seed = 31337ull + static_cast<std::uint64_t>(N);
-  const serve::ServeConfig base_config = serve::ServeConfig::from_env();
-  std::vector<bench::BenchRecord> records;
-
-  // Single-process baseline: the same stream through a plain MatchServer.
-  std::string reference_query;
-  {
-    serve::MatchServer server(base_config);
-    serve::Request create = make_request(serve::RequestType::kCreate, id);
-    create.scenario = scenario;
-    SPECMATCH_CHECK_MSG(server.handle(std::move(create)).ok, "create failed");
-    const LegResult leg = run_cluster_stream(server, id, M, N, ops, seed);
-    reference_query =
-        server.handle(make_request(serve::RequestType::kQuery, id)).text;
-    bench::BenchRecord record("serve_cluster", M, N, "single",
-                              base_config.drain_lanes, leg.wall_ms, 0);
-    record.note = leg_note(leg);
-    records.push_back(record);
-    std::cout << "single: " << record.note << " wall_ms=" << leg.wall_ms
-              << "\n";
-  }
-
-  // Cluster legs: coordinator + {1, 2, 4} in-process loopback workers, the
-  // identical stream. The final query must be byte-identical to the
-  // single-process answer — the contract the latency overhead is priced
-  // against (docs/CLUSTER.md).
-  for (const int workers : worker_grid) {
-    std::vector<std::unique_ptr<BenchWorker>> fleet;
-    for (int w = 0; w < workers; ++w)
-      fleet.push_back(std::make_unique<BenchWorker>());
-    serve::cluster::ClusterConfig config =
-        serve::cluster::ClusterConfig::from_env();
-    for (const auto& worker : fleet)
-      config.worker_ports.push_back(worker->port);
-    config.serve = base_config;
-    serve::cluster::Coordinator coordinator(std::move(config));
-
-    serve::Request create = make_request(serve::RequestType::kCreate, id);
-    create.scenario = scenario;
-    SPECMATCH_CHECK_MSG(coordinator.handle(std::move(create)).ok,
-                        "create failed");
-    const LegResult leg = run_cluster_stream(coordinator, id, M, N, ops, seed);
-    const std::string query =
-        coordinator.handle(make_request(serve::RequestType::kQuery, id)).text;
-    SPECMATCH_CHECK_MSG(query == reference_query,
-                        "cluster query diverged from single-process at "
-                            << workers << " workers:\n  single:  "
-                            << reference_query << "\n  cluster: " << query);
-    SPECMATCH_CHECK_MSG(coordinator.live_workers() == workers,
-                        "a worker died during the bench");
-
-    bench::BenchRecord record("serve_cluster", M, N,
-                              "w" + std::to_string(workers),
-                              base_config.drain_lanes, leg.wall_ms, 0);
-    std::ostringstream note;
-    note << leg_note(leg) << " workers=" << workers
-         << " scatters=" << coordinator.scatters()
-         << " migrations=" << coordinator.migrations()
-         << " consolidations=" << coordinator.consolidations();
-    record.note = note.str();
-    records.push_back(record);
-    std::cout << "w" << workers << ": " << record.note
-              << " wall_ms=" << leg.wall_ms << "\n";
-  }
-
-  if (metrics::enabled()) {
-    const metrics::Snapshot snapshot = metrics::Registry::global().snapshot();
-    bench::write_bench_json(json_path, records, &snapshot);
-  } else {
-    bench::write_bench_json(json_path, records);
-  }
-  std::cout << "wrote " << json_path << "\n";
-  return 0;
-}
-
 int run() {
   const bool smoke = bench::env_int("SPECMATCH_BENCH_SMOKE", 0) != 0;
   const char* json_env = std::getenv("SPECMATCH_BENCH_JSON");
@@ -910,7 +708,6 @@ int main(int argc, char** argv) {
   for (int a = 1; a < argc; ++a) {
     if (std::string(argv[a]) == "--net") return specmatch::run_net();
     if (std::string(argv[a]) == "--store") return specmatch::run_store();
-    if (std::string(argv[a]) == "--cluster") return specmatch::run_cluster();
   }
   return specmatch::run();
 }

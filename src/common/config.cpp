@@ -118,25 +118,6 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
      "minimum vertices per component shard of the coalition solves, default "
      "64; shards batch consecutive components up to the minimum "
      "(graph/components.cpp)"},
-    {"SPECMATCH_CLUSTER_WORKERS",
-     "default worker port list of `serve --coordinator` as a comma-separated "
-     "\"P1,P2,...\"; the --workers flag overrides it "
-     "(tools/specmatch_cli.cpp)"},
-    {"SPECMATCH_CLUSTER_CONNECT_ATTEMPTS",
-     "connect retries per worker while the coordinator comes up, default 10, "
-     "exponentially backed off (serve/cluster/coordinator.cpp)"},
-    {"SPECMATCH_CLUSTER_CONNECT_BACKOFF_MS",
-     "initial sleep between worker connect retries in milliseconds, default "
-     "20, doubling per attempt (serve/cluster/coordinator.cpp)"},
-    {"SPECMATCH_CLUSTER_SCATTER_TIMEOUT_MS",
-     "bound on every coordinator-to-worker read in milliseconds, default "
-     "10000; a slower worker counts as dead and the market consolidates "
-     "onto a survivor (serve/cluster/coordinator.cpp)"},
-    {"SPECMATCH_CLUSTER_STATS",
-     "append cluster_workers=/cluster_scatters=/cluster_migrations=/"
-     "cluster_consolidations= to coordinator `stats` responses, default off "
-     "so transcripts stay byte-identical to a single-process server "
-     "(serve/cluster/coordinator.cpp)"},
     {"SPECMATCH_SANITIZE",
      "CMake option (not an env var): build with address/undefined/thread "
      "sanitizer (CMakeLists.txt)"},

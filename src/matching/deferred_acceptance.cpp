@@ -156,11 +156,12 @@ StageIResult run_deferred_acceptance_prepared(
       // For component-local policies the comparison is per connected
       // component: no edge crosses a component boundary, so the seller's
       // value is a sum of independent per-component terms and keeping the
-      // strictly-better side of each term dominates the all-or-nothing
-      // switch. It also makes each component's verdict independent of which
-      // other components share the channel — the separability the cluster
-      // tier's scatter/gather merge relies on (docs/CLUSTER.md). kExact
-      // keeps the whole-channel comparison (its tie-breaking is not
+      // strictly-better side of each term leaves her at least as well off
+      // as the all-or-nothing switch, whichever side that switch picks. A
+      // component's verdict then depends only on that component, never on
+      // which other components share the channel. This replaces the
+      // paper's whole-channel rule (EXPERIMENTS.md, known deviation 5).
+      // kExact keeps the whole-channel comparison (its tie-breaking is not
       // component-local, matching the sharding exemption above).
       if (!shard_ok) {
         if (!market::seller_prefers(market, i, ws.selections[k],

@@ -282,11 +282,13 @@ StageIIResult run_transfer_invitation_prepared(
 
   // Component-local policies invite per (channel, interference component)
   // per round — components cannot interact, so inviting them simultaneously
-  // is sound, the rate limit stays the paper's one-per-seller-per-round
-  // *within* each component, and a component's invitation schedule no longer
-  // depends on which other components share the channel (the separability
-  // the cluster tier's merge relies on — docs/CLUSTER.md). kExact keeps the
-  // paper's literal one-invitation-per-channel round.
+  // is sound, and the rate limit stays the paper's one-per-seller-per-round
+  // *within* each component. Phase 2 then runs for as many rounds as the
+  // longest per-component invitation list, not the seller's whole list,
+  // and a component's invitation schedule does not depend on which other
+  // components share the channel. This replaces the paper's one invitation
+  // per seller per round (EXPERIMENTS.md, known deviation 5). kExact keeps
+  // the paper's literal one-invitation-per-channel round.
   const bool comp_local =
       config.coalition_policy != graph::MwisAlgorithm::kExact;
 

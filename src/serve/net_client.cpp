@@ -4,12 +4,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <map>
@@ -45,11 +42,8 @@ ClientConnection& ClientConnection::operator=(
   return *this;
 }
 
-namespace {
-
-/// One connect try; returns the connected fd or -1 with errno in `err`.
-int try_connect_loopback(int port, int& err) {
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+ClientConnection ClientConnection::connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   SPECMATCH_CHECK_MSG(fd >= 0,
                       std::string("socket(): ") + std::strerror(errno));
   sockaddr_in addr{};
@@ -57,58 +51,17 @@ int try_connect_loopback(int port, int& err) {
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    err = errno;
+    const int err = errno;
     ::close(fd);
-    return -1;
+    SPECMATCH_CHECK_MSG(false, "connect(127.0.0.1:" + std::to_string(port) +
+                                   "): " + std::strerror(err) +
+                                   " (after 1 attempt)");
   }
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-}  // namespace
-
-ClientConnection ClientConnection::connect_loopback(int port) {
-  int err = 0;
-  const int fd = try_connect_loopback(port, err);
-  SPECMATCH_CHECK_MSG(fd >= 0, "connect(127.0.0.1:" + std::to_string(port) +
-                                   "): " + std::strerror(err) +
-                                   " (after 1 attempt)");
   ClientConnection conn;
   conn.fd_ = fd;
   return conn;
-}
-
-ClientConnection ClientConnection::connect_loopback_retry(int port,
-                                                          int attempts,
-                                                          int backoff_ms) {
-  attempts = std::max(1, attempts);
-  int err = 0;
-  long sleep_ms = std::max(1, backoff_ms);
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    const int fd = try_connect_loopback(port, err);
-    if (fd >= 0) {
-      ClientConnection conn;
-      conn.fd_ = fd;
-      return conn;
-    }
-    if (attempt < attempts) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-      sleep_ms *= 2;
-    }
-  }
-  SPECMATCH_CHECK_MSG(false, "connect(127.0.0.1:" + std::to_string(port) +
-                                 "): " + std::strerror(err) + " (after " +
-                                 std::to_string(attempts) + " attempt" +
-                                 (attempts == 1 ? "" : "s") + ")");
-}
-
-void ClientConnection::set_recv_timeout_ms(int ms) {
-  SPECMATCH_CHECK_MSG(fd_ >= 0, "set timeout on a closed connection");
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 void ClientConnection::send_all(const std::string& bytes) {

@@ -42,21 +42,11 @@ class ClientConnection {
   ClientConnection& operator=(const ClientConnection&) = delete;
 
   /// Connects to 127.0.0.1:port; throws CheckError on failure. The error
-  /// names the target address ("connect(127.0.0.1:PORT): ...").
+  /// names the target address and the attempt count
+  /// ("connect(127.0.0.1:PORT): ... (after 1 attempt)").
   static ClientConnection connect_loopback(int port);
 
-  /// Like connect_loopback, but retries up to `attempts` times with an
-  /// exponentially doubling sleep starting at `backoff_ms` between tries
-  /// (the cluster coordinator's worker bring-up). The final CheckError
-  /// names the target address and the attempt count.
-  static ClientConnection connect_loopback_retry(int port, int attempts,
-                                                 int backoff_ms);
-
   bool connected() const { return fd_ >= 0; }
-
-  /// Bounds every subsequent receive: read_line() throws CheckError once
-  /// `ms` elapse without data (SO_RCVTIMEO). 0 restores blocking reads.
-  void set_recv_timeout_ms(int ms);
 
   /// Writes all of `bytes` (throws CheckError on a dead peer).
   void send_all(const std::string& bytes);

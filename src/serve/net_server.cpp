@@ -59,7 +59,7 @@ NetConfig NetConfig::from_env() {
   return config;
 }
 
-NetServer::NetServer(RequestSink& server, NetConfig config)
+NetServer::NetServer(MatchServer& server, NetConfig config)
     : match_(server), config_(config) {
   config_.backlog = std::max(1, config_.backlog);
   config_.max_conns = std::max(1, config_.max_conns);

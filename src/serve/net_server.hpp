@@ -78,11 +78,10 @@ struct NetStats {
 
 class NetServer {
  public:
-  /// Serves `server` over TCP. The sink — a MatchServer (single-process or
-  /// cluster worker) or a cluster Coordinator — outlives the NetServer; the
+  /// Serves `server` over TCP. The server outlives the NetServer; the
   /// NetServer never creates or destroys it (several front-ends could share
   /// one engine).
-  NetServer(RequestSink& server, NetConfig config = NetConfig::from_env());
+  NetServer(MatchServer& server, NetConfig config = NetConfig::from_env());
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
@@ -151,7 +150,7 @@ class NetServer {
   bool wants_read(const Connection& conn) const;
   void wake();
 
-  RequestSink& match_;
+  MatchServer& match_;
   NetConfig config_;
   int listen_fd_ = -1;
   int port_ = 0;

@@ -51,10 +51,6 @@ const char* request_keyword(RequestType type) {
     case RequestType::kStats: return "stats";
     case RequestType::kSnapshot: return "snapshot";
     case RequestType::kRestore: return "restore";
-    case RequestType::kXsolve: return "xsolve";
-    case RequestType::kXset: return "xset";
-    case RequestType::kXimport: return "ximport";
-    case RequestType::kXdrop: return "xdrop";
   }
   return "?";
 }
@@ -82,10 +78,6 @@ constexpr const char* kStatsTailKeys[] = {
     "faults",
     "discarded",
     "disk_bytes",
-    "cluster_workers",
-    "cluster_scatters",
-    "cluster_migrations",
-    "cluster_consolidations",
     // stats-tail-keys-end
 };
 
@@ -145,23 +137,12 @@ std::string format_request(const Request& request) {
           << request.channel << " " << format_double(request.value);
       break;
     case RequestType::kSolve:
-    case RequestType::kXsolve:
       out << " " << request.market_id << (request.warm ? " warm" : " cold");
-      break;
-    case RequestType::kXset:
-      out << " " << request.market_id << " " << request.buyer;
-      SPECMATCH_CHECK_MSG(request.column != nullptr,
-                          "xset request has no price column");
-      for (const double v : *request.column) out << " " << format_double(v);
-      break;
-    case RequestType::kXimport:
-      out << " " << request.market_id << " " << request.payload;
       break;
     case RequestType::kQuery:
     case RequestType::kStats:
     case RequestType::kSnapshot:
     case RequestType::kRestore:
-    case RequestType::kXdrop:
       out << " " << request.market_id;
       break;
   }
@@ -220,12 +201,9 @@ bool RequestReader::next(Request& out) {
       out.value = parse_value<double>(line_, tokens[4], "price");
       return true;
     }
-    if (verb == "solve" || verb == "xsolve") {
-      require_args(line_, tokens, 3,
-                   verb == "solve" ? "solve <market-id> cold|warm"
-                                   : "xsolve <market-id> cold|warm");
-      out.type =
-          verb == "solve" ? RequestType::kSolve : RequestType::kXsolve;
+    if (verb == "solve") {
+      require_args(line_, tokens, 3, "solve <market-id> cold|warm");
+      out.type = RequestType::kSolve;
       out.market_id = tokens[1];
       if (tokens[2] == "warm")
         out.warm = true;
@@ -236,30 +214,8 @@ bool RequestReader::next(Request& out) {
                         "'");
       return true;
     }
-    if (verb == "xset") {
-      if (tokens.size() < 4)
-        fail(line_, "expected 'xset <market-id> <buyer> <v0> .. <vM-1>', got "
-                    "" +
-                        std::to_string(tokens.size() - 1) + " argument(s)");
-      out.type = RequestType::kXset;
-      out.market_id = tokens[1];
-      out.buyer = parse_value<BuyerId>(line_, tokens[2], "buyer id");
-      auto column = std::make_shared<std::vector<double>>();
-      column->reserve(tokens.size() - 3);
-      for (std::size_t t = 3; t < tokens.size(); ++t)
-        column->push_back(parse_value<double>(line_, tokens[t], "price"));
-      out.column = std::move(column);
-      return true;
-    }
-    if (verb == "ximport") {
-      require_args(line_, tokens, 3, "ximport <market-id> <hex-payload>");
-      out.type = RequestType::kXimport;
-      out.market_id = tokens[1];
-      out.payload = tokens[2];
-      return true;
-    }
     if (verb == "query" || verb == "stats" || verb == "snapshot" ||
-        verb == "restore" || verb == "xdrop") {
+        verb == "restore") {
       require_args(line_, tokens, 2,
                    (verb + " <market-id>").c_str());
       if (verb == "query")
@@ -268,8 +224,6 @@ bool RequestReader::next(Request& out) {
         out.type = RequestType::kStats;
       else if (verb == "snapshot")
         out.type = RequestType::kSnapshot;
-      else if (verb == "xdrop")
-        out.type = RequestType::kXdrop;
       else
         out.type = RequestType::kRestore;
       out.market_id = tokens[1];

@@ -17,19 +17,6 @@
 //   snapshot <market-id>          persist the market to the snapshot store
 //   restore <market-id>           fault a spilled market back in (barrier)
 //
-// Workers of the cluster tier (serve --worker, docs/CLUSTER.md) additionally
-// accept the internal coordinator verbs — never sent by clients, answered
-// with an error by non-worker servers:
-//
-//   xsolve <market-id> cold|warm  sub-market solve, reports per-stage rounds
-//                                 and the local matching
-//   xset <market-id> <buyer> <v0> .. <vM-1>
-//                                 activate a buyer with an explicit current
-//                                 price column (zombie re-activation)
-//   ximport <market-id> <hex>     inject verbatim matching/dirty state
-//                                 (PR 9 snapshot sections, hex-encoded)
-//   xdrop <market-id>             discard a market without trace
-//
 // Responses are one "ok ..." / "err ..." line per request, emitted in
 // request order; every numeric field is printed with max_digits10 so a
 // transcript replays identically. See docs/SERVING.md for the grammar and
@@ -74,11 +61,6 @@ enum class RequestType : std::uint8_t {
   kStats,
   kSnapshot,
   kRestore,
-  // Internal cluster verbs (worker mode only; see docs/CLUSTER.md).
-  kXsolve,
-  kXset,
-  kXimport,
-  kXdrop,
 };
 
 struct Request {
@@ -87,13 +69,9 @@ struct Request {
   BuyerId buyer = -1;      ///< kJoin / kLeave / kUpdatePrice
   ChannelId channel = -1;  ///< kUpdatePrice
   double value = 0.0;      ///< kUpdatePrice
-  bool warm = false;       ///< kSolve / kXsolve
+  bool warm = false;       ///< kSolve
   /// kCreate payload; shared so Request copies stay cheap.
   std::shared_ptr<const market::Scenario> scenario;
-  /// kXset payload: the buyer's full per-channel price column.
-  std::shared_ptr<const std::vector<double>> column;
-  /// kXimport payload: hex-encoded snapshot-section image.
-  std::string payload;
 
   /// Admission order, assigned by the server: responses can be re-sequenced
   /// into request order by the transcript writer.
@@ -145,9 +123,8 @@ std::string format_double(double value);
 std::span<const char* const> stats_tail_keys();
 
 /// Builds the ` key=value` tail of a `stats` response. Keys must come from
-/// stats_tail_keys() and be added in registry order (keys may be skipped —
-/// e.g. the cluster fields on a single-process server — but never reordered
-/// or invented), enforced by SPECMATCH_CHECK.
+/// stats_tail_keys() and be added in registry order (keys may be skipped but
+/// never reordered or invented), enforced by SPECMATCH_CHECK.
 class StatsTailBuilder {
  public:
   StatsTailBuilder& add(const std::string& key, const std::string& value);

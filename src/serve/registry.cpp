@@ -315,12 +315,4 @@ std::uint64_t MarketRegistry::snapshot_resident(const std::string& id) {
   return bytes;
 }
 
-bool MarketRegistry::erase(const std::string& id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return false;
-  total_bytes_ -= it->second.bytes;
-  entries_.erase(it);
-  return true;
-}
-
 }  // namespace specmatch::serve

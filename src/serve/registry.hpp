@@ -166,12 +166,6 @@ class MarketRegistry {
   /// the market's batch.
   std::uint64_t snapshot_resident(const std::string& id);
 
-  /// Drops a resident market without spilling it and without counting an
-  /// eviction — the cluster tier's `xdrop`, where the coordinator (not this
-  /// worker) owns the market's lifetime (docs/CLUSTER.md). False when the
-  /// id is not resident. Must only run at the server's admission barrier.
-  bool erase(const std::string& id);
-
   std::size_t size() const { return entries_.size(); }
   std::size_t total_bytes() const { return total_bytes_; }
   std::int64_t evictions() const { return evictions_; }

@@ -12,7 +12,6 @@
 #include "common/trace.hpp"
 #include "matching/stability.hpp"
 #include "matching/two_stage.hpp"
-#include "serve/cluster/migration.hpp"
 
 namespace specmatch::serve {
 
@@ -48,12 +47,6 @@ const char* latency_metric(RequestType type, bool warm) {
     case RequestType::kStats: return "serve.latency_query_ms";
     case RequestType::kSnapshot:
     case RequestType::kRestore: return "serve.latency_store_ms";
-    case RequestType::kXsolve:
-      return warm ? "serve.latency_solve_warm_ms"
-                  : "serve.latency_solve_cold_ms";
-    case RequestType::kXset:
-    case RequestType::kXimport:
-    case RequestType::kXdrop: return "serve.latency_mutation_ms";
   }
   return "serve.latency_ms";
 }
@@ -105,29 +98,19 @@ bool MatchServer::submit(Request request, ResponseCallback callback) {
                             : std::chrono::steady_clock::time_point{};
 
   if (request.type == RequestType::kCreate ||
-      request.type == RequestType::kRestore ||
-      request.type == RequestType::kXdrop) {
-    // Creates, restores, and xdrops are barriers: everything in flight
-    // finishes first, so the structural registry mutation (build / fault-in
-    // / erase, plus the LRU eviction the first two may trigger) sees final
-    // recency values and never races a drain task holding a MarketEntry.
+      request.type == RequestType::kRestore) {
+    // Creates and restores are barriers: everything in flight finishes
+    // first, so the structural registry mutation (build / fault-in, plus the
+    // LRU eviction either may trigger) sees final recency values and never
+    // races a drain task holding a MarketEntry.
     if (config_.manual_drain) drain_pending_for_tests();
     Envelope envelope{std::move(request), std::move(callback), admitted};
     std::unique_lock<std::mutex> lock(mutex_);
     envelope.request.seq = next_seq_++;
     idle_.wait(lock, [&] { return pending_ == 0 && active_ == 0; });
-    Response response;
-    switch (envelope.request.type) {
-      case RequestType::kCreate:
-        response = process_create(envelope.request);
-        break;
-      case RequestType::kRestore:
-        response = process_restore(envelope.request);
-        break;
-      default:
-        response = process_xdrop(envelope.request);
-        break;
-    }
+    Response response = envelope.request.type == RequestType::kCreate
+                            ? process_create(envelope.request)
+                            : process_restore(envelope.request);
     lock.unlock();
     finish(envelope, std::move(response), /*counted_pending=*/false);
     return true;
@@ -507,54 +490,6 @@ Response MatchServer::process(const Request& request,
       }
       break;
     }
-    case RequestType::kXsolve: {
-      if (!config_.worker_mode)
-        return error_response(request,
-                              "internal verb requires a --worker server");
-      return xsolve_response(*entry, request, workspace);
-    }
-    case RequestType::kXset: {
-      if (!config_.worker_mode)
-        return error_response(request,
-                              "internal verb requires a --worker server");
-      if (request.buyer < 0 || request.buyer >= num_buyers)
-        return error_response(
-            request, "buyer " + std::to_string(request.buyer) +
-                         " out of range [0, " + std::to_string(num_buyers) +
-                         ")");
-      if (!request.column ||
-          request.column->size() != static_cast<std::size_t>(num_channels))
-        return error_response(
-            request, "price column must have " +
-                         std::to_string(num_channels) + " value(s)");
-      // Refresh the base column first, then re-activate: apply_join restores
-      // the live column from base, so the buyer comes back at her *current*
-      // global prices, not the stale ones she was zombied with.
-      for (ChannelId i = 0; i < num_channels; ++i)
-        entry->base_prices[static_cast<std::size_t>(i) *
-                               static_cast<std::size_t>(num_buyers) +
-                           static_cast<std::size_t>(request.buyer)] =
-            (*request.column)[static_cast<std::size_t>(i)];
-      entry->apply_join(request.buyer);
-      out << "ok xset " << request.market_id << " " << request.buyer
-          << " active=" << entry->active_count();
-      break;
-    }
-    case RequestType::kXimport: {
-      if (!config_.worker_mode)
-        return error_response(request,
-                              "internal verb requires a --worker server");
-      try {
-        cluster::apply_state_payload(*entry, request.payload);
-      } catch (const std::exception& e) {
-        return error_response(request, e.what());
-      }
-      out << "ok ximport " << request.market_id
-          << " matched=" << entry->last.num_matched();
-      break;
-    }
-    case RequestType::kXdrop:
-      return error_response(request, "xdrop must go through the barrier");
     case RequestType::kRestore:
       return error_response(request, "restore must go through the barrier");
     case RequestType::kCreate:
@@ -562,83 +497,6 @@ Response MatchServer::process(const Request& request,
   }
 
   response.ok = true;
-  response.text = out.str();
-  return response;
-}
-
-Response MatchServer::process_xdrop(const Request& request) {
-  if (!config_.worker_mode)
-    return error_response(request, "internal verb requires a --worker server");
-  if (!registry_.erase(request.market_id))
-    return error_response(request, "unknown market");
-  Response response;
-  response.ok = true;
-  response.seq = request.seq;
-  response.text = "ok xdrop " + request.market_id;
-  return response;
-}
-
-Response MatchServer::xsolve_response(MarketEntry& entry,
-                                      const Request& request,
-                                      matching::MatchWorkspace& workspace) {
-  trace::ScopedSpan span("serve.xsolve", request.warm ? 1 : 0);
-  const auto note_allocs = [this](std::int64_t sample) {
-    if (sample >= 0) steady_allocs_ += sample;
-  };
-  std::int64_t s1 = 0;
-  std::int64_t p1 = 0;
-  std::int64_t p2 = 0;
-  if (request.warm) {
-    if (!entry.has_matching)
-      return error_response(request, "warm xsolve without a carried matching");
-    // Same restriction predicate as the client-facing warm path; the
-    // imported dirty set is the global one intersected with this worker's
-    // buyers, so the restricted run is the global run's projection.
-    const bool restricted = !config_.warm_full && entry.dirty_valid;
-    matching::StageIIConfig stage2;
-    stage2.coalition_policy = config_.coalition_policy;
-    if (restricted) stage2.participants = &entry.dirty;
-    matching::StageIIResult result = matching::run_transfer_invitation(
-        entry.market, entry.last, stage2, workspace);
-    note_allocs(result.steady_allocs);
-    // Unconditional commit: the warm welfare invariant is a whole-market
-    // property, so the coordinator enforces it on the merged matching and
-    // re-scatters cold when it fails — overwriting this commit unobserved.
-    entry.last = std::move(result.matching);
-    p1 = result.phase1_rounds;
-    p2 = result.phase2_rounds;
-  } else {
-    matching::TwoStageConfig cfg;
-    cfg.coalition_policy = config_.coalition_policy;
-    matching::TwoStageResult result =
-        matching::run_two_stage(entry.market, cfg, workspace);
-    note_allocs(result.stage1.steady_allocs);
-    note_allocs(result.stage2.steady_allocs);
-    entry.last = result.final_matching();
-    s1 = result.stage1.rounds;
-    p1 = result.stage2.phase1_rounds;
-    p2 = result.stage2.phase2_rounds;
-  }
-  entry.has_matching = true;
-  entry.dirty.clear();
-  entry.dirty_valid = true;
-  std::ostringstream out;
-  out << "ok xsolve " << request.market_id
-      << (request.warm ? " warm" : " cold") << " s1=" << s1 << " p1=" << p1
-      << " p2=" << p2 << " matched=" << entry.last.num_matched()
-      << " matching=";
-  const int num_buyers = entry.market.num_buyers();
-  for (BuyerId j = 0; j < num_buyers; ++j) {
-    if (j > 0) out << ",";
-    const SellerId seller = entry.last.seller_of(j);
-    if (seller == kUnmatched)
-      out << "-";
-    else
-      out << seller;
-  }
-  Response response;
-  response.ok = true;
-  response.seq = request.seq;
   response.text = out.str();
   return response;
 }

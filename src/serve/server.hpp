@@ -70,10 +70,6 @@ struct ServeConfig {
   /// drain_pending_for_tests() is called, making coalescing observable and
   /// deterministic.
   bool manual_drain = false;
-  /// Cluster worker mode (serve --worker): accept the internal coordinator
-  /// verbs (xsolve/xset/ximport/xdrop). Client-facing servers leave this off
-  /// and answer them with an error. See docs/CLUSTER.md.
-  bool worker_mode = false;
   /// Snapshot store (disk spill tier + snapshot/restore verbs). An empty
   /// dir disables it: evictions discard, store verbs answer "err". Default:
   /// SPECMATCH_STORE_DIR / SPECMATCH_STORE_SPILL / SPECMATCH_STORE_FSYNC.
@@ -95,31 +91,7 @@ struct Response {
 /// thread-safe; keep it cheap.
 using ResponseCallback = std::function<void(const Response&)>;
 
-/// What the networked front-end needs from a request processor: admission
-/// plus the backpressure introspection its event loop polls. Implemented by
-/// MatchServer (single-process serving and cluster workers) and by the
-/// cluster Coordinator (serve/cluster/coordinator.hpp), so NetServer fronts
-/// either without knowing which.
-class RequestSink {
- public:
-  virtual ~RequestSink() = default;
-
-  /// Admits `request`; false iff it was shed (callback never invoked).
-  virtual bool submit(Request request, ResponseCallback callback) = 0;
-
-  /// Blocks until every admitted request has been answered.
-  virtual void drain() = 0;
-
-  /// Admitted-but-unanswered requests right now (backpressure probe).
-  virtual int pending() const = 0;
-
-  virtual int queue_capacity() const = 0;
-
-  /// True when a full queue blocks the submitter instead of shedding.
-  virtual bool overflow_blocks() const = 0;
-};
-
-class MatchServer : public RequestSink {
+class MatchServer {
  public:
   explicit MatchServer(ServeConfig config = ServeConfig::from_env());
   ~MatchServer();
@@ -133,14 +105,14 @@ class MatchServer : public RequestSink {
   /// barriers: the server drains, then builds the market (and runs LRU
   /// eviction) with nothing in flight, so eviction order is a pure function
   /// of admission order.
-  bool submit(Request request, ResponseCallback callback) override;
+  bool submit(Request request, ResponseCallback callback);
 
   /// Synchronous convenience: submit + wait for the response. Under
   /// manual_drain, pending batches are drained inline first.
   Response handle(Request request);
 
   /// Blocks until every admitted request has been answered.
-  void drain() override;
+  void drain();
 
   /// manual_drain mode: processes every pending batch inline, markets in
   /// lexicographic id order (deterministic).
@@ -154,9 +126,10 @@ class MatchServer : public RequestSink {
   /// polls this before submitting: under Overflow::kBlock it stops reading
   /// a connection instead of letting submit() park the event loop, so
   /// backpressure propagates to the client as TCP flow control.
-  int pending() const override;
-  int queue_capacity() const override { return config_.queue_capacity; }
-  bool overflow_blocks() const override {
+  int pending() const;
+  int queue_capacity() const { return config_.queue_capacity; }
+  /// True when a full queue blocks the submitter instead of shedding.
+  bool overflow_blocks() const {
     return config_.overflow == ServeConfig::Overflow::kBlock;
   }
   std::int64_t evictions() const;
@@ -204,12 +177,6 @@ class MatchServer : public RequestSink {
 
   Response process_create(const Request& request);
   Response process_restore(const Request& request);
-  Response process_xdrop(const Request& request);
-  /// Worker-mode sub-market solve: unconditional commit, per-stage round
-  /// counts and the local matching in the response (the coordinator owns
-  /// the warm welfare invariant and the transcript-visible fields).
-  Response xsolve_response(MarketEntry& entry, const Request& request,
-                           matching::MatchWorkspace& workspace);
   /// Faults `id` in at the admission barrier when it is spilled; called by
   /// submit() before enqueueing a non-barrier request. Load errors are left
   /// for process() to report (the id simply stays non-resident).

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "common/stats.hpp"
 #include "dist/network.hpp"
 #include "matching/paper_examples.hpp"
@@ -16,12 +18,14 @@ namespace {
 
 using testutil::members;
 
-market::SpectrumMarket random_market(std::uint64_t seed, int sellers,
-                                     int buyers) {
+market::SpectrumMarket random_market(
+    std::uint64_t seed, int sellers, int buyers,
+    double max_range = workload::WorkloadParams{}.max_range) {
   Rng rng(seed);
   workload::WorkloadParams params;
   params.num_sellers = sellers;
   params.num_buyers = buyers;
+  params.max_range = max_range;
   return workload::generate_market(params, rng);
 }
 
@@ -77,10 +81,13 @@ TEST(DistributedDefaultRule, CounterExampleMatchesReferenceExactly) {
   EXPECT_EQ(dist.matching, reference.final_matching());
 }
 
-class DistEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
+class DistEquivalenceTest
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, double, std::uint64_t>> {};
 
 TEST_P(DistEquivalenceTest, RandomMarketsMatchReferenceExactly) {
-  const auto market = random_market(GetParam(), 4, 12);
+  const auto [sellers, buyers, max_range, seed] = GetParam();
+  const auto market = random_market(seed, sellers, buyers, max_range);
   const auto reference = matching::run_two_stage(market);
   const auto dist = run_distributed(market);
   EXPECT_EQ(dist.matching, reference.final_matching())
@@ -88,9 +95,25 @@ TEST_P(DistEquivalenceTest, RandomMarketsMatchReferenceExactly) {
   EXPECT_FALSE(dist.hit_slot_cap);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DistEquivalenceTest,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
-                                           10u, 21u, 22u, 23u, 24u, 25u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DistEquivalenceTest,
+    ::testing::Combine(::testing::Values(4), ::testing::Values(12),
+                       ::testing::Values(workload::WorkloadParams{}.max_range),
+                       ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
+                                         10u, 21u, 22u, 23u, 24u, 25u)));
+
+// Short ranges split the channel graphs into many interference components
+// (1.8-112 per channel on average across this grid). There the engine's
+// component-local Stage I guard and Stage II invitation rounds
+// (EXPERIMENTS.md, known deviation 5) differ from the per-seller rules the
+// message-passing runtime carries out literally, so this is where the two
+// could disagree.
+INSTANTIATE_TEST_SUITE_P(
+    Sparse, DistEquivalenceTest,
+    ::testing::Combine(::testing::Values(4, 6, 8),
+                       ::testing::Values(50, 100, 200),
+                       ::testing::Values(1.5),
+                       ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u)));
 
 // ---- Adaptive rules ---------------------------------------------------------
 

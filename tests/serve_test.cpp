@@ -129,8 +129,13 @@ TEST(ServeProtocolTest, ParsesEveryRequestKind) {
 }
 
 TEST(ServeProtocolTest, ErrorsAreFatalAndCarryLineNumbers) {
-  {
-    std::stringstream input("frobnicate m1\n");
+  // Besides a made-up verb, the verbs of the removed coordinator/worker
+  // tier must no longer parse.
+  for (const char* line : {"frobnicate m1\n", "xsolve m1 cold\n",
+                           "xset m1 0 1.0\n", "ximport m1 00\n",
+                           "xdrop m1\n"}) {
+    SCOPED_TRACE(line);
+    std::stringstream input(line);
     RequestReader reader(input);
     Request request;
     try {

@@ -17,11 +17,6 @@
 #                                      # loopback TCP front-end (closed- and
 #                                      # open-loop legs at conns {1,64,512}),
 #                                      # writes BENCH_serve_net.json
-#   tools/run_bench.sh --cluster       # cluster serving tier run, writes
-#                                      # BENCH_cluster.json (single-process
-#                                      # baseline vs coordinator + {1,2,4}
-#                                      # loopback workers on the identical
-#                                      # stream, byte-identity asserted)
 #   tools/run_bench.sh --store         # persistence-tier run, writes
 #                                      # BENCH_store.json (cold boot from an
 #                                      # mmap snapshot vs rebuild at N=20000,
@@ -85,18 +80,6 @@ if [[ "${1:-}" == "--serve" ]]; then
   SPECMATCH_METRICS=1 \
   SPECMATCH_BENCH_JSON="$repo_root/BENCH_serve.json" \
     "$build_dir/bench/serve_load"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--cluster" ]]; then
-  build_dir="$repo_root/build-bench"
-  cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$build_dir" -j"$(nproc)" --target serve_load
-  # Metrics on, so the JSON carries the cluster.* counters and the
-  # scatter/gather latency split next to the per-leg wall-clock rows.
-  SPECMATCH_METRICS=1 \
-  SPECMATCH_BENCH_JSON="$repo_root/BENCH_cluster.json" \
-    "$build_dir/bench/serve_load" --cluster
   exit 0
 fi
 
@@ -295,34 +278,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
       status=1
     fi
   done
-  # Cluster leg: smoke-sized coordinator run against in-process loopback
-  # workers. The bench itself CHECKs every leg's final `query` is
-  # byte-identical to the single-process baseline; the JSON must carry the
-  # baseline plus the {1, 2}-worker rows with scatter counters — and it must
-  # flow through the bench_compare gate (self-compare: proves cluster rows
-  # parse and key).
-  echo "bench_smoke: serve_load --cluster"
-  if ! SPECMATCH_METRICS=1 \
-       SPECMATCH_BENCH_JSON="$tmpdir/BENCH_cluster.json" \
-       "$bindir/serve_load" --cluster > "$tmpdir/serve_load_cluster.log" 2>&1; then
-    echo "bench_smoke: FAILED serve_load --cluster" >&2
-    tail -n 30 "$tmpdir/serve_load_cluster.log" >&2
-    status=1
-  fi
-  for marker in '"algorithm": "single"' '"algorithm": "w1"' \
-                '"algorithm": "w2"' 'scatters=' 'cluster.scatters'; do
-    if ! grep -q "$marker" "$tmpdir/BENCH_cluster.json"; then
-      echo "bench_smoke: BENCH_cluster.json missing $marker" >&2
-      status=1
-    fi
-  done
-  if ! "$repo_root/tools/run_bench.sh" --compare \
-       "$tmpdir/BENCH_cluster.json" "$tmpdir/BENCH_cluster.json" \
-       > "$tmpdir/cluster_compare.log" 2>&1; then
-    echo "bench_smoke: BENCH_cluster.json did not pass the bench_compare gate" >&2
-    tail -n 20 "$tmpdir/cluster_compare.log" >&2
-    status=1
-  fi
   # Persistence leg: smoke-sized store run. The bench itself CHECKs the
   # cold-booted market answers byte-identically and that the capped stream
   # discards nothing; the JSON must carry both cold-start legs, the capped

@@ -9,6 +9,9 @@
 #   * the `specmatch_cli serve` transcript over tools/serve_smoke.req must
 #     be byte-identical to the scalar-forced transcript.
 #
+# Exits 77 (ctest SKIP_RETURN_CODE) when the probe lists only `scalar`:
+# there is no second tier to compare, so passing would say nothing.
+#
 # Usage: simd_smoke.sh <path-to-specmatch_cli> <tools-dir> <bench-bindir>
 set -euo pipefail
 
@@ -24,6 +27,10 @@ export SPECMATCH_BENCH_SMOKE=1
 
 tiers="$("$BENCHDIR/micro_kernels" --probe)"
 echo "simd_smoke: supported tiers: $(echo "$tiers" | tr '\n' ' ')"
+if ! grep -qvx -e 'scalar' -e '' <<< "$tiers"; then
+  echo "simd_smoke: SKIP: only the scalar tier is available on this CPU"
+  exit 77
+fi
 
 # Scalar baselines, one per thread count.
 for t in 1 4; do

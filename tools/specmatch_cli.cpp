@@ -23,7 +23,6 @@
 
 #include "auction/group_auction.hpp"
 #include "dist/runtime.hpp"
-#include "serve/cluster/coordinator.hpp"
 #include "serve/net_client.hpp"
 #include "serve/net_server.hpp"
 #include "serve/server.hpp"
@@ -67,16 +66,7 @@ using namespace specmatch;
       "                --port-file; SIGTERM drains. docs/PROTOCOL.md)\n"
       "  specmatch_cli serve FILE --connect PORT [--conns N] [--out FILE]\n"
       "                (replay FILE over N connections; transcript in\n"
-      "                request order)\n"
-      "  specmatch_cli serve --listen PORT --worker   (cluster worker:\n"
-      "                accepts the internal xsolve/xset/ximport/xdrop verbs.\n"
-      "                docs/CLUSTER.md)\n"
-      "  specmatch_cli serve [FILE] --coordinator --workers P1,P2,...\n"
-      "                [--listen PORT] [--out FILE]   (cluster coordinator\n"
-      "                fronting the workers on ports P1,P2,...; with\n"
-      "                --listen it serves TCP, otherwise it replays FILE or\n"
-      "                stdin. SPECMATCH_CLUSTER_WORKERS is the --workers\n"
-      "                default. docs/CLUSTER.md)\n";
+      "                request order)\n";
   std::exit(2);
 }
 
@@ -264,13 +254,12 @@ class TranscriptWriter {
 };
 
 /// The shared --listen scaffolding: bind, publish the port via --port-file,
-/// serve until SIGTERM, report the transport counters. Works for any sink —
-/// a MatchServer or a cluster Coordinator.
-void run_listener(serve::RequestSink& sink,
+/// serve until SIGTERM, report the transport counters.
+void run_listener(serve::MatchServer& server,
                   const std::map<std::string, std::string>& flags) {
   serve::NetConfig net = serve::NetConfig::from_env();
   net.port = flag_int(flags, "listen", 0);
-  serve::NetServer listener(sink, net);
+  serve::NetServer listener(server, net);
   const int port = listener.listen_on_loopback();
   const std::string port_file = flag_string(flags, "port-file", "");
   if (!port_file.empty()) {
@@ -300,38 +289,6 @@ void run_listener(serve::RequestSink& sink,
             << " bytes_out=" << net_stats.bytes_out << "\n";
 }
 
-/// Parses "P1,P2,..." into loopback ports for --workers.
-std::vector<int> parse_worker_ports(const std::string& list) {
-  std::vector<int> ports;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    std::size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string token = list.substr(pos, comma - pos);
-    if (!token.empty()) {
-      int port = 0;
-      try {
-        port = std::stoi(token);
-      } catch (const std::exception&) {
-        usage("bad worker port '" + token + "'");
-      }
-      if (port <= 0) usage("bad worker port '" + token + "'");
-      ports.push_back(port);
-    }
-    pos = comma + 1;
-  }
-  return ports;
-}
-
-void report_cluster_stats(const serve::cluster::Coordinator& coordinator) {
-  std::cerr << "serve: cluster workers=" << coordinator.num_workers()
-            << " live=" << coordinator.live_workers()
-            << " scatters=" << coordinator.scatters()
-            << " migrations=" << coordinator.migrations()
-            << " consolidations=" << coordinator.consolidations()
-            << " markets=" << coordinator.resident_markets() << "\n";
-}
-
 int cmd_serve(int argc, char** argv) {
   std::string input_path;
   int flag_start = 2;
@@ -339,31 +296,16 @@ int cmd_serve(int argc, char** argv) {
     input_path = argv[2];
     flag_start = 3;
   }
-  // --worker and --coordinator are value-less mode switches; strip them
-  // before the generic "--key value" parse.
-  bool worker_mode = false;
-  bool coordinator_mode = false;
-  std::vector<char*> rest;
-  for (int a = flag_start; a < argc; ++a) {
-    const std::string key = argv[a];
-    if (key == "--worker") {
-      worker_mode = true;
-    } else if (key == "--coordinator") {
-      coordinator_mode = true;
-    } else {
-      rest.push_back(argv[a]);
-    }
-  }
-  const auto flags =
-      parse_flags(static_cast<int>(rest.size()), rest.data(), 0);
+  const auto flags = parse_flags(argc, argv, flag_start);
   const std::string out_path = flag_string(flags, "out", "");
   // --store DIR overrides SPECMATCH_STORE_DIR: snapshots land in (and cold
   // boots fault from) DIR.
   const std::string store_dir = flag_string(flags, "store", "");
-  if (worker_mode && coordinator_mode)
-    usage("--worker and --coordinator are mutually exclusive");
 
-  const auto parse_overflow = [&flags](serve::ServeConfig& config) {
+  if (flags.count("listen") != 0) {
+    if (!input_path.empty()) usage("--listen takes no request file");
+    serve::ServeConfig config = serve::ServeConfig::from_env();
+    if (!store_dir.empty()) config.store.dir = store_dir;
     const std::string overflow = flag_string(flags, "overflow", "block");
     if (overflow == "block") {
       config.overflow = serve::ServeConfig::Overflow::kBlock;
@@ -372,77 +314,6 @@ int cmd_serve(int argc, char** argv) {
     } else {
       usage("unknown --overflow '" + overflow + "' (block|reject)");
     }
-  };
-
-  if (coordinator_mode) {
-    if (!store_dir.empty())
-      usage("--coordinator is storeless (no --store)");
-    std::string workers = flag_string(flags, "workers", "");
-    if (workers.empty()) {
-      const char* env = std::getenv("SPECMATCH_CLUSTER_WORKERS");
-      if (env != nullptr) workers = env;
-    }
-    if (workers.empty()) {
-      usage(
-          "--coordinator needs --workers P1,P2,... "
-          "(or SPECMATCH_CLUSTER_WORKERS)");
-    }
-    serve::cluster::ClusterConfig config =
-        serve::cluster::ClusterConfig::from_env();
-    config.worker_ports = parse_worker_ports(workers);
-    if (config.worker_ports.empty())
-      usage("--workers needs at least one port");
-    parse_overflow(config.serve);
-    serve::cluster::Coordinator coordinator(std::move(config));
-
-    if (flags.count("listen") != 0) {
-      if (!input_path.empty()) usage("--listen takes no request file");
-      run_listener(coordinator, flags);
-      report_cluster_stats(coordinator);
-      return 0;
-    }
-
-    std::ifstream file_in;
-    if (!input_path.empty() && input_path != "-") {
-      file_in.open(input_path);
-      if (!file_in.good()) usage("cannot open " + input_path);
-    }
-    std::istream& in = file_in.is_open() ? file_in : std::cin;
-    std::ofstream file_out;
-    if (!out_path.empty()) {
-      file_out.open(out_path);
-      if (!file_out.good()) usage("cannot open " + out_path);
-    }
-    std::ostream& out = file_out.is_open() ? file_out : std::cout;
-
-    TranscriptWriter transcript(out);
-    serve::RequestReader reader(in);
-    serve::Request request;
-    std::int64_t requests = 0;
-    while (reader.next(request)) {
-      ++requests;
-      coordinator.submit(std::move(request),
-                         [&transcript](const serve::Response& response) {
-                           transcript.write(response);
-                         });
-    }
-    coordinator.drain();
-    out.flush();
-    if (!transcript.fully_flushed()) {
-      std::cerr << "error: transcript has gaps after drain\n";
-      return 1;
-    }
-    std::cerr << "serve: requests=" << requests << "\n";
-    report_cluster_stats(coordinator);
-    return 0;
-  }
-
-  if (flags.count("listen") != 0) {
-    if (!input_path.empty()) usage("--listen takes no request file");
-    serve::ServeConfig config = serve::ServeConfig::from_env();
-    if (!store_dir.empty()) config.store.dir = store_dir;
-    config.worker_mode = worker_mode;
-    parse_overflow(config);
     serve::MatchServer server(config);
     run_listener(server, flags);
     std::cerr << "serve: markets=" << server.resident_markets()
@@ -499,7 +370,6 @@ int cmd_serve(int argc, char** argv) {
   serve::ServeConfig config = serve::ServeConfig::from_env();
   config.overflow = serve::ServeConfig::Overflow::kBlock;
   if (!store_dir.empty()) config.store.dir = store_dir;
-  config.worker_mode = worker_mode;
   serve::MatchServer server(config);
   TranscriptWriter transcript(out);
 
