@@ -77,9 +77,6 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
      "CHECK after every warm solve that the result is interference-free and "
      "individually rational; welfare regressions always fall back to a cold "
      "re-solve (serve/server.cpp)"},
-    {"SPECMATCH_SERVE_WARM_FULL",
-     "run warm solves over the full buyer set instead of restricting Stage "
-     "II to the components touched since the last solve (serve/server.cpp)"},
     {"SPECMATCH_SERVE_LISTEN_BACKLOG",
      "listen(2) backlog of the TCP front-end, default 128 "
      "(serve/net_server.cpp)"},

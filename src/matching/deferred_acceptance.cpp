@@ -5,7 +5,7 @@
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
-#include "market/preferences.hpp"
+#include "graph/mwis.hpp"
 #include "matching/workspace.hpp"
 
 namespace specmatch::matching {
@@ -152,65 +152,12 @@ StageIResult run_deferred_acceptance_prepared(
       // waiting list; adopting it would let a seller's value oscillate.
       // Only switch when the seller strictly prefers the new coalition
       // (eq. 6), otherwise keep the waiting list and reject all proposers.
-      //
-      // For component-local policies the comparison is per connected
-      // component: no edge crosses a component boundary, so the seller's
-      // value is a sum of independent per-component terms and keeping the
-      // strictly-better side of each term leaves her at least as well off
-      // as the all-or-nothing switch, whichever side that switch picks. A
-      // component's verdict then depends only on that component, never on
-      // which other components share the channel. This replaces the
-      // paper's whole-channel rule (EXPERIMENTS.md, known deviation 5).
-      // kExact keeps the whole-channel comparison (its tie-breaking is not
-      // component-local, matching the sharding exemption above).
-      if (!shard_ok) {
-        if (!market::seller_prefers(market, i, ws.selections[k],
-                                    result.matching.members_of(i)))
-          ws.selections[k] = result.matching.members_of(i);
-      } else {
-        const graph::ComponentIndex& index = market.graph(i).components();
-        const DynamicBitset& members = result.matching.members_of(i);
-        const auto prices = market.channel_prices(i);
-        // Components where selection and members differ, via the two set
-        // differences; stamps dedupe. Verdict order cannot matter — each
-        // component's revert touches only its own vertices.
-        ws.comp_list.clear();
-        const std::uint64_t stamp = ++ws.comp_stamp_counter;
-        const auto collect = [&](const DynamicBitset& a,
-                                 const DynamicBitset& b) {
-          ws.apply_set.assign_difference(a, b);
-          ws.apply_set.for_each_set([&](std::size_t v) {
-            const std::uint32_t c =
-                index.component_of(static_cast<BuyerId>(v));
-            if (ws.comp_stamp[c] != stamp) {
-              ws.comp_stamp[c] = stamp;
-              ws.comp_list.push_back(c);
-            }
-          });
-        };
-        collect(ws.selections[k], members);
-        collect(members, ws.selections[k]);
-        for (const std::uint32_t c : ws.comp_list) {
-          // Ascending-id scalar sums: set_weight's addition order restricted
-          // to the component, so the verdict reproduces bit-for-bit in any
-          // sub-market containing the component.
-          double sel_sum = 0.0;
-          double mem_sum = 0.0;
-          for (const BuyerId v : index.vertices(c)) {
-            const auto vu = static_cast<std::size_t>(v);
-            if (ws.selections[k].test(vu)) sel_sum += prices[vu];
-            if (members.test(vu)) mem_sum += prices[vu];
-          }
-          if (sel_sum > mem_sum) continue;
-          for (const BuyerId v : index.vertices(c)) {
-            const auto vu = static_cast<std::size_t>(v);
-            if (members.test(vu))
-              ws.selections[k].set(vu);
-            else
-              ws.selections[k].reset(vu);
-          }
-        }
-      }
+      // Both sets are independent by construction, so her preference is
+      // the price-sum comparison alone.
+      const auto prices = market.channel_prices(i);
+      if (graph::set_weight(prices, ws.selections[k]) <=
+          graph::set_weight(prices, result.matching.members_of(i)))
+        ws.selections[k] = result.matching.members_of(i);
       const DynamicBitset& chosen = ws.selections[k];
       // Evict waiting-list buyers not selected, then admit new members.
       ws.apply_set.assign_difference(result.matching.members_of(i), chosen);

@@ -280,18 +280,6 @@ StageIIResult run_transfer_invitation_prepared(
                        screen(i, lane);
                      });
 
-  // Component-local policies invite per (channel, interference component)
-  // per round — components cannot interact, so inviting them simultaneously
-  // is sound, and the rate limit stays the paper's one-per-seller-per-round
-  // *within* each component. Phase 2 then runs for as many rounds as the
-  // longest per-component invitation list, not the seller's whole list,
-  // and a component's invitation schedule does not depend on which other
-  // components share the channel. This replaces the paper's one invitation
-  // per seller per round (EXPERIMENTS.md, known deviation 5). kExact keeps
-  // the paper's literal one-invitation-per-channel round.
-  const bool comp_local =
-      config.coalition_policy != graph::MwisAlgorithm::kExact;
-
   while (true) {
     const std::int64_t round_allocs = counting ? alloc_scope.total() : 0;
     bool any_invitation = false;
@@ -299,74 +287,42 @@ StageIIResult run_transfer_invitation_prepared(
       const auto iu = static_cast<std::size_t>(i);
       if (!ws.invite_list[iu].any()) continue;
 
-      // Invite a listed buyer with the highest offered price (ties go to the
-      // lowest id — ascending scan with strict >).
-      const auto invite = [&](BuyerId best, double best_price) {
-        ++result.invitations_sent;
-        any_invitation = true;
-        const bool still_compatible = market.graph(i).is_compatible(
-            best, result.matching.members_of(i));
-        if (still_compatible &&
-            best_price > current_utility(market, result.matching, best)) {
-          const SellerId old_seller = result.matching.seller_of(best);
-          result.matching.rematch(best, i);
-          ++result.invitations_accepted;
-          // Drop the new member's interfering neighbours (line 29).
-          market.graph(i).remove_neighbors_from(best, ws.invite_list[iu]);
-          if (config.rescreen_on_departure && old_seller != kUnmatched) {
-            // Extension: a departure may unblock buyers the one-shot
-            // screening removed; rebuild the old seller's list from everyone
-            // she ever rejected and screen again.
-            ws.invite_list[static_cast<std::size_t>(old_seller)] |=
-                ws.rejected[static_cast<std::size_t>(old_seller)];
-            screen(old_seller, 0);
-          }
-        }
-        ws.invite_list[iu].reset(static_cast<std::size_t>(best));
-        // An invitation is never repeated (line 31).
-        ws.rejected[iu].reset(static_cast<std::size_t>(best));
-      };
-
-      if (!comp_local) {
-        BuyerId best = kUnmatched;
-        double best_price = -1.0;
-        ws.invite_list[iu].for_each_set([&](std::size_t j) {
-          const double price = market.utility(i, static_cast<BuyerId>(j));
-          if (price > best_price) {
-            best_price = price;
-            best = static_cast<BuyerId>(j);
-          }
-        });
-        SPECMATCH_DCHECK(best != kUnmatched);
-        invite(best, best_price);
-        continue;
-      }
-
-      // One best per component, found in a single ascending pass (stamps
-      // dedupe; comp_list keeps first-seen order, ascending by each
-      // component's lowest listed buyer — the same order at any market
-      // partition). Accepting one component's best only mutates that
-      // component's list bits, so the stored bests stay valid through the
-      // processing loop.
-      const graph::ComponentIndex& index = market.graph(i).components();
-      ws.comp_list.clear();
-      const std::uint64_t stamp = ++ws.comp_stamp_counter;
+      // Invite the listed buyer with the highest offered price (ties go to
+      // the lowest id — ascending scan with strict >): one invitation per
+      // seller per round.
+      BuyerId best = kUnmatched;
+      double best_price = -1.0;
       ws.invite_list[iu].for_each_set([&](std::size_t j) {
-        const auto buyer = static_cast<BuyerId>(j);
-        const double price = market.utility(i, buyer);
-        const std::uint32_t c = index.component_of(buyer);
-        if (ws.comp_stamp[c] != stamp) {
-          ws.comp_stamp[c] = stamp;
-          ws.comp_list.push_back(c);
-          ws.comp_best[c] = buyer;
-          ws.comp_best_price[c] = price;
-        } else if (price > ws.comp_best_price[c]) {
-          ws.comp_best[c] = buyer;
-          ws.comp_best_price[c] = price;
+        const double price = market.utility(i, static_cast<BuyerId>(j));
+        if (price > best_price) {
+          best_price = price;
+          best = static_cast<BuyerId>(j);
         }
       });
-      for (const std::uint32_t c : ws.comp_list)
-        invite(ws.comp_best[c], ws.comp_best_price[c]);
+      SPECMATCH_DCHECK(best != kUnmatched);
+      ++result.invitations_sent;
+      any_invitation = true;
+      const bool still_compatible =
+          market.graph(i).is_compatible(best, result.matching.members_of(i));
+      if (still_compatible &&
+          best_price > current_utility(market, result.matching, best)) {
+        const SellerId old_seller = result.matching.seller_of(best);
+        result.matching.rematch(best, i);
+        ++result.invitations_accepted;
+        // Drop the new member's interfering neighbours (line 29).
+        market.graph(i).remove_neighbors_from(best, ws.invite_list[iu]);
+        if (config.rescreen_on_departure && old_seller != kUnmatched) {
+          // Extension: a departure may unblock buyers the one-shot
+          // screening removed; rebuild the old seller's list from everyone
+          // she ever rejected and screen again.
+          ws.invite_list[static_cast<std::size_t>(old_seller)] |=
+              ws.rejected[static_cast<std::size_t>(old_seller)];
+          screen(old_seller, 0);
+        }
+      }
+      ws.invite_list[iu].reset(static_cast<std::size_t>(best));
+      // An invitation is never repeated (line 31).
+      ws.rejected[iu].reset(static_cast<std::size_t>(best));
     }
     if (!any_invitation) break;
     ++result.phase2_rounds;

@@ -75,11 +75,13 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   for (ChannelId i = 0; i < M; ++i) {
     ShardPlan& plan = shard_plans[static_cast<std::size_t>(i)];
     plan.shard_comps.clear();
+    // Built even when sharding is off: the restricted Stage II departure
+    // cascade reads it too.
+    const graph::ComponentIndex& index = market.graph(i).components();
     if (!sharding) {
       ++total_tasks;
       continue;
     }
-    const graph::ComponentIndex& index = market.graph(i).components();
     if (metrics::enabled())
       metrics::observe("component.per_channel",
                        static_cast<double>(index.num_components()));
@@ -103,20 +105,6 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   coal_tasks.clear();
   coal_tasks.reserve(total_tasks);
   if (coal_out.size() < out_bound) coal_out.resize(out_bound);
-
-  // Per-component decision scratch (Stage I guard, Stage II invitations):
-  // one stamp/best slot per component of the fullest channel. Forces every
-  // channel's (cached) component index so the rounds only read it.
-  std::size_t max_comps = 1;
-  for (ChannelId i = 0; i < M; ++i)
-    max_comps =
-        std::max(max_comps, market.graph(i).components().num_components());
-  if (comp_stamp.size() < max_comps) comp_stamp.resize(max_comps, 0);
-  if (comp_best.size() < max_comps) comp_best.resize(max_comps, kUnmatched);
-  if (comp_best_price.size() < max_comps)
-    comp_best_price.resize(max_comps, 0.0);
-  comp_list.clear();
-  comp_list.reserve(max_comps);
 
   // One solver scratch per pool lane, sized by the worst heap-path channel.
   // MwisScratch::heap_bound caps the lazy heap by max degree (the solver

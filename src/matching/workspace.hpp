@@ -107,18 +107,6 @@ struct MatchWorkspace {
   std::vector<DynamicBitset> lane_local;          ///< local candidate bits
   std::vector<std::vector<double>> lane_weights;  ///< local weight gather
 
-  // --- per-component decision scratch -------------------------------------
-  // The Stage I seller guard and Stage II invitation rounds decide per
-  // connected component for component-local policies (see
-  // deferred_acceptance.cpp / transfer_invitation.cpp). Stamps dedupe the
-  // components a round touches without clearing anything; the best slots
-  // hold one candidate per component. Sized by prepare() for the fullest
-  // channel, so steady rounds never grow them.
-  std::vector<std::uint64_t> comp_stamp;  ///< per-component last-use stamp
-  std::uint64_t comp_stamp_counter = 0;   ///< monotonic, never reset
-  std::vector<std::uint32_t> comp_list;   ///< components touched this round
-  std::vector<BuyerId> comp_best;         ///< per-component best invitee
-  std::vector<double> comp_best_price;    ///< and her offered price
   // Stage II restricted mode: the active participant set (config copy plus
   /// buyers activated by departure cascades).
   DynamicBitset stage2_active;

@@ -73,7 +73,6 @@ ServeConfig ServeConfig::from_env() {
   config.mem_budget_mb =
       static_cast<std::size_t>(env_long("SPECMATCH_SERVE_MEM_MB", 4096));
   config.check_warm = env_flag("SPECMATCH_SERVE_CHECK_WARM");
-  config.warm_full = env_flag("SPECMATCH_SERVE_WARM_FULL");
   config.store = store::StoreConfig::from_env();
   return config;
 }
@@ -520,11 +519,11 @@ std::string MatchServer::solve_response(MarketEntry& entry,
     // Warm path: Stage II alone on the carried matching. Mutations have
     // already invalidated exactly the assignments they touched, so the
     // carried matching is interference-free and admissible; Stage II only
-    // improves buyers, hence welfare can only grow. Unless warm_full is
-    // set, the run is restricted to the mutations' dirty set — everyone
-    // else's assignment carries over verbatim without being rescanned.
+    // improves buyers, hence welfare can only grow. Once the dirty set is
+    // tracked, the run is restricted to it — everyone else's assignment
+    // carries over verbatim without being rescanned.
     const double carried_welfare = entry.last.social_welfare(entry.market);
-    const bool restricted = !config_.warm_full && entry.dirty_valid;
+    const bool restricted = entry.dirty_valid;
     matching::StageIIConfig stage2;
     stage2.coalition_policy = config_.coalition_policy;
     if (restricted) stage2.participants = &entry.dirty;

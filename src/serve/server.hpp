@@ -62,10 +62,6 @@ struct ServeConfig {
   /// regressing warm solve is discarded and the request re-answered cold,
   /// counted in `fallbacks_invariant`.) Default: SPECMATCH_SERVE_CHECK_WARM.
   bool check_warm = false;
-  /// Escape hatch: run warm solves over the full buyer set instead of
-  /// restricting Stage II to the components touched by mutations since the
-  /// last solve. Default: SPECMATCH_SERVE_WARM_FULL.
-  bool warm_full = false;
   /// Tests only: submit() enqueues without scheduling; batches run when
   /// drain_pending_for_tests() is called, making coalescing observable and
   /// deterministic.

@@ -178,6 +178,35 @@ TEST(StageITest, EmptyGraphsGiveEveryoneTheirFavourite) {
   }
 }
 
+TEST(StageITest, GuardComparesTheWholeCoalitionAcrossComponents) {
+  // Algorithm 1 has one guard per coalition, even when the channel's graph
+  // has several components. Buyers a1=0, a2=1, a3=2, b1=3, c=4. Channel 0
+  // has two components, {a1, a2, a3} with edges a1-a2 and a1-a3, and
+  // everyone else isolated. Channel 1 is complete and c's favourite, so
+  // a1 and b1 (who prefer channel 1) are rejected there in round 1 and
+  // propose to channel 0 in round 2, where a2 and a3 (6 each) already wait.
+  // GWMIN picks b1 (5) then a1 (10): worse than {a2, a3} in the first
+  // component (10 < 12), better in the second (5 > 0), and 15 > 12 in
+  // total, so the seller adopts the whole selection {a1, b1}.
+  const int M = 2, N = 5;
+  std::vector<double> prices = {10.0, 6.0, 6.0, 5.0, 1.0,
+                                20.0, 1.0, 1.0, 20.0, 100.0};
+  graph::InterferenceGraph fractured(static_cast<std::size_t>(N));
+  fractured.add_edge(0, 1);
+  fractured.add_edge(0, 2);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(std::move(fractured));
+  graphs.push_back(graph::complete(static_cast<std::size_t>(N)));
+  const market::SpectrumMarket market(M, N, std::move(prices),
+                                      std::move(graphs));
+  const auto result = run_deferred_acceptance(market, traced());
+  ASSERT_GE(result.trace.size(), 2u);
+  EXPECT_EQ(result.trace[0].waiting_lists[0], (std::vector<BuyerId>{1, 2}));
+  EXPECT_EQ(result.trace[1].waiting_lists[0], (std::vector<BuyerId>{0, 3}));
+  EXPECT_EQ(members(result.matching, 0), (std::vector<BuyerId>{0, 3}));
+  EXPECT_EQ(members(result.matching, 1), (std::vector<BuyerId>{4}));
+}
+
 TEST(StageITest, ExactCoalitionPolicyNeverWorseOnToyExample) {
   const auto market = toy_example();
   StageIConfig exact;

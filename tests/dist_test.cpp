@@ -103,11 +103,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          10u, 21u, 22u, 23u, 24u, 25u)));
 
 // Short ranges split the channel graphs into many interference components
-// (1.8-112 per channel on average across this grid). There the engine's
-// component-local Stage I guard and Stage II invitation rounds
-// (EXPERIMENTS.md, known deviation 5) differ from the per-seller rules the
-// message-passing runtime carries out literally, so this is where the two
-// could disagree.
+// (1.8-112 per channel on average across this grid), the regime where the
+// engine shards its coalition solves and restricts warm Stage II runs by
+// component. The engine and the message-passing runtime follow the same
+// per-seller rules; these inputs check that sharding keeps it that way.
 INSTANTIATE_TEST_SUITE_P(
     Sparse, DistEquivalenceTest,
     ::testing::Combine(::testing::Values(4, 6, 8),

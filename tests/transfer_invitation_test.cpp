@@ -90,6 +90,39 @@ TEST(StageIITest, EmptyMatchingIsValidInput) {
   EXPECT_GT(result.matching.social_welfare(market), 0.0);
 }
 
+// ---- Phase 2 rate limit ------------------------------------------------------
+
+TEST(StageIITest, Phase2SendsOneInvitationPerSellerPerRound) {
+  // Algorithm 2 Phase 2: each seller invites one listed buyer per round,
+  // even when her list spans several components of her graph. Buyers
+  // m1=0, p=1, m2=2, q=3. Channel 0 has two components, {m1, p} and
+  // {m2, q}; channel 1 has no edges and only m1 and m2 can buy it. Starting
+  // from channel 0 = {m1, m2}, Phase 1 moves m1 and m2 to channel 1 (10 > 5)
+  // in the round that rejects p and q from channel 0 (they interfere with
+  // the members still there). Channel 0's screened list is then {p, q}: it
+  // invites p (8) in round 1 and q (7) in round 2.
+  const int M = 2, N = 4;
+  std::vector<double> prices = {5.0, 8.0, 5.0, 7.0,  //
+                                10.0, 0.0, 10.0, 0.0};
+  graph::InterferenceGraph fractured(static_cast<std::size_t>(N));
+  fractured.add_edge(0, 1);
+  fractured.add_edge(2, 3);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(std::move(fractured));
+  graphs.push_back(graph::InterferenceGraph(static_cast<std::size_t>(N)));
+  const market::SpectrumMarket market(M, N, std::move(prices),
+                                      std::move(graphs));
+  const auto result =
+      run_transfer_invitation(market, make_matching(M, N, {{0, 2}, {}}));
+  EXPECT_EQ(result.phase1_rounds, 1);
+  EXPECT_EQ(members(result.after_phase1, 0), (std::vector<BuyerId>{}));
+  EXPECT_EQ(members(result.after_phase1, 1), (std::vector<BuyerId>{0, 2}));
+  EXPECT_EQ(result.phase2_rounds, 2);
+  EXPECT_EQ(result.invitations_sent, 2);
+  EXPECT_EQ(result.invitations_accepted, 2);
+  EXPECT_EQ(members(result.matching, 0), (std::vector<BuyerId>{1, 3}));
+}
+
 // ---- Properties on random markets ------------------------------------------
 
 class StageIIPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
