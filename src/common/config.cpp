@@ -91,10 +91,6 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
      "graceful-drain budget of the TCP front-end in milliseconds, default "
      "5000; past it, remaining connections are force-closed "
      "(serve/net_server.cpp)"},
-    {"SPECMATCH_NET_CONNS",
-     "comma-separated connection-count grid of the serve_load --net bench, "
-     "default 1,64,512 (1,8 under SPECMATCH_BENCH_SMOKE) "
-     "(bench/serve_load.cpp)"},
     {"SPECMATCH_SERVE_MAX_LINE",
      "longest tolerated wire-protocol line in bytes, default 1048576; a "
      "frame with no newline beyond it is a protocol error "

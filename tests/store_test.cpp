@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "market/market.hpp"
@@ -470,6 +471,50 @@ TEST(ServerStoreTest, MemoryCappedServingSpillsWithZeroDiscards) {
   }
   EXPECT_EQ(server.discarded(), 0);
   EXPECT_GE(server.faults(), kMarkets - 1);
+}
+
+/// Metrics on and zeroed for the test body, as MetricsTest does.
+class StoreMetricsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_enabled_ = metrics::enabled();
+    metrics::set_enabled(true);
+    metrics::Registry::global().reset_all();
+  }
+  void TearDown() override {
+    metrics::Registry::global().reset_all();
+    metrics::set_enabled(was_enabled_);
+  }
+
+ private:
+  bool was_enabled_ = false;
+};
+
+TEST_F(StoreMetricsTest, SpillAndFaultInstrumentsAreRecorded) {
+  // A 16 x 400 market takes over 0.5 MB, so two do not fit in 1 MB:
+  // creating b spills a, and solving a again faults it back in.
+  const fs::path dir = scratch_dir("store_metrics");
+  serve::ServeConfig config = store_server_config(dir, 1);
+  config.mem_budget_mb = 1;
+  serve::MatchServer server(config);
+  ASSERT_TRUE(
+      server.handle(create_request("a", random_scenario(70, 16, 400))).ok);
+  ASSERT_TRUE(server.handle(verb_request(serve::RequestType::kSolve, "a")).ok);
+  ASSERT_TRUE(
+      server.handle(create_request("b", random_scenario(71, 16, 400))).ok);
+  ASSERT_TRUE(server.handle(verb_request(serve::RequestType::kSolve, "b")).ok);
+  ASSERT_TRUE(server.handle(verb_request(serve::RequestType::kSolve, "a")).ok);
+
+  const metrics::Snapshot snapshot = metrics::Registry::global().snapshot();
+  EXPECT_GE(snapshot.counter("serve.store.spills"), 1);
+  EXPECT_GE(snapshot.counter("serve.store.faults"), 1);
+  for (const char* name : {"serve.store.fault_ms", "serve.latency_ms"}) {
+    std::uint64_t count = 0;
+    for (const auto& [histogram, summary] : snapshot.histograms)
+      if (histogram == name) count = summary.count;
+    EXPECT_GE(count, 1u) << name;
+  }
+  EXPECT_EQ(server.discarded(), 0);
 }
 
 }  // namespace

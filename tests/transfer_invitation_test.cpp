@@ -123,6 +123,30 @@ TEST(StageIITest, Phase2SendsOneInvitationPerSellerPerRound) {
   EXPECT_EQ(members(result.matching, 0), (std::vector<BuyerId>{1, 3}));
 }
 
+// ---- Transfer pruning (EXPERIMENTS.md known deviation 2) --------------------
+
+TEST(StageIITest, TransferListIsPrunedAfterATransfer) {
+  // One buyer, sellers a=0, b=1, c=2, no interference. Stage I left her on
+  // c; she prefers a (10) over b (8) over c (5), so T = [a, b]. She applies
+  // to a in round 1 and transfers. The paper initialises T once, so it
+  // would still list b and she would apply to b in round 2 and move down to
+  // 8. Pruned to sellers strictly better than a, T is empty: one
+  // application, one round, and she stays on a.
+  const int M = 3, N = 1;
+  std::vector<graph::InterferenceGraph> graphs;
+  for (int i = 0; i < M; ++i)
+    graphs.push_back(graph::InterferenceGraph(static_cast<std::size_t>(N)));
+  const market::SpectrumMarket market(M, N, {10.0, 8.0, 5.0},
+                                      std::move(graphs));
+  const auto result =
+      run_transfer_invitation(market, make_matching(M, N, {{}, {}, {0}}));
+  EXPECT_EQ(result.transfer_applications, 1);
+  EXPECT_EQ(result.transfers_accepted, 1);
+  EXPECT_EQ(result.phase1_rounds, 1);
+  EXPECT_EQ(result.matching.seller_of(0), 0);
+  EXPECT_EQ(result.invitations_sent, 0);
+}
+
 // ---- Properties on random markets ------------------------------------------
 
 class StageIIPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
