@@ -6,6 +6,16 @@
 
 namespace specmatch {
 
+DynamicBitset::DynamicBitset(std::size_t size,
+                             std::span<const std::uint64_t> words)
+    : size_(size), words_(words.begin(), words.end()) {
+  SPECMATCH_CHECK_MSG(words_.size() == (size + kBits - 1) / kBits,
+                      words_.size() << " words for a " << size
+                                    << "-bit bitset");
+  SPECMATCH_CHECK_MSG(size % kBits == 0 || words_.back() >> (size % kBits) == 0,
+                      "bit set past the end of a " << size << "-bit bitset");
+}
+
 void DynamicBitset::clear() { std::fill(words_.begin(), words_.end(), 0); }
 
 void DynamicBitset::assign_zero(std::size_t size) {

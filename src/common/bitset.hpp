@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -26,7 +27,16 @@ class DynamicBitset {
   explicit DynamicBitset(std::size_t size)
       : size_(size), words_((size + kBits - 1) / kBits, 0) {}
 
+  /// Creates a bitset of `size` bits whose ⌈size/64⌉ words are copied from
+  /// `words` (bit k lives at bit k % 64 of word k / 64). Bits past `size`
+  /// must be clear — every counting kernel relies on it; checked.
+  DynamicBitset(std::size_t size, std::span<const std::uint64_t> words);
+
   std::size_t size() const { return size_; }
+
+  /// The backing words, in the layout the constructor above takes; bits
+  /// past size() are clear.
+  std::span<const std::uint64_t> words() const { return words_; }
 
   bool test(std::size_t pos) const {
     SPECMATCH_DCHECK(pos < size_);

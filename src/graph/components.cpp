@@ -10,29 +10,32 @@ namespace specmatch::graph {
 
 ComponentIndex::ComponentIndex(const InterferenceGraph& graph) {
   const std::size_t n = graph.num_vertices();
-  constexpr std::uint32_t kUnlabeled = 0xffffffffu;
-  comp_of_.assign(n, kUnlabeled);
+  comp_of_.assign(n, 0);
   pos_.assign(n, 0);
 
   // Pass 1: label every vertex by BFS from ascending seeds, so component ids
   // ascend with their seed vertex (same discovery order as coloring.cpp's
-  // connected_components).
+  // connected_components). The BFS walks only the still-unlabeled
+  // neighbours: on a dense row that is one word-AND per row word instead of
+  // a visit per neighbour bit, on a CSR row one mask test per neighbour.
+  DynamicBitset unlabeled(n);
+  for (std::size_t v = 0; v < n; ++v) unlabeled.set(v);
   std::vector<BuyerId> frontier;
   std::uint32_t num_comps = 0;
-  for (std::size_t seed = 0; seed < n; ++seed) {
-    if (comp_of_[seed] != kUnlabeled) continue;
+  for (std::size_t seed = unlabeled.find_first(); seed < n;
+       seed = unlabeled.find_next(seed)) {
     const std::uint32_t c = num_comps++;
     comp_of_[seed] = c;
+    unlabeled.reset(seed);
     frontier.clear();
     frontier.push_back(static_cast<BuyerId>(seed));
     while (!frontier.empty()) {
       const BuyerId v = frontier.back();
       frontier.pop_back();
-      graph.for_each_neighbor(v, [&](std::size_t u) {
-        if (comp_of_[u] == kUnlabeled) {
-          comp_of_[u] = c;
-          frontier.push_back(static_cast<BuyerId>(u));
-        }
+      graph.for_each_neighbor_in(v, unlabeled, [&](std::size_t u) {
+        comp_of_[u] = c;
+        unlabeled.reset(u);
+        frontier.push_back(static_cast<BuyerId>(u));
       });
     }
   }

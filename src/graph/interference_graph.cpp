@@ -119,6 +119,32 @@ InterferenceGraph InterferenceGraph::from_csr_view(const CsrView& view) {
   return g;
 }
 
+InterferenceGraph InterferenceGraph::from_dense_rows(
+    std::size_t num_vertices, std::span<const std::uint64_t> rows,
+    std::span<const std::uint32_t> degrees) {
+  const std::size_t words_per_row = (num_vertices + 63) / 64;
+  SPECMATCH_CHECK_MSG(rows.size() == num_vertices * words_per_row &&
+                          degrees.size() == num_vertices,
+                      "dense rows for " << num_vertices << " vertices need "
+                                        << num_vertices * words_per_row
+                                        << " words and as many degrees");
+  InterferenceGraph g;
+  g.rep_ = GraphRep::kDense;
+  g.num_vertices_ = num_vertices;
+  g.narrow_ = g.narrow_ids();
+  g.degrees_.assign(degrees.begin(), degrees.end());
+  g.adjacency_.reserve(num_vertices);
+  std::size_t degree_sum = 0;
+  for (std::size_t v = 0; v < num_vertices; ++v) {
+    g.adjacency_.emplace_back(num_vertices,
+                              rows.subspan(v * words_per_row, words_per_row));
+    degree_sum += degrees[v];
+    g.max_degree_ = std::max<std::size_t>(g.max_degree_, degrees[v]);
+  }
+  g.num_edges_ = degree_sum / 2;
+  return g;
+}
+
 const ComponentIndex& InterferenceGraph::components() const {
   if (components_ == nullptr)
     components_ = std::make_unique<ComponentIndex>(*this);

@@ -138,11 +138,27 @@ class InterferenceGraph {
     return degrees_data()[static_cast<std::size_t>(v)];
   }
 
+  /// The per-vertex degree cache, valid until the next non-const call.
+  std::span<const std::uint32_t> degrees() const {
+    return {degrees_data(), num_vertices_};
+  }
+
   /// Borrowed view of the finalized CSR arrays, valid until the next
   /// non-const call on this graph. Requires a finalized kCsr graph (the
-  /// snapshot writer converts dense graphs through with_representation
-  /// first).
+  /// snapshot writer stores dense graphs as their bitset rows instead).
   CsrView csr_export() const;
+
+  /// A dense graph whose adjacency rows are copied word for word from
+  /// `rows`: num_vertices rows of ⌈num_vertices/64⌉ words each, row v at
+  /// word v·⌈num_vertices/64⌉, in DynamicBitset::words() layout. `degrees`
+  /// becomes the degree cache. No per-edge replay: this is how the snapshot
+  /// reader restores dense channels. The caller guarantees a valid
+  /// adjacency — symmetric, no diagonal bit, degrees[v] equal to row v's
+  /// popcount (the reader verifies everything but symmetry, which the
+  /// file checksum covers); bits past num_vertices are checked here.
+  static InterferenceGraph from_dense_rows(
+      std::size_t num_vertices, std::span<const std::uint64_t> rows,
+      std::span<const std::uint32_t> degrees);
 
   /// A finalized kCsr graph whose adjacency reads THROUGH `view`'s pointers
   /// — no copy. The caller guarantees the pointed-to memory (typically an

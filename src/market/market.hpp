@@ -48,6 +48,9 @@ class SpectrumMarket {
   /// All buyers' prices on channel i — the MWIS weight vector of seller i.
   std::span<const double> channel_prices(ChannelId i) const;
 
+  /// The whole price matrix, channel-major: prices()[i * N + j] = b_{i,j}.
+  std::span<const double> prices() const { return prices_; }
+
   /// Buyer j's utility vector B_j = (b_{1,j}, ..., b_{M,j}) (materialised).
   std::vector<double> buyer_utilities(BuyerId j) const;
 

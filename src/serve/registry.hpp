@@ -58,7 +58,9 @@ struct MarketEntry {
   /// entry (and re-serves of the snapshot can validate against it).
   std::shared_ptr<const market::Scenario> scenario;
   /// The mmap backing the market's view-backed CSR graphs when this entry
-  /// was faulted in from a snapshot; null for freshly built markets.
+  /// was faulted in from a snapshot; null for freshly built markets and for
+  /// faulted-in markets whose channels are all dense (their rows were
+  /// copied out).
   std::shared_ptr<store::MappedSnapshot> backing;
 
   /// Buyers whose assignment or opportunities a mutation may have changed

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "graph/components.hpp"
+#include "common/simd.hpp"
 #include "graph/generators.hpp"
 
 namespace specmatch::store {
@@ -37,10 +37,11 @@ int hex_value(char c) {
   return -1;
 }
 
-/// Rebuilds one channel graph from its snapshot sections. CSR-resident
-/// graphs get a zero-copy view into the mapping; dense-resident graphs
-/// (small N) are re-materialized as bitset rows from the same CSR arrays so
-/// the loaded market serves under the exact representation it spilled with.
+/// Rebuilds one channel graph from its snapshot sections, under the
+/// representation it spilled with. CSR channels get a zero-copy view into
+/// the mapping; dense channels get their bitset rows copied word for word.
+/// Nothing out of range leaves here: every later consumer indexes bitsets
+/// and price rows with these values.
 graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
                                     const GraphMetaRecord& meta,
                                     std::size_t num_vertices,
@@ -50,27 +51,74 @@ graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
                         std::to_string(channel) + ": " + what);
   };
   const std::size_t n = num_vertices;
+  // A blob sub-array is read in place as a typed array, so it must start on
+  // the alignment the writer gives it.
+  const auto sub_array = [&](SectionKind kind, std::uint64_t offset,
+                             std::uint64_t bytes) {
+    if (offset % kSectionAlign != 0)
+      fail("sub-array offset " + std::to_string(offset) + " in section kind " +
+           std::to_string(static_cast<std::uint32_t>(kind)) +
+           " is not " + std::to_string(kSectionAlign) + "-byte aligned");
+    return snap.section_bytes(snap.require(kind), offset, bytes);
+  };
+
+  const bool dense =
+      meta.rep == static_cast<std::uint32_t>(graph::GraphRep::kDense);
+  if (!dense && meta.rep != static_cast<std::uint32_t>(graph::GraphRep::kCsr))
+    fail("unknown representation " + std::to_string(meta.rep));
+  // Bounding the counts first keeps 2 * num_edges and every byte length
+  // below from wrapping.
+  if (meta.num_edges > n * n) fail("edge count exceeds n²");
+  if (meta.max_degree >= std::max<std::size_t>(n, 1))
+    fail("max degree " + std::to_string(meta.max_degree) +
+         " out of range for " + std::to_string(n) + " vertices");
   const std::size_t total = 2 * static_cast<std::size_t>(meta.num_edges);
+
+  const auto* degrees = reinterpret_cast<const std::uint32_t*>(sub_array(
+      SectionKind::kGraphDegrees, meta.degrees_off, n * sizeof(std::uint32_t)));
+  std::size_t degree_sum = 0;
+  std::size_t max_degree = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    degree_sum += degrees[v];
+    max_degree = std::max<std::size_t>(max_degree, degrees[v]);
+  }
+  if (degree_sum != total) fail("cached degrees disagree with the edge count");
+  if (max_degree != meta.max_degree)
+    fail("max degree disagrees with the cached degrees");
+
+  if (dense) {
+    const std::size_t words_per_row = (n + 63) / 64;
+    const auto* rows = reinterpret_cast<const std::uint64_t*>(
+        sub_array(SectionKind::kGraphRows, meta.rows_off,
+                  n * words_per_row * sizeof(std::uint64_t)));
+    const std::uint64_t tail_mask =
+        n % 64 == 0 ? 0 : ~std::uint64_t{0} << (n % 64);
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::uint64_t* row = rows + v * words_per_row;
+      if ((row[words_per_row - 1] & tail_mask) != 0)
+        fail("row " + std::to_string(v) + " sets a padding bit past vertex " +
+             std::to_string(n - 1));
+      if ((row[v / 64] >> (v % 64)) & 1u)
+        fail("row " + std::to_string(v) + " sets its own diagonal bit");
+      if (simd::popcount_words(row, words_per_row) != degrees[v])
+        fail("cached degree of vertex " + std::to_string(v) +
+             " disagrees with its row popcount");
+    }
+    return graph::InterferenceGraph::from_dense_rows(
+        n, {rows, n * words_per_row}, {degrees, n});
+  }
+
   const bool narrow = meta.narrow != 0;
   if (narrow != (n <= (std::size_t{1} << 16)))
     fail("neighbour-id width disagrees with the vertex count");
-
-  const SectionEntry& offs_section = snap.require(SectionKind::kGraphOffsets);
-  const SectionEntry& degs_section = snap.require(SectionKind::kGraphDegrees);
-  const SectionEntry& ids_section = snap.require(SectionKind::kGraphIds);
   const auto* offsets = reinterpret_cast<const std::uint32_t*>(
-      snap.section_bytes(offs_section, meta.offsets_off,
-                         (n + 1) * sizeof(std::uint32_t)));
-  const auto* degrees = reinterpret_cast<const std::uint32_t*>(
-      snap.section_bytes(degs_section, meta.degrees_off,
-                         n * sizeof(std::uint32_t)));
+      sub_array(SectionKind::kGraphOffsets, meta.offsets_off,
+                (n + 1) * sizeof(std::uint32_t)));
   const std::size_t id_bytes =
       narrow ? sizeof(std::uint16_t) : sizeof(std::uint32_t);
   const std::byte* ids_raw =
-      snap.section_bytes(ids_section, meta.ids_off, total * id_bytes);
+      sub_array(SectionKind::kGraphIds, meta.ids_off, total * id_bytes);
 
-  // Structural validation up front: every later consumer indexes bitsets and
-  // price rows with these values, so nothing out of range may leave here.
   if (offsets[0] != 0 || offsets[n] != total)
     fail("CSR offsets do not cover the neighbour array");
   for (std::size_t v = 0; v < n; ++v) {
@@ -78,11 +126,19 @@ graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
     if (degrees[v] != offsets[v + 1] - offsets[v])
       fail("cached degree disagrees with the CSR row length");
   }
+  // Rows must ascend strictly (the iteration-order contract, and has_edge's
+  // binary search) and never name their own vertex.
   const auto check_ids = [&](const auto* ids) {
-    for (std::size_t k = 0; k < total; ++k)
-      if (static_cast<std::size_t>(ids[k]) >= n)
-        fail("neighbour id " + std::to_string(ids[k]) + " out of range [0, " +
-             std::to_string(n) + ")");
+    for (std::size_t v = 0; v < n; ++v)
+      for (std::size_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+        const auto u = static_cast<std::size_t>(ids[k]);
+        if (u >= n)
+          fail("neighbour id " + std::to_string(u) + " out of range [0, " +
+               std::to_string(n) + ")");
+        if (u == v) fail("row " + std::to_string(v) + " lists itself");
+        if (k > offsets[v] && u <= static_cast<std::size_t>(ids[k - 1]))
+          fail("row " + std::to_string(v) + " is not strictly ascending");
+      }
   };
 
   graph::CsrView view;
@@ -99,26 +155,7 @@ graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
     view.ids32 = reinterpret_cast<const std::uint32_t*>(ids_raw);
     check_ids(view.ids32);
   }
-
-  if (meta.rep == static_cast<std::uint32_t>(graph::GraphRep::kCsr))
-    return graph::InterferenceGraph::from_csr_view(view);
-
-  // Dense-resident channel: replay the rows into bitset adjacency.
-  graph::InterferenceGraph dense(n, graph::GraphRep::kDense);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto visit = [&](const auto* ids) {
-      for (std::size_t k = offsets[v]; k < offsets[v + 1]; ++k) {
-        const std::size_t u = static_cast<std::size_t>(ids[k]);
-        if (v < u)
-          dense.add_edge(static_cast<BuyerId>(v), static_cast<BuyerId>(u));
-      }
-    };
-    if (narrow)
-      visit(view.ids16);
-    else
-      visit(view.ids32);
-  }
-  return dense;
+  return graph::InterferenceGraph::from_csr_view(view);
 }
 
 }  // namespace
@@ -167,7 +204,7 @@ std::string decode_market_id(const std::string& stem) {
   return out;
 }
 
-std::vector<std::byte> build_snapshot_image(const MarketStateView& state) {
+SnapshotImage build_snapshot_image(const MarketStateView& state) {
   SPECMATCH_CHECK_MSG(state.market != nullptr && state.scenario != nullptr,
                       "snapshot needs a market and its scenario");
   const market::SpectrumMarket& market = *state.market;
@@ -178,30 +215,25 @@ std::vector<std::byte> build_snapshot_image(const MarketStateView& state) {
   SPECMATCH_CHECK(state.dirty.size() == n);
   SPECMATCH_CHECK(state.matching.size() == n);
 
+  // Every section borrows its payload: the resident arrays themselves, or
+  // the small gathered arrays below, which outlive finish().
   SnapshotBuilder builder;
-
-  std::vector<double> doubles;
-  doubles.reserve(m * n);
-  for (ChannelId i = 0; i < market.num_channels(); ++i) {
-    const auto row = market.channel_prices(i);
-    doubles.insert(doubles.end(), row.begin(), row.end());
-  }
-  builder.add_array<double>(SectionKind::kPrices, doubles);
+  builder.add_array<double>(SectionKind::kPrices, market.prices());
   builder.add_array<double>(SectionKind::kBasePrices, state.base_prices);
 
-  doubles.assign(m, 0.0);
+  std::vector<double> reserves(m);
   for (ChannelId i = 0; i < market.num_channels(); ++i)
-    doubles[static_cast<std::size_t>(i)] = market.reserve(i);
-  builder.add_array<double>(SectionKind::kReserves, doubles);
+    reserves[static_cast<std::size_t>(i)] = market.reserve(i);
+  builder.add_array<double>(SectionKind::kReserves, reserves);
 
-  std::vector<std::int32_t> ints(n);
+  std::vector<std::int32_t> buyer_parents(n);
   for (BuyerId j = 0; j < market.num_buyers(); ++j)
-    ints[static_cast<std::size_t>(j)] = market.buyer_parent(j);
-  builder.add_array<std::int32_t>(SectionKind::kBuyerParents, ints);
-  ints.assign(m, 0);
+    buyer_parents[static_cast<std::size_t>(j)] = market.buyer_parent(j);
+  builder.add_array<std::int32_t>(SectionKind::kBuyerParents, buyer_parents);
+  std::vector<std::int32_t> seller_parents(m);
   for (ChannelId i = 0; i < market.num_channels(); ++i)
-    ints[static_cast<std::size_t>(i)] = market.seller_parent(i);
-  builder.add_array<std::int32_t>(SectionKind::kSellerParents, ints);
+    seller_parents[static_cast<std::size_t>(i)] = market.seller_parent(i);
+  builder.add_array<std::int32_t>(SectionKind::kSellerParents, seller_parents);
 
   builder.add_array<std::uint8_t>(SectionKind::kActive, state.active);
   builder.add_array<std::uint8_t>(SectionKind::kDirty, state.dirty);
@@ -222,13 +254,12 @@ std::vector<std::byte> build_snapshot_image(const MarketStateView& state) {
       std::span<const std::int32_t>(
           reinterpret_cast<const std::int32_t*>(scenario.buyer_demands.data()),
           scenario.buyer_demands.size()));
-  doubles.clear();
-  doubles.reserve(2 * scenario.buyer_locations.size());
-  for (const graph::Point& p : scenario.buyer_locations) {
-    doubles.push_back(p.x);
-    doubles.push_back(p.y);
-  }
-  builder.add_array<double>(SectionKind::kScenarioLocations, doubles);
+  static_assert(sizeof(graph::Point) == 2 * sizeof(double),
+                "locations are written as flat (x, y) pairs");
+  builder.add_section(SectionKind::kScenarioLocations,
+                      scenario.buyer_locations.data(),
+                      scenario.buyer_locations.size() * sizeof(graph::Point),
+                      2 * scenario.buyer_locations.size());
   builder.add_array<double>(SectionKind::kScenarioRanges,
                             std::span<const double>(scenario.channel_ranges));
   builder.add_array<double>(SectionKind::kScenarioUtilities,
@@ -237,59 +268,59 @@ std::vector<std::byte> build_snapshot_image(const MarketStateView& state) {
       SectionKind::kScenarioReserves,
       std::span<const double>(scenario.channel_reserves));
 
-  // The adjacency sections: every channel lands as finalized CSR arrays
-  // (dense-resident graphs are converted for the file; the meta record keeps
-  // the resident representation so load restores it). Each channel's
-  // sub-array starts kSectionAlign-aligned inside its blob.
-  const auto align_up = [](std::size_t v) {
-    return (v + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
-  };
-  const auto append_bytes = [&](std::vector<std::byte>& blob, const void* src,
-                                std::size_t bytes) {
-    const std::size_t at = align_up(blob.size());
-    blob.resize(at + bytes);
-    if (bytes > 0) std::memcpy(blob.data() + at, src, bytes);
-    return at;
-  };
+  // The adjacency: every channel's degree cache, then CSR channels' offsets
+  // and ids as finalized, and dense channels' bitset rows word for word —
+  // each stored under its resident representation, with no conversion. Each
+  // channel's sub-array starts kSectionAlign-aligned inside its blob. The
+  // meta records are filled in as the pieces land, before finish() copies
+  // them.
   std::vector<GraphMetaRecord> meta(m);
-  std::vector<std::byte> offsets_blob;
-  std::vector<std::byte> degrees_blob;
-  std::vector<std::byte> ids_blob;
-  for (ChannelId i = 0; i < market.num_channels(); ++i) {
-    const graph::InterferenceGraph& resident = market.graph(i);
-    graph::InterferenceGraph converted;
-    const graph::InterferenceGraph* source = &resident;
-    if (resident.representation() != graph::GraphRep::kCsr ||
-        !resident.finalized()) {
-      converted = graph::with_representation(resident, graph::GraphRep::kCsr);
-      source = &converted;
-    }
-    const graph::CsrView view = source->csr_export();
-    GraphMetaRecord& record = meta[static_cast<std::size_t>(i)];
-    record.rep = static_cast<std::uint32_t>(resident.representation());
-    record.narrow = view.narrow ? 1 : 0;
-    record.num_edges = view.num_edges;
-    record.max_degree = view.max_degree;
-    record.offsets_off = append_bytes(offsets_blob, view.offsets,
-                                      (n + 1) * sizeof(std::uint32_t));
-    record.degrees_off =
-        append_bytes(degrees_blob, view.degrees, n * sizeof(std::uint32_t));
-    const std::size_t total = 2 * view.num_edges;
-    if (view.narrow)
-      record.ids_off = append_bytes(ids_blob, view.ids16,
-                                    total * sizeof(std::uint16_t));
-    else
-      record.ids_off = append_bytes(ids_blob, view.ids32,
-                                    total * sizeof(std::uint32_t));
-  }
   builder.add_section(SectionKind::kGraphMeta, meta.data(),
                       meta.size() * sizeof(GraphMetaRecord), meta.size());
-  builder.add_section(SectionKind::kGraphOffsets, offsets_blob.data(),
-                      offsets_blob.size(), offsets_blob.size());
-  builder.add_section(SectionKind::kGraphDegrees, degrees_blob.data(),
-                      degrees_blob.size(), degrees_blob.size());
-  builder.add_section(SectionKind::kGraphIds, ids_blob.data(), ids_blob.size(),
-                      ids_blob.size());
+  builder.begin_section(SectionKind::kGraphDegrees);
+  for (ChannelId i = 0; i < market.num_channels(); ++i) {
+    const graph::InterferenceGraph& g = market.graph(i);
+    GraphMetaRecord& record = meta[static_cast<std::size_t>(i)];
+    record.rep = static_cast<std::uint32_t>(g.representation());
+    record.num_edges = g.num_edges();
+    record.max_degree = g.max_degree();
+    record.degrees_off =
+        builder.add_piece(g.degrees().data(), g.degrees().size_bytes());
+  }
+  builder.begin_section(SectionKind::kGraphOffsets);
+  for (ChannelId i = 0; i < market.num_channels(); ++i) {
+    const graph::InterferenceGraph& g = market.graph(i);
+    if (g.representation() != graph::GraphRep::kCsr) continue;
+    const graph::CsrView view = g.csr_export();
+    meta[static_cast<std::size_t>(i)].offsets_off = builder.add_piece(
+        view.offsets, (n + 1) * sizeof(std::uint32_t));
+  }
+  builder.begin_section(SectionKind::kGraphIds);
+  for (ChannelId i = 0; i < market.num_channels(); ++i) {
+    const graph::InterferenceGraph& g = market.graph(i);
+    if (g.representation() != graph::GraphRep::kCsr) continue;
+    const graph::CsrView view = g.csr_export();
+    GraphMetaRecord& record = meta[static_cast<std::size_t>(i)];
+    record.narrow = view.narrow ? 1 : 0;
+    const std::size_t total = 2 * view.num_edges;
+    record.ids_off =
+        view.narrow
+            ? builder.add_piece(view.ids16, total * sizeof(std::uint16_t))
+            : builder.add_piece(view.ids32, total * sizeof(std::uint32_t));
+  }
+  builder.begin_section(SectionKind::kGraphRows);
+  for (ChannelId i = 0; i < market.num_channels(); ++i) {
+    const graph::InterferenceGraph& g = market.graph(i);
+    if (g.representation() != graph::GraphRep::kDense) continue;
+    for (BuyerId v = 0; v < market.num_buyers(); ++v) {
+      const auto words = g.neighbors(v).words();
+      // Row 0 opens the channel's aligned sub-array; the rest pack behind it.
+      const std::uint64_t at = builder.add_piece(
+          words.data(), words.size_bytes(),
+          v == 0 ? kSectionAlign : sizeof(std::uint64_t));
+      if (v == 0) meta[static_cast<std::size_t>(i)].rows_off = at;
+    }
+  }
 
   std::uint32_t flags = 0;
   if (state.has_matching) flags |= kFlagHasMatching;
@@ -389,9 +420,12 @@ LoadedMarket load_market(std::shared_ptr<MappedSnapshot> snapshot) {
       require_count(SectionKind::kGraphMeta, m));
   std::vector<graph::InterferenceGraph> graphs;
   graphs.reserve(m);
-  for (std::size_t i = 0; i < m; ++i)
+  bool reads_through_map = false;
+  for (std::size_t i = 0; i < m; ++i) {
     graphs.push_back(
         load_graph(snap, meta[i], n, static_cast<ChannelId>(i)));
+    reads_through_map |= graphs.back().csr_view_backed();
+  }
 
   try {
     out.market = std::make_unique<market::SpectrumMarket>(
@@ -409,7 +443,9 @@ LoadedMarket load_market(std::shared_ptr<MappedSnapshot> snapshot) {
   out.dirty.assign(dirty.begin(), dirty.end());
   out.matching.assign(matching.begin(), matching.end());
   std::copy(counters.begin(), counters.end(), out.counters.begin());
-  out.backing = std::move(snapshot);
+  // Dense rows and every other section were copied out: keep the mapping
+  // only when a CSR graph still reads through it.
+  if (reads_through_map) out.backing = std::move(snapshot);
   return out;
 }
 
@@ -453,7 +489,7 @@ std::string MarketStore::path_for(const std::string& id) const {
 std::uint64_t MarketStore::write(const std::string& id,
                                  const MarketStateView& state) {
   SPECMATCH_CHECK_MSG(enabled(), "market store has no directory configured");
-  const std::vector<std::byte> image = build_snapshot_image(state);
+  const SnapshotImage image = build_snapshot_image(state);
   const std::uint64_t bytes =
       write_snapshot_file(path_for(id), image, config_.sync);
   std::lock_guard<std::mutex> lock(mutex_);

@@ -3,12 +3,13 @@
 // This is the spill tier under the serving registry's byte budget: instead
 // of discarding an evicted market (and paying a full scenario rebuild on
 // re-admission), the registry writes its complete resident state through
-// write() and faults it back through load(). load() maps the file and
-// reconstructs the market by POINTING the finalized CSR adjacency at the
-// mapped pages (graph::InterferenceGraph::from_csr_view) — only the small
-// mutable arrays (prices, masks, matching) are copied, so fault-in cost is
-// page-in, not rebuild, and the carried matching comes back with the market
-// so it warm-serves immediately.
+// write() and faults it back through load(). Both directions keep each
+// channel's resident representation: write() stores dense channels as their
+// bitset rows and CSR channels as their finalized arrays, and load() copies
+// dense rows back word for word and POINTS CSR graphs at the mapped pages
+// (graph::InterferenceGraph::from_csr_view). Fault-in cost is page-in plus
+// flat copies, not a rebuild, and the carried matching comes back with the
+// market so it warm-serves immediately.
 //
 // File naming: the market id, percent-encoded (every byte outside
 // [A-Za-z0-9._-] becomes %XX), with a ".spms" extension. Writes go through a
@@ -49,7 +50,8 @@ struct MarketStateView {
 /// A market reconstructed from a snapshot. `market`'s CSR graphs may read
 /// through `backing`'s mapped pages — whoever adopts the market must keep
 /// `backing` alive as long as the graphs (the registry stores it in the
-/// entry).
+/// entry). `backing` is null when no graph reads through the mapping (every
+/// channel loaded dense), so the mapping is released at once.
 struct LoadedMarket {
   std::shared_ptr<const market::Scenario> scenario;
   std::unique_ptr<market::SpectrumMarket> market;
@@ -76,11 +78,12 @@ struct StoreConfig {
 
 /// Serializes one MarketStateView into a complete snapshot file image
 /// (exposed for tests that corrupt images deliberately).
-std::vector<std::byte> build_snapshot_image(const MarketStateView& state);
+SnapshotImage build_snapshot_image(const MarketStateView& state);
 
 /// Reconstructs a market from a verified mapping. Validates every section's
-/// shape and the CSR structure (monotone offsets, in-range neighbour ids)
-/// before handing out view-backed graphs; throws SnapshotError on anything
+/// shape and each channel's adjacency — CSR: monotone offsets, in-range
+/// neighbour ids; dense: no padding or diagonal bit, degrees equal row
+/// popcounts — before handing out graphs; throws SnapshotError on anything
 /// inconsistent.
 LoadedMarket load_market(std::shared_ptr<MappedSnapshot> snapshot);
 

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -21,6 +22,26 @@ std::string errno_text() { return std::strerror(errno); }
 
 }  // namespace
 
+std::uint64_t checksum64(const void* data, std::size_t bytes) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;  // odd: a bijection
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t hash = 0x53504D534E415032ull ^ bytes;  // "SPMSNAP2", BE
+  std::size_t k = 0;
+  for (; k + 8 <= bytes; k += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + k, sizeof(word));
+    hash = std::rotl((hash ^ word) * kMul, 31);
+  }
+  for (; k < bytes; ++k) hash = std::rotl((hash ^ p[k]) * kMul, 31);
+  // Final avalanche (MurmurHash3's fmix64).
+  hash ^= hash >> 33;
+  hash *= 0xFF51AFD7ED558CCDull;
+  hash ^= hash >> 33;
+  hash *= 0xC4CEB9FE1A85EC53ull;
+  hash ^= hash >> 33;
+  return hash;
+}
+
 std::uint64_t fnv1a64(const void* data, std::size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t hash = 1469598103934665603ull;
@@ -33,47 +54,74 @@ std::uint64_t fnv1a64(const void* data, std::size_t bytes) {
 
 void SnapshotBuilder::add_section(SectionKind kind, const void* data,
                                   std::size_t bytes, std::size_t count) {
-  Pending pending;
-  pending.kind = kind;
-  pending.count = count;
-  pending.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(pending.payload.data(), data, bytes);
-  sections_.push_back(std::move(pending));
+  begin_section(kind);
+  add_piece(data, bytes);
+  sections_.back().count = count;
+  sections_.back().count_is_bytes = false;
 }
 
-std::vector<std::byte> SnapshotBuilder::finish(std::uint32_t num_channels,
-                                               std::uint32_t num_buyers,
-                                               std::uint32_t flags) {
+void SnapshotBuilder::begin_section(SectionKind kind) {
+  sections_.push_back(Pending{kind, 0, true, 0, pieces_.size()});
+}
+
+std::uint64_t SnapshotBuilder::add_piece(const void* data, std::size_t bytes,
+                                         std::size_t align) {
+  Pending& section = sections_.back();
+  const std::uint64_t at = (section.bytes + align - 1) / align * align;
+  pieces_.push_back(Piece{static_cast<const std::byte*>(data), bytes, at});
+  section.bytes = at + bytes;
+  return at;
+}
+
+SnapshotImage SnapshotBuilder::finish(std::uint32_t num_channels,
+                                      std::uint32_t num_buyers,
+                                      std::uint32_t flags) const {
   const auto align_up = [](std::size_t n) {
     return (n + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
   };
+  const std::size_t table_end =
+      sizeof(SnapshotHeader) + sections_.size() * sizeof(SectionEntry);
   std::vector<SectionEntry> table(sections_.size());
-  std::size_t cursor =
-      align_up(sizeof(SnapshotHeader) + sections_.size() * sizeof(SectionEntry));
+  std::size_t cursor = align_up(table_end);
   for (std::size_t s = 0; s < sections_.size(); ++s) {
-    table[s].kind = static_cast<std::uint32_t>(sections_[s].kind);
+    const Pending& section = sections_[s];
+    table[s].kind = static_cast<std::uint32_t>(section.kind);
     table[s].offset = cursor;
-    table[s].bytes = sections_[s].payload.size();
-    table[s].count = sections_[s].count;
-    cursor = align_up(cursor + sections_[s].payload.size());
+    table[s].bytes = section.bytes;
+    table[s].count = section.count_is_bytes ? section.bytes : section.count;
+    cursor = align_up(cursor + section.bytes);
   }
 
-  std::vector<std::byte> image(cursor, std::byte{0});
+  // Sized once and left uninitialized: every byte below is written exactly
+  // once, by a payload copy or by zeroing the padding in front of it.
+  SnapshotImage image(cursor);
+  std::byte* const out = image.data();
+  std::memcpy(out + sizeof(SnapshotHeader), table.data(),
+              table.size() * sizeof(SectionEntry));
+  std::size_t written = table_end;
+  for (std::size_t s = 0; s < sections_.size(); ++s) {
+    const std::size_t piece_end = s + 1 < sections_.size()
+                                      ? sections_[s + 1].first_piece
+                                      : pieces_.size();
+    for (std::size_t k = sections_[s].first_piece; k < piece_end; ++k) {
+      const Piece& piece = pieces_[k];
+      const std::size_t at = table[s].offset + piece.at;
+      std::memset(out + written, 0, at - written);
+      if (piece.bytes > 0) std::memcpy(out + at, piece.data, piece.bytes);
+      written = at + piece.bytes;
+    }
+  }
+  std::memset(out + written, 0, image.size() - written);
+
   SnapshotHeader header;
   header.file_bytes = image.size();
   header.section_count = static_cast<std::uint32_t>(sections_.size());
   header.num_channels = num_channels;
   header.num_buyers = num_buyers;
   header.flags = flags;
-  std::memcpy(image.data() + sizeof(SnapshotHeader), table.data(),
-              table.size() * sizeof(SectionEntry));
-  for (std::size_t s = 0; s < sections_.size(); ++s)
-    if (!sections_[s].payload.empty())
-      std::memcpy(image.data() + table[s].offset, sections_[s].payload.data(),
-                  sections_[s].payload.size());
-  header.checksum = fnv1a64(image.data() + sizeof(SnapshotHeader),
-                            image.size() - sizeof(SnapshotHeader));
-  std::memcpy(image.data(), &header, sizeof(header));
+  header.checksum = checksum64(out + sizeof(SnapshotHeader),
+                               image.size() - sizeof(SnapshotHeader));
+  std::memcpy(out, &header, sizeof(header));
   return image;
 }
 
@@ -172,8 +220,8 @@ void MappedSnapshot::verify() const {
   if (table_end > size_)
     fail("section table (" + std::to_string(h.section_count) +
          " entries) runs past the end of the file");
-  const std::uint64_t computed = fnv1a64(data_ + sizeof(SnapshotHeader),
-                                         size_ - sizeof(SnapshotHeader));
+  const std::uint64_t computed = checksum64(data_ + sizeof(SnapshotHeader),
+                                           size_ - sizeof(SnapshotHeader));
   if (computed != h.checksum) {
     std::ostringstream what;
     what << "checksum mismatch (stored 0x" << std::hex << h.checksum

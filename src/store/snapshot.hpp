@@ -1,29 +1,34 @@
-// Versioned binary market snapshots: the on-disk format, a buffer-assembling
+// Versioned binary market snapshots: the on-disk format, a one-copy image
 // writer, and an mmap-backed reader.
 //
 // A snapshot is one file: a 64-byte header (magic, version, endianness stamp,
 // byte count, checksum), a section table, then flat payload sections each
 // padded to a 64-byte boundary. The payloads are the exact arrays the
-// resident MarketEntry works over — finalized CSR adjacency, price matrices,
-// activity/dirty masks, the carried matching, scenario — so loading is
-// page-in plus a handful of small copies, never a rebuild: the reader hands
-// the mapped CSR pages straight to graph::InterferenceGraph::from_csr_view.
+// resident MarketEntry works over — finalized CSR adjacency or dense bitset
+// rows, price matrices, activity/dirty masks, the carried matching,
+// scenario — so writing is one copy per byte and loading is page-in plus
+// flat copies, never a representation change: the reader hands mapped CSR
+// pages straight to graph::InterferenceGraph::from_csr_view and copies dense
+// rows word for word through from_dense_rows.
 //
 // Integrity is fail-loud: every load verifies magic, version, endianness
-// stamp, declared length against the real file size, and an FNV-1a64
-// checksum over everything past the header before any byte is interpreted.
-// A snapshot that fails any check throws SnapshotError with an actionable
-// message — a corrupt file can never become a silently wrong market. There
-// is no cross-version or cross-endianness migration: a mismatch is an error,
-// and the market is rebuilt from its create request instead (see
-// docs/PERSISTENCE.md for the compatibility rules).
+// stamp, declared length against the real file size, and a word-wide
+// checksum (checksum64) over everything past the header before any byte is
+// interpreted. A snapshot that fails any check throws SnapshotError with an
+// actionable message — a corrupt file can never become a silently wrong
+// market. There is no cross-version or cross-endianness migration: a
+// mismatch is an error, and the market is rebuilt from its create request
+// instead (see docs/PERSISTENCE.md for the compatibility rules).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace specmatch::store {
@@ -36,7 +41,7 @@ class SnapshotError : public std::runtime_error {
 };
 
 inline constexpr std::uint64_t kSnapshotMagic = 0x3150414E534D5053ull;  // "SPMSNAP1" LE
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::uint32_t kEndianStamp = 0x01020304;
 inline constexpr std::size_t kSectionAlign = 64;
 
@@ -62,6 +67,7 @@ enum class SectionKind : std::uint32_t {
   kGraphOffsets = 17,  ///< concatenated per-channel CSR offsets, uint32
   kGraphDegrees = 18,  ///< concatenated per-channel degree caches, uint32
   kGraphIds = 19,      ///< concatenated per-channel neighbour ids, u16/u32
+  kGraphRows = 20,     ///< concatenated dense-channel bitset rows, uint64
 };
 
 inline constexpr std::size_t kNumCounters = 6;
@@ -75,7 +81,7 @@ struct SnapshotHeader {
   std::uint32_t version = kSnapshotVersion;
   std::uint32_t endian = kEndianStamp;
   std::uint64_t file_bytes = 0;  ///< whole file, header included
-  std::uint64_t checksum = 0;    ///< FNV-1a64 over bytes [64, file_bytes)
+  std::uint64_t checksum = 0;    ///< checksum64 over bytes [64, file_bytes)
   std::uint32_t section_count = 0;
   std::uint32_t num_channels = 0;  ///< M
   std::uint32_t num_buyers = 0;    ///< N
@@ -93,29 +99,67 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 32);
 
-/// Per-channel record inside kGraphMeta. The three *_off fields are offsets
-/// RELATIVE to the start of the kGraphOffsets / kGraphDegrees / kGraphIds
-/// sections (each kSectionAlign-aligned within its blob), so the layout of
-/// the blobs is independent of where they land in the file.
+/// Per-channel record inside kGraphMeta. The *_off fields are byte offsets
+/// RELATIVE to the start of their blob section (kGraphDegrees, kGraphOffsets,
+/// kGraphIds, kGraphRows), each kSectionAlign-aligned, so the layout of the
+/// blobs is independent of where they land in the file. Every channel has a
+/// degree cache; a CSR channel adds offsets and ids, a dense channel its
+/// rows, exactly the N·⌈N/64⌉ words the resident graph holds.
 struct GraphMetaRecord {
   std::uint32_t rep = 0;     ///< resident representation: 0 dense, 1 CSR
-  std::uint32_t narrow = 0;  ///< 1 => 16-bit neighbour ids
+  std::uint32_t narrow = 0;  ///< CSR: 1 => 16-bit neighbour ids
   std::uint64_t num_edges = 0;
   std::uint64_t max_degree = 0;
-  std::uint64_t offsets_off = 0;  ///< num_vertices + 1 uint32 row starts
   std::uint64_t degrees_off = 0;  ///< num_vertices uint32 cached degrees
-  std::uint64_t ids_off = 0;      ///< 2 * num_edges neighbour ids
+  std::uint64_t offsets_off = 0;  ///< CSR: num_vertices + 1 uint32 row starts
+  std::uint64_t ids_off = 0;      ///< CSR: 2 * num_edges neighbour ids
+  std::uint64_t rows_off = 0;     ///< dense: num_vertices bitset rows
 };
-static_assert(sizeof(GraphMetaRecord) == 48);
+static_assert(sizeof(GraphMetaRecord) == 56);
 
-/// FNV-1a 64-bit over `bytes` — the snapshot checksum.
+/// The snapshot checksum: a 64-bit hash that consumes 8 bytes per step
+/// (xor, multiply by an odd constant, rotate — each step a bijection of the
+/// running state, so any single changed word or tail byte changes the
+/// result), a byte-wise tail, and a final avalanche.
+std::uint64_t checksum64(const void* data, std::size_t bytes);
+
+/// FNV-1a 64-bit over `bytes`, one byte per step. No longer the snapshot
+/// checksum; kept with its exact output as a general-purpose stable digest.
 std::uint64_t fnv1a64(const void* data, std::size_t bytes);
 
-/// Assembles a snapshot image in memory: sections are appended in call
-/// order, each padded to kSectionAlign; finish() lays out the header and
-/// section table, stamps the checksum, and returns the complete file image.
+/// std::allocator whose value-less construct() default-initializes, so a
+/// freshly sized image buffer is not zero-filled before finish() writes
+/// every byte of it.
+template <typename T>
+struct UninitializedAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitializedAllocator<U>;
+  };
+  UninitializedAllocator() = default;
+  template <typename U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A complete snapshot file image.
+using SnapshotImage = std::vector<std::byte, UninitializedAllocator<std::byte>>;
+
+/// Assembles a snapshot image with one copy. Sections and their pieces are
+/// recorded as borrowed spans; finish() sizes the image once, copies each
+/// payload byte into it exactly once, zeroes only the padding, and stamps
+/// the header, section table and checksum. Every borrowed span must stay
+/// valid until finish() returns.
 class SnapshotBuilder {
  public:
+  /// A section whose payload is `bytes` at `data`, holding `count` elements.
   void add_section(SectionKind kind, const void* data, std::size_t bytes,
                    std::size_t count);
 
@@ -124,16 +168,33 @@ class SnapshotBuilder {
     add_section(kind, values.data(), values.size_bytes(), values.size());
   }
 
-  std::vector<std::byte> finish(std::uint32_t num_channels,
-                                std::uint32_t num_buyers, std::uint32_t flags);
+  /// Opens a blob section that add_piece() appends to; its element count is
+  /// its byte length.
+  void begin_section(SectionKind kind);
+
+  /// Appends `bytes` at `data` to the open section, at its next multiple of
+  /// `align`; returns the piece's byte offset within the section.
+  std::uint64_t add_piece(const void* data, std::size_t bytes,
+                          std::size_t align = kSectionAlign);
+
+  SnapshotImage finish(std::uint32_t num_channels, std::uint32_t num_buyers,
+                       std::uint32_t flags) const;
 
  private:
+  struct Piece {
+    const std::byte* data;
+    std::size_t bytes;
+    std::uint64_t at;  ///< offset within the section
+  };
   struct Pending {
     SectionKind kind;
     std::size_t count;
-    std::vector<std::byte> payload;
+    bool count_is_bytes;
+    std::size_t bytes;  ///< payload bytes so far (pieces plus inner padding)
+    std::size_t first_piece;
   };
   std::vector<Pending> sections_;
+  std::vector<Piece> pieces_;
 };
 
 /// Writes `image` to `path` atomically: the bytes go to `path + ".tmp"`,

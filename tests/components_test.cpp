@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -144,6 +145,44 @@ TEST(ComponentIndexTest, PartitionInvariantsOnRandomGeometricGraphs) {
         ASSERT_TRUE(index.has_subgraph(c));
         EXPECT_EQ(index.subgraph(c).num_edges(), index.edges(c));
         EXPECT_EQ(index.subgraph(c).num_vertices(), index.size(c));
+      }
+    }
+  }
+}
+
+TEST(ComponentIndexTest, DenseAndCsrIndicesAreIdentical) {
+  // The masked BFS labels through one word-AND per dense row word and one
+  // mask test per CSR neighbour; both must produce the same index.
+  for (std::uint64_t seed : {3u, 17u, 99u}) {
+    const auto market = geometric_market(seed, 4, 80, 40.0, 2.5);
+    for (ChannelId i = 0; i < market.num_channels(); ++i) {
+      const InterferenceGraph dense =
+          with_representation(market.graph(i), GraphRep::kDense);
+      const InterferenceGraph csr =
+          with_representation(market.graph(i), GraphRep::kCsr);
+      const ComponentIndex a(dense);
+      const ComponentIndex b(csr);
+      ASSERT_EQ(a.num_components(), b.num_components());
+      EXPECT_EQ(a.largest_component(), b.largest_component());
+      for (BuyerId v = 0; v < static_cast<BuyerId>(dense.num_vertices());
+           ++v) {
+        EXPECT_EQ(a.component_of(v), b.component_of(v)) << "vertex " << v;
+        EXPECT_EQ(a.local_id(v), b.local_id(v)) << "vertex " << v;
+      }
+      for (std::size_t c = 0; c <= a.num_components(); ++c)
+        EXPECT_EQ(a.offset(c), b.offset(c)) << "component " << c;
+      for (std::size_t c = 0; c < a.num_components(); ++c) {
+        const auto va = a.vertices(c);
+        const auto vb = b.vertices(c);
+        EXPECT_TRUE(std::equal(va.begin(), va.end(), vb.begin(), vb.end()))
+            << "component " << c;
+        EXPECT_EQ(a.edges(c), b.edges(c)) << "component " << c;
+        EXPECT_EQ(a.max_degree(c), b.max_degree(c)) << "component " << c;
+        ASSERT_EQ(a.has_subgraph(c), b.has_subgraph(c)) << "component " << c;
+        if (a.has_subgraph(c)) {
+          EXPECT_EQ(a.subgraph(c).edges(), b.subgraph(c).edges())
+              << "component " << c;
+        }
       }
     }
   }

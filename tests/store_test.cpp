@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +24,7 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "graph/components.hpp"
 #include "market/market.hpp"
 #include "matching/two_stage.hpp"
 #include "serve/registry.hpp"
@@ -53,11 +57,13 @@ class ScopedThreads {
 
 std::shared_ptr<const market::Scenario> random_scenario(std::uint64_t seed,
                                                         int sellers,
-                                                        int buyers) {
+                                                        int buyers,
+                                                        double area = 10.0) {
   Rng rng(seed);
   workload::WorkloadParams params;
   params.num_sellers = sellers;
   params.num_buyers = buyers;
+  params.area_size = area;
   return std::make_shared<const market::Scenario>(
       workload::generate_scenario(params, rng));
 }
@@ -76,26 +82,53 @@ StoreConfig dir_config(const fs::path& dir) {
   return config;
 }
 
-/// A complete snapshot image of a freshly built market (no carried matching).
-std::vector<std::byte> sample_image(
-    std::shared_ptr<const market::Scenario> scenario) {
-  const market::SpectrumMarket market = market::build_market(*scenario);
-  const auto n = static_cast<std::size_t>(market.num_buyers());
+/// The per-buyer state of a freshly built market (no carried matching),
+/// owned so a MarketStateView can borrow it.
+struct FreshState {
+  explicit FreshState(const market::SpectrumMarket& market)
+      : active(static_cast<std::size_t>(market.num_buyers()), 1),
+        dirty(active.size(), 0),
+        matching(active.size(), -1) {
+    for (ChannelId i = 0; i < market.num_channels(); ++i)
+      for (BuyerId j = 0; j < market.num_buyers(); ++j)
+        base.push_back(market.utility(i, j));
+  }
+
+  MarketStateView view(const market::SpectrumMarket& market,
+                       const market::Scenario& scenario) const {
+    MarketStateView out;
+    out.market = &market;
+    out.scenario = &scenario;
+    out.base_prices = base;
+    out.active = active;
+    out.dirty = dirty;
+    out.matching = matching;
+    return out;
+  }
+
   std::vector<double> base;
+  std::vector<std::uint8_t> active;
+  std::vector<std::uint8_t> dirty;
+  std::vector<std::int32_t> matching;
+};
+
+/// A complete snapshot image of a freshly built market.
+SnapshotImage sample_image(std::shared_ptr<const market::Scenario> scenario) {
+  const market::SpectrumMarket market = market::build_market(*scenario);
+  return build_snapshot_image(FreshState(market).view(market, *scenario));
+}
+
+/// `market` rebuilt with channel i's graph under rep_of(i).
+template <typename RepOf>
+market::SpectrumMarket regraphed(const market::SpectrumMarket& market,
+                                 RepOf rep_of) {
+  std::vector<graph::InterferenceGraph> graphs;
   for (ChannelId i = 0; i < market.num_channels(); ++i)
-    for (BuyerId j = 0; j < market.num_buyers(); ++j)
-      base.push_back(market.utility(i, j));
-  std::vector<std::uint8_t> active(n, 1);
-  std::vector<std::uint8_t> dirty(n, 0);
-  std::vector<std::int32_t> matching(n, -1);
-  MarketStateView view;
-  view.market = &market;
-  view.scenario = scenario.get();
-  view.base_prices = base;
-  view.active = active;
-  view.dirty = dirty;
-  view.matching = matching;
-  return build_snapshot_image(view);
+    graphs.push_back(graph::with_representation(market.graph(i), rep_of(i)));
+  return market::SpectrumMarket(
+      market.num_channels(), market.num_buyers(),
+      std::vector<double>(market.prices().begin(), market.prices().end()),
+      std::move(graphs));
 }
 
 void write_raw(const fs::path& path, std::span<const std::byte> bytes) {
@@ -174,48 +207,291 @@ TEST(SnapshotIntegrityTest, OverlongFileFailsLoudly) {
   expect_load_error(dir / "long.spms", "truncated or overlong");
 }
 
+TEST(SnapshotIntegrityTest, Checksum64KnownAnswers) {
+  // Pins the on-disk checksum: a changed value makes every existing file
+  // unreadable, which needs a format version bump. Lengths straddle the
+  // 8-byte step and the byte-wise tail.
+  std::vector<unsigned char> bytes(65);
+  for (std::size_t k = 0; k < bytes.size(); ++k)
+    bytes[k] = static_cast<unsigned char>(k * 37 + 11);
+  const std::vector<std::pair<std::size_t, std::uint64_t>> known = {
+      {0, 0x6C8BCC51EDB91D2Bull},  {1, 0xDF7AC5B20C7C1305ull},
+      {7, 0x7A0CDB797BD160B1ull},  {8, 0x77C5E565B2C765ACull},
+      {9, 0xA339879E90C9DFE3ull},  {63, 0xFE33B9A90F468BA9ull},
+      {64, 0x54BAAFDAB8E1A6D4ull}, {65, 0x4502127D05F5B63Eull},
+  };
+  for (const auto& [length, want] : known)
+    EXPECT_EQ(checksum64(bytes.data(), length), want) << "length " << length;
+}
+
+TEST(SnapshotIntegrityTest, Version1ImageFailsLoudly) {
+  const fs::path dir = scratch_dir("store_v1");
+  auto image = sample_image(random_scenario(15, 3, 8));
+  const std::uint32_t v1 = 1;
+  std::memcpy(image.data() + offsetof(SnapshotHeader, version), &v1,
+              sizeof(v1));
+  write_raw(dir / "v1.spms", image);
+  expect_load_error(dir / "v1.spms", "unsupported snapshot version 1");
+}
+
+// --- mutation fuzzing of the section parsers --------------------------------
+
+/// The table entry of section `kind` inside `image`.
+SectionEntry section_of(const SnapshotImage& image, SectionKind kind) {
+  SnapshotHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  for (std::uint32_t s = 0; s < header.section_count; ++s) {
+    SectionEntry entry;
+    std::memcpy(&entry,
+                image.data() + sizeof(SnapshotHeader) + s * sizeof(entry),
+                sizeof(entry));
+    if (entry.kind == static_cast<std::uint32_t>(kind)) return entry;
+  }
+  ADD_FAILURE() << "no section kind " << static_cast<std::uint32_t>(kind);
+  return {};
+}
+
+/// Recomputes the header checksum so a deliberate mutation gets past the
+/// checksum and reaches the section parsers.
+void restamp(SnapshotImage& image) {
+  const std::uint64_t sum = checksum64(image.data() + sizeof(SnapshotHeader),
+                                       image.size() - sizeof(SnapshotHeader));
+  std::memcpy(image.data() + offsetof(SnapshotHeader, checksum), &sum,
+              sizeof(sum));
+}
+
+/// Writes `image` and loads it. Returns true on success and false on a
+/// SnapshotError; any other exception escapes and fails the test. A loaded
+/// market is walked end to end so a bad value that slipped through shows.
+bool load_image(const fs::path& path, const SnapshotImage& image) {
+  write_raw(path, image);
+  try {
+    const LoadedMarket loaded =
+        load_market(std::make_shared<MappedSnapshot>(path.string()));
+    for (ChannelId i = 0; i < loaded.market->num_channels(); ++i) {
+      const graph::InterferenceGraph& g = loaded.market->graph(i);
+      std::size_t visits = 0;
+      for (BuyerId v = 0; v < loaded.market->num_buyers(); ++v)
+        g.for_each_neighbor(v, [&](std::size_t u) {
+          EXPECT_LT(u, g.num_vertices());
+          ++visits;
+        });
+      EXPECT_EQ(visits, 2 * g.num_edges());
+      (void)g.components();
+    }
+    return true;
+  } catch (const SnapshotError&) {
+    return false;
+  }
+}
+
+/// The image of a small market with every channel stored under `rep`.
+SnapshotImage image_as(std::uint64_t seed, graph::GraphRep rep) {
+  const auto scenario = random_scenario(seed, 3, 40);
+  const market::SpectrumMarket market = regraphed(
+      market::build_market(*scenario), [rep](ChannelId) { return rep; });
+  return build_snapshot_image(FreshState(market).view(market, *scenario));
+}
+
+TEST(SnapshotFuzzTest, MutatedSectionsLoadOrFailWithSnapshotError) {
+  const fs::path dir = scratch_dir("store_fuzz");
+  Rng rng(2024);
+  for (const graph::GraphRep rep :
+       {graph::GraphRep::kDense, graph::GraphRep::kCsr}) {
+    const SnapshotImage pristine = image_as(81, rep);
+    ASSERT_TRUE(load_image(dir / "pristine.spms", pristine));
+
+    // Byte ranges to mutate: the section table and each adjacency section.
+    std::vector<std::pair<std::size_t, std::size_t>> regions;
+    SnapshotHeader header;
+    std::memcpy(&header, pristine.data(), sizeof(header));
+    regions.emplace_back(sizeof(SnapshotHeader),
+                         header.section_count * sizeof(SectionEntry));
+    for (const SectionKind kind :
+         {SectionKind::kGraphMeta, SectionKind::kGraphDegrees,
+          SectionKind::kGraphOffsets, SectionKind::kGraphIds,
+          SectionKind::kGraphRows}) {
+      const SectionEntry entry = section_of(pristine, kind);
+      if (entry.bytes > 0) regions.emplace_back(entry.offset, entry.bytes);
+    }
+    // The table, meta and degrees, plus rows (dense) or offsets and ids.
+    ASSERT_EQ(regions.size(), rep == graph::GraphRep::kDense ? 4u : 5u);
+
+    int loaded = 0;
+    int rejected = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      SnapshotImage image = pristine;
+      const auto& [begin, length] =
+          regions[static_cast<std::size_t>(trial) % regions.size()];
+      const int flips = static_cast<int>(rng.uniform_int(1, 3));
+      for (int f = 0; f < flips; ++f) {
+        const auto at = begin + static_cast<std::size_t>(rng.uniform_int(
+                                    0, static_cast<std::int64_t>(length) - 1));
+        image[at] ^= static_cast<std::byte>(rng.uniform_int(1, 255));
+      }
+      restamp(image);
+      (load_image(dir / "mutant.spms", image) ? loaded : rejected) += 1;
+    }
+    // Mutations must reach the parsers and be caught there, not by the
+    // checksum. The few that load hit bytes no parser reads: alignment
+    // padding, a table entry's pad field, another representation's offsets.
+    EXPECT_GT(rejected, 250) << "rep " << static_cast<int>(rep);
+    EXPECT_EQ(loaded + rejected, 300);
+  }
+}
+
+/// Image of a dense market with one bit of channel 0's row `v` toggled, the
+/// checksum re-stamped.
+SnapshotImage with_row_bit_toggled(std::size_t v, std::size_t bit) {
+  SnapshotImage image = image_as(82, graph::GraphRep::kDense);
+  SnapshotHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  const std::size_t words_per_row = (header.num_buyers + 63) / 64;
+  const SectionEntry rows = section_of(image, SectionKind::kGraphRows);
+  GraphMetaRecord meta;
+  std::memcpy(&meta, image.data() + section_of(image, SectionKind::kGraphMeta).offset,
+              sizeof(meta));
+  const std::size_t at = rows.offset + meta.rows_off +
+                         (v * words_per_row + bit / 64) * sizeof(std::uint64_t) +
+                         (bit % 64) / 8;
+  image[at] ^= static_cast<std::byte>(1u << (bit % 8));
+  restamp(image);
+  return image;
+}
+
+TEST(SnapshotFuzzTest, DenseRowDefectsFailWithTheirOwnMessage) {
+  const fs::path dir = scratch_dir("store_rows");
+  const SnapshotImage pristine = image_as(82, graph::GraphRep::kDense);
+  SnapshotHeader header;
+  std::memcpy(&header, pristine.data(), sizeof(header));
+  const std::size_t n = header.num_buyers;
+  ASSERT_NE(n % 64, 0u) << "the padding case needs a partial last word";
+
+  write_raw(dir / "padding.spms", with_row_bit_toggled(3, n));
+  expect_load_error(dir / "padding.spms", "sets a padding bit");
+
+  write_raw(dir / "diagonal.spms", with_row_bit_toggled(5, 5));
+  expect_load_error(dir / "diagonal.spms", "sets its own diagonal bit");
+
+  // Toggling an off-diagonal bit keeps every structural rule but one: the
+  // row's popcount no longer matches its cached degree.
+  write_raw(dir / "degree.spms", with_row_bit_toggled(7, 9));
+  expect_load_error(dir / "degree.spms", "disagrees with its row popcount");
+}
+
+TEST(SnapshotFuzzTest, WrappingEdgeCountFailsLoudly) {
+  // num_edges + 2^63 doubles to the true 2 * num_edges modulo 2^64, so every
+  // check on 2 * num_edges would pass; the count must be bounded first.
+  const fs::path dir = scratch_dir("store_edges");
+  SnapshotImage image = image_as(83, graph::GraphRep::kCsr);
+  const std::size_t at = section_of(image, SectionKind::kGraphMeta).offset +
+                         offsetof(GraphMetaRecord, num_edges) + 7;
+  image[at] ^= std::byte{0x80};
+  restamp(image);
+  write_raw(dir / "edges.spms", image);
+  expect_load_error(dir / "edges.spms", "edge count exceeds");
+}
+
 // --- load fidelity ---------------------------------------------------------
 
-TEST(SnapshotRoundTripTest, ViewBackedGraphsAndMatchingsAreBitIdentical) {
+/// Writes `built` through a fresh store and loads it back.
+LoadedMarket round_trip(const std::string& name,
+                        const market::SpectrumMarket& built,
+                        const market::Scenario& scenario) {
+  MarketStore store(dir_config(scratch_dir(name)));
+  const FreshState state(built);
+  store.write("m", state.view(built, scenario));
+  return store.load("m");
+}
+
+/// The loaded market keeps every channel's representation, its graphs and
+/// component indices equal a fresh build's, and it solves bit-identically.
+void expect_faithful_round_trip(const market::SpectrumMarket& built,
+                                const LoadedMarket& loaded) {
+  ASSERT_NE(loaded.market, nullptr);
+  for (ChannelId i = 0; i < built.num_channels(); ++i) {
+    const graph::InterferenceGraph& want = built.graph(i);
+    const graph::InterferenceGraph& got = loaded.market->graph(i);
+    ASSERT_EQ(got.representation(), want.representation()) << "channel " << i;
+    // CSR channels read through the mapping; dense rows were copied out.
+    EXPECT_EQ(got.csr_view_backed(),
+              want.representation() == graph::GraphRep::kCsr)
+        << "channel " << i;
+    EXPECT_EQ(got, want) << "channel " << i;
+    EXPECT_EQ(got.max_degree(), want.max_degree()) << "channel " << i;
+
+    const graph::ComponentIndex fresh(want);
+    const graph::ComponentIndex& index = got.components();
+    ASSERT_EQ(index.num_components(), fresh.num_components());
+    for (BuyerId v = 0; v < built.num_buyers(); ++v) {
+      ASSERT_EQ(index.component_of(v), fresh.component_of(v)) << "vertex " << v;
+      ASSERT_EQ(index.local_id(v), fresh.local_id(v)) << "vertex " << v;
+    }
+    for (std::size_t c = 0; c < fresh.num_components(); ++c) {
+      const auto a = index.vertices(c);
+      const auto b = fresh.vertices(c);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "component " << c;
+    }
+  }
+  for (const int threads : {1, 4}) {
+    ScopedThreads scope(threads);
+    const auto a = matching::run_two_stage(built);
+    const auto b = matching::run_two_stage(*loaded.market);
+    EXPECT_EQ(a.final_matching(), b.final_matching()) << "threads " << threads;
+    EXPECT_EQ(a.welfare_final, b.welfare_final) << "threads " << threads;
+  }
+}
+
+TEST(SnapshotRoundTripTest, LoadedGraphsAndMatchingsAreBitIdentical) {
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     const auto scenario = random_scenario(seed, 4, 12);
     const market::SpectrumMarket built = market::build_market(*scenario);
-
-    const fs::path dir = scratch_dir("store_roundtrip");
-    MarketStore store(dir_config(dir));
-    const auto n = static_cast<std::size_t>(built.num_buyers());
-    std::vector<double> base;
-    for (ChannelId i = 0; i < built.num_channels(); ++i)
-      for (BuyerId j = 0; j < built.num_buyers(); ++j)
-        base.push_back(built.utility(i, j));
-    std::vector<std::uint8_t> active(n, 1);
-    std::vector<std::uint8_t> dirty(n, 0);
-    std::vector<std::int32_t> match(n, -1);
-    MarketStateView view;
-    view.market = &built;
-    view.scenario = scenario.get();
-    view.base_prices = base;
-    view.active = active;
-    view.dirty = dirty;
-    view.matching = match;
-    store.write("m", view);
-
-    LoadedMarket loaded = store.load("m");
-    ASSERT_NE(loaded.market, nullptr);
-    ASSERT_NE(loaded.backing, nullptr);
-    for (ChannelId i = 0; i < built.num_channels(); ++i)
-      EXPECT_EQ(built.graph(i), loaded.market->graph(i)) << "channel " << i;
-
-    // The loaded market must produce the exact matching of the original, at
-    // any thread count (the ISSUE's mapped-vs-rebuilt contract).
-    for (const int threads : {1, 4}) {
-      ScopedThreads scope(threads);
-      const auto a = matching::run_two_stage(built);
-      const auto b = matching::run_two_stage(*loaded.market);
-      EXPECT_EQ(a.final_matching(), b.final_matching())
-          << "seed " << seed << " threads " << threads;
-    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_faithful_round_trip(
+        built, round_trip("store_roundtrip", built, *scenario));
   }
+}
+
+/// A sparse market: the area grows with the buyer count, as perfbench's do.
+std::shared_ptr<const market::Scenario> sparse_scenario(std::uint64_t seed,
+                                                        int sellers,
+                                                        int buyers) {
+  return random_scenario(seed, sellers, buyers,
+                         10.0 * std::sqrt(buyers / 100.0));
+}
+
+TEST(SnapshotRoundTripTest, MarketAboveDenseMaxLoadsCsrViewBacked) {
+  const int buyers = static_cast<int>(graph::InterferenceGraph::dense_max()) + 52;
+  const auto scenario = sparse_scenario(24, 2, buyers);
+  const market::SpectrumMarket built = market::build_market(*scenario);
+  ASSERT_EQ(built.graph(0).representation(), graph::GraphRep::kCsr);
+  const LoadedMarket loaded = round_trip("store_csr", built, *scenario);
+  expect_faithful_round_trip(built, loaded);
+  // The view-backed graphs read through the mapping, so it stays held.
+  EXPECT_NE(loaded.backing, nullptr);
+}
+
+TEST(SnapshotRoundTripTest, MarketBelowDenseMaxLoadsDenseAndReleasesTheMap) {
+  const auto scenario = sparse_scenario(25, 3, 300);
+  const market::SpectrumMarket built = market::build_market(*scenario);
+  ASSERT_EQ(built.graph(0).representation(), graph::GraphRep::kDense);
+  const LoadedMarket loaded = round_trip("store_dense", built, *scenario);
+  expect_faithful_round_trip(built, loaded);
+  // Every row was copied out: nothing reads through the mapping any more.
+  EXPECT_EQ(loaded.backing, nullptr);
+}
+
+TEST(SnapshotRoundTripTest, OneCsrChannelKeepsTheMapping) {
+  const auto scenario = sparse_scenario(26, 3, 300);
+  // Channel 0 CSR, the rest dense: the store keeps each as it is.
+  const market::SpectrumMarket mixed =
+      regraphed(market::build_market(*scenario), [](ChannelId i) {
+        return i == 0 ? graph::GraphRep::kCsr : graph::GraphRep::kDense;
+      });
+  const LoadedMarket loaded = round_trip("store_mixed", mixed, *scenario);
+  expect_faithful_round_trip(mixed, loaded);
+  EXPECT_NE(loaded.backing, nullptr);
 }
 
 TEST(SnapshotRoundTripTest, CarriedStateSurvives) {
