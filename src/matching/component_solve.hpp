@@ -11,7 +11,8 @@
 // vertex order preserves the ascending global order, the merged result is
 // bit-for-bit identical to the whole-graph solve at any thread count (see
 // graph/components.hpp and components_test). The exact policy is excluded —
-// its cross-component tie-breaking is not separable — and callers route
+// its cross-component tie-breaking is not separable. The one caller in the
+// engine is solve_coalition_round (matching/workspace.hpp), which routes
 // kExact through the whole-graph path.
 #pragma once
 

@@ -3,7 +3,6 @@
 #include "common/alloc_count.hpp"
 #include "common/check.hpp"
 #include "common/metrics.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "graph/mwis.hpp"
 #include "matching/workspace.hpp"
@@ -19,7 +18,7 @@ StageIResult run_deferred_acceptance(const market::SpectrumMarket& market,
 StageIResult run_deferred_acceptance(const market::SpectrumMarket& market,
                                      const StageIConfig& config,
                                      MatchWorkspace& workspace) {
-  workspace.prepare(market, config.component_min);
+  workspace.prepare(market);
   return detail::run_deferred_acceptance_prepared(market, config, workspace);
 }
 
@@ -72,81 +71,26 @@ StageIResult run_deferred_acceptance_prepared(
     // coalition from waiting list plus proposers. Each seller's decision
     // reads only her own graph, prices, waiting list, and proposer set, so
     // all coalitions are solved concurrently against the pre-selection
-    // matching; evictions and admissions are then applied serially in
-    // channel order, making the result bit-for-bit identical to the serial
-    // loop at any thread count. Each lane solves on its own scratch, which
-    // cannot influence results (fully reinitialised per solve).
-    //
-    // Fractured channels go further: one task per connected-component shard,
-    // each solved on the component's local-id subgraph and written to a
-    // disjoint slice of coal_out, merged below in fixed task order — still
-    // bit-for-bit identical to the whole-graph solve (component_solve.hpp).
-    // kExact never shards (its tie-breaking is not component-local).
-    ws.active.clear();
+    // matching (solve_coalition_round); evictions and admissions are then
+    // applied serially in channel order, making the result bit-for-bit
+    // identical to the serial loop at any thread count.
+    ws.round_channels.clear();
     for (ChannelId i = 0; i < M; ++i)
       if (ws.proposers[static_cast<std::size_t>(i)].any())
-        ws.active.push_back(i);
-    const bool shard_ok =
-        config.coalition_policy != graph::MwisAlgorithm::kExact;
-    ws.coal_tasks.clear();
-    std::size_t out_cursor = 0;
-    for (std::size_t k = 0; k < ws.active.size(); ++k) {
-      const ChannelId i = ws.active[k];
-      const auto iu = static_cast<std::size_t>(i);
-      const MatchWorkspace::ShardPlan& plan = ws.shard_plans[iu];
-      if (!shard_ok || !plan.sharded()) {
-        ws.coal_tasks.push_back({i, static_cast<std::uint32_t>(k),
-                                 CoalitionTask::kWholeGraph, 0, 0});
-        continue;
-      }
-      ws.selections[k].assign_zero(static_cast<std::size_t>(N));
-      const graph::ComponentIndex& index = market.graph(i).components();
-      for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
-        ws.coal_tasks.push_back(
-            {i, static_cast<std::uint32_t>(k), s, out_cursor, 0});
-        out_cursor += index.offset(plan.shard_comps[s + 1]) -
-                      index.offset(plan.shard_comps[s]);
-      }
-    }
-    parallel_for_lanes(
-        0, ws.coal_tasks.size(), [&](std::size_t lane, std::size_t t) {
-          CoalitionTask& task = ws.coal_tasks[t];
-          const ChannelId i = task.channel;
-          const auto iu = static_cast<std::size_t>(i);
-          const DynamicBitset& waiting = result.matching.members_of(i);
-          const DynamicBitset& props = ws.proposers[iu];
-          if (task.shard == CoalitionTask::kWholeGraph) {
-            DynamicBitset& candidates = ws.lane_set[lane];
-            candidates.assign_or(waiting, props);
-            ws.selections[task.slot] = graph::solve_mwis(
-                market.graph(i), market.channel_prices(i), candidates,
-                config.coalition_policy, ws.lane_scratch[lane]);
-            return;
-          }
-          const MatchWorkspace::ShardPlan& plan = ws.shard_plans[iu];
-          task.out_count = solve_components(
-              market.graph(i).components(), market.channel_prices(i),
-              plan.shard_comps[task.shard], plan.shard_comps[task.shard + 1],
-              [&](BuyerId v) {
-                const auto vu = static_cast<std::size_t>(v);
-                return waiting.test(vu) || props.test(vu);
-              },
-              config.coalition_policy, ws.lane_local[lane],
-              ws.lane_weights[lane], ws.lane_scratch[lane],
-              ws.coal_out.data() + task.out_begin);
+        ws.round_channels.push_back(i);
+    solve_coalition_round(
+        market, config.coalition_policy, ws,
+        [&](ChannelId i, DynamicBitset& candidates) {
+          candidates.assign_or(result.matching.members_of(i),
+                               ws.proposers[static_cast<std::size_t>(i)]);
+        },
+        [&](ChannelId i, BuyerId v) {
+          const auto vu = static_cast<std::size_t>(v);
+          return result.matching.members_of(i).test(vu) ||
+                 ws.proposers[static_cast<std::size_t>(i)].test(vu);
         });
-    // Merge shard slices into the per-channel selection slots, fixed task
-    // order (the order cannot influence the set — slices are disjoint).
-    for (const CoalitionTask& task : ws.coal_tasks) {
-      if (task.shard == CoalitionTask::kWholeGraph) continue;
-      DynamicBitset& selection = ws.selections[task.slot];
-      for (std::size_t c = 0; c < task.out_count; ++c)
-        selection.set(
-            static_cast<std::size_t>(ws.coal_out[task.out_begin + c]));
-      if (metrics::enabled()) metrics::count("component.shard_solves");
-    }
-    for (std::size_t k = 0; k < ws.active.size(); ++k) {
-      const ChannelId i = ws.active[k];
+    for (std::size_t k = 0; k < ws.round_channels.size(); ++k) {
+      const ChannelId i = ws.round_channels[k];
       const auto iu = static_cast<std::size_t>(i);
       // A greedy MWIS can return a coalition *worse* than the current
       // waiting list; adopting it would let a seller's value oscillate.
@@ -155,10 +99,10 @@ StageIResult run_deferred_acceptance_prepared(
       // Both sets are independent by construction, so her preference is
       // the price-sum comparison alone.
       const auto prices = market.channel_prices(i);
-      if (graph::set_weight(prices, ws.selections[k]) <=
+      if (graph::set_weight(prices, ws.coalitions[k]) <=
           graph::set_weight(prices, result.matching.members_of(i)))
-        ws.selections[k] = result.matching.members_of(i);
-      const DynamicBitset& chosen = ws.selections[k];
+        ws.coalitions[k] = result.matching.members_of(i);
+      const DynamicBitset& chosen = ws.coalitions[k];
       // Evict waiting-list buyers not selected, then admit new members.
       ws.apply_set.assign_difference(result.matching.members_of(i), chosen);
       ws.apply_set.for_each_set([&](std::size_t j) {

@@ -22,11 +22,6 @@ struct StageIConfig {
   graph::MwisAlgorithm coalition_policy = graph::MwisAlgorithm::kGwmin;
   /// Record the per-round proposal/waiting-list trace (tests, examples).
   bool record_trace = false;
-  /// Connected-component sharding threshold, forwarded to
-  /// MatchWorkspace::prepare by the workspace-taking overload: 0 resolves
-  /// SPECMATCH_COMPONENT_MIN, >= 1 is an explicit minimum shard size, < 0
-  /// disables sharding (whole-graph reference path).
-  int component_min = 0;
 };
 
 /// One Stage-I round as seen by an omniscient observer.

@@ -80,7 +80,7 @@ StageIIResult run_transfer_invitation_prepared(
   /// stays scalar by design — vectorising it would not change results (it
   /// is compare-only) but the gather dominates; the SIMD kernel layer
   /// (common/simd.hpp) instead accelerates the round bitsets below
-  /// (applicants/accepted/invite_list set algebra and iteration).
+  /// (applicants/coalitions/invite_list set algebra and iteration).
   auto better_prefix = [&](BuyerId j) {
     const double now = current_utility(market, result.matching, j);
     const auto prefs = ws.pref_order(j);
@@ -155,88 +155,42 @@ StageIIResult run_transfer_invitation_prepared(
     // Sellers decide simultaneously against a snapshot; moves are applied
     // afterwards. Accepted sets stay feasible because µ(i) can only shrink
     // between snapshot and application (no eviction in Stage II). The
-    // decisions only read the snapshot, so they are solved concurrently and
-    // the moves/rejections collected serially in channel order — identical
+    // decisions only read the snapshot, so they are solved concurrently
+    // (solve_coalition_round, the same driver as Stage I) and the
+    // moves/rejections collected serially in channel order — identical
     // output at any thread count.
     ws.snapshot = result.matching;
-    ws.deciding.clear();
+    ws.round_channels.clear();
     for (ChannelId i = 0; i < M; ++i)
       if (ws.applicants[static_cast<std::size_t>(i)].any())
-        ws.deciding.push_back(i);
-    // Fractured channels decide one component shard per task (the same
-    // sharded driver as Stage I — see component_solve.hpp); kExact and
-    // unfractured channels keep the whole-graph solve.
-    const bool shard_ok =
-        config.coalition_policy != graph::MwisAlgorithm::kExact;
-    ws.coal_tasks.clear();
-    std::size_t out_cursor = 0;
-    for (std::size_t k = 0; k < ws.deciding.size(); ++k) {
-      const ChannelId i = ws.deciding[k];
-      const auto iu = static_cast<std::size_t>(i);
-      const MatchWorkspace::ShardPlan& plan = ws.shard_plans[iu];
-      if (!shard_ok || !plan.sharded()) {
-        ws.coal_tasks.push_back({i, static_cast<std::uint32_t>(k),
-                                 CoalitionTask::kWholeGraph, 0, 0});
-        continue;
-      }
-      ws.accepted[k].assign_zero(static_cast<std::size_t>(N));
-      const graph::ComponentIndex& index = market.graph(i).components();
-      for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
-        ws.coal_tasks.push_back(
-            {i, static_cast<std::uint32_t>(k), s, out_cursor, 0});
-        out_cursor += index.offset(plan.shard_comps[s + 1]) -
-                      index.offset(plan.shard_comps[s]);
-      }
-    }
-    parallel_for_lanes(
-        0, ws.coal_tasks.size(), [&](std::size_t lane, std::size_t t) {
-          CoalitionTask& task = ws.coal_tasks[t];
-          const ChannelId i = task.channel;
-          const auto iu = static_cast<std::size_t>(i);
-          const DynamicBitset& members = ws.snapshot.members_of(i);
-          const DynamicBitset& apps = ws.applicants[iu];
-          if (task.shard == CoalitionTask::kWholeGraph) {
-            // Only applicants compatible with every current member are
-            // admissible (the seller cannot evict, Algorithm 2 line 13).
-            DynamicBitset& admissible = ws.lane_set[lane];
-            admissible.assign_zero(static_cast<std::size_t>(N));
-            apps.for_each_set([&](std::size_t j) {
-              if (market.graph(i).is_compatible(static_cast<BuyerId>(j),
-                                                members))
-                admissible.set(j);
-            });
-            ws.accepted[task.slot] = graph::solve_mwis(
-                market.graph(i), market.channel_prices(i), admissible,
-                config.coalition_policy, ws.lane_scratch[lane]);
-            return;
-          }
-          const MatchWorkspace::ShardPlan& plan = ws.shard_plans[iu];
-          task.out_count = solve_components(
-              market.graph(i).components(), market.channel_prices(i),
-              plan.shard_comps[task.shard], plan.shard_comps[task.shard + 1],
-              [&](BuyerId v) {
-                return apps.test(static_cast<std::size_t>(v)) &&
-                       market.graph(i).is_compatible(v, members);
-              },
-              config.coalition_policy, ws.lane_local[lane],
-              ws.lane_weights[lane], ws.lane_scratch[lane],
-              ws.coal_out.data() + task.out_begin);
+        ws.round_channels.push_back(i);
+    // Only applicants compatible with every current member are admissible
+    // (the seller cannot evict, Algorithm 2 line 13).
+    const auto admissible = [&](ChannelId i, BuyerId v) {
+      return market.graph(i).is_compatible(v, ws.snapshot.members_of(i));
+    };
+    solve_coalition_round(
+        market, config.coalition_policy, ws,
+        [&](ChannelId i, DynamicBitset& candidates) {
+          candidates.assign_zero(static_cast<std::size_t>(N));
+          ws.applicants[static_cast<std::size_t>(i)].for_each_set(
+              [&](std::size_t j) {
+                if (admissible(i, static_cast<BuyerId>(j))) candidates.set(j);
+              });
+        },
+        [&](ChannelId i, BuyerId v) {
+          return ws.applicants[static_cast<std::size_t>(i)].test(
+                     static_cast<std::size_t>(v)) &&
+                 admissible(i, v);
         });
-    for (const CoalitionTask& task : ws.coal_tasks) {
-      if (task.shard == CoalitionTask::kWholeGraph) continue;
-      DynamicBitset& accepted = ws.accepted[task.slot];
-      for (std::size_t c = 0; c < task.out_count; ++c)
-        accepted.set(static_cast<std::size_t>(ws.coal_out[task.out_begin + c]));
-      if (metrics::enabled()) metrics::count("component.shard_solves");
-    }
     ws.moves.clear();
-    for (std::size_t k = 0; k < ws.deciding.size(); ++k) {
-      const ChannelId i = ws.deciding[k];
+    for (std::size_t k = 0; k < ws.round_channels.size(); ++k) {
+      const ChannelId i = ws.round_channels[k];
       const auto iu = static_cast<std::size_t>(i);
-      ws.accepted[k].for_each_set([&](std::size_t j) {
+      ws.coalitions[k].for_each_set([&](std::size_t j) {
         ws.moves.emplace_back(static_cast<BuyerId>(j), i);
       });
-      ws.apply_set.assign_difference(ws.applicants[iu], ws.accepted[k]);
+      ws.apply_set.assign_difference(ws.applicants[iu], ws.coalitions[k]);
       ws.rejected[iu] |= ws.apply_set;
       ws.applicants[iu].clear();
     }

@@ -27,7 +27,6 @@ TwoStageResult run_two_stage(const market::SpectrumMarket& market,
   StageIConfig stage1_config;
   stage1_config.coalition_policy = config.coalition_policy;
   stage1_config.record_trace = config.record_trace;
-  stage1_config.component_min = config.component_min;
   result.stage1 =
       detail::run_deferred_acceptance_prepared(market, stage1_config,
                                                workspace);
@@ -35,7 +34,6 @@ TwoStageResult run_two_stage(const market::SpectrumMarket& market,
   StageIIConfig stage2_config;
   stage2_config.coalition_policy = config.coalition_policy;
   stage2_config.rescreen_on_departure = config.rescreen_on_departure;
-  stage2_config.component_min = config.component_min;
   result.stage2 = detail::run_transfer_invitation_prepared(
       market, result.stage1.matching, stage2_config, workspace);
 

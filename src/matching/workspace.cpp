@@ -31,31 +31,26 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
 
   next_pref.assign(nu, 0);
   if (proposers.size() < mu) proposers.resize(mu);
-  if (selections.size() < mu) selections.resize(mu);
-  for (std::size_t i = 0; i < mu; ++i) {
-    proposers[i].assign_zero(nu);
-    selections[i].assign_zero(nu);
-  }
-  active.clear();
-  active.reserve(mu);
+  for (std::size_t i = 0; i < mu; ++i) proposers[i].assign_zero(nu);
 
   better_end.assign(nu, 0);
   cursor.assign(nu, 0);
   if (applicants.size() < mu) applicants.resize(mu);
   if (rejected.size() < mu) rejected.resize(mu);
   if (invite_list.size() < mu) invite_list.resize(mu);
-  if (accepted.size() < mu) accepted.resize(mu);
   for (std::size_t i = 0; i < mu; ++i) {
     applicants[i].assign_zero(nu);
     rejected[i].assign_zero(nu);
     invite_list[i].assign_zero(nu);
-    accepted[i].assign_zero(nu);
   }
-  deciding.clear();
-  deciding.reserve(mu);
   moves.clear();
   moves.reserve(nu);
   snapshot = Matching(M, N);
+
+  round_channels.clear();
+  round_channels.reserve(mu);
+  if (coalitions.size() < mu) coalitions.resize(mu);
+  for (std::size_t i = 0; i < mu; ++i) coalitions[i].assign_zero(nu);
 
   apply_set.assign_zero(nu);
 

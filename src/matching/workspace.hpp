@@ -6,9 +6,9 @@
 // slots, and per-buyer preference lists; at the ROADMAP's production scale
 // that allocator traffic, not the matching arithmetic, bounds throughput. A
 // MatchWorkspace owns all of it — the flattened CSR preference orders, the
-// per-seller proposer/applicant/rejected/invitation bitsets, the per-seller
-// selection slots, the per-lane MWIS scratch (score arrays + lazy heaps),
-// and the round snapshot — sized once by prepare() and reinitialised (never
+// per-seller proposer/applicant/rejected/invitation bitsets, the coalition
+// slots both stages' rounds share, the per-lane MWIS scratch (score arrays
+// + lazy heaps), and the round snapshot — sized once by prepare() and reinitialised (never
 // reallocated) by each run, so steady-state Stage I/II rounds perform zero
 // heap allocations on the serial path (threads = 1; the thread pool's
 // dispatch itself allocates). The engine samples the SPECMATCH_COUNT_ALLOCS
@@ -30,6 +30,8 @@
 
 #include "common/bitset.hpp"
 #include "common/ids.hpp"
+#include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/mwis.hpp"
 #include "market/market.hpp"
 #include "matching/component_solve.hpp"
@@ -65,8 +67,6 @@ struct MatchWorkspace {
   // --- Stage I round state ------------------------------------------------
   std::vector<std::size_t> next_pref;     ///< per-buyer proposal cursor
   std::vector<DynamicBitset> proposers;   ///< P_i per seller
-  std::vector<ChannelId> active;          ///< sellers with proposers
-  std::vector<DynamicBitset> selections;  ///< per-active-seller result slot
 
   // --- Stage II round state -----------------------------------------------
   // The per-seller bitsets below are the Stage II hot state: their set
@@ -78,10 +78,14 @@ struct MatchWorkspace {
   std::vector<DynamicBitset> applicants;   ///< D_i per seller
   std::vector<DynamicBitset> rejected;     ///< rejected-ever per seller
   std::vector<DynamicBitset> invite_list;  ///< R_i per seller
-  std::vector<DynamicBitset> accepted;     ///< per-deciding-seller slot
-  std::vector<ChannelId> deciding;         ///< sellers with applicants
   std::vector<std::pair<BuyerId, ChannelId>> moves;  ///< round's transfers
   Matching snapshot;  ///< frozen matching sellers decide against
+
+  // --- coalition rounds (solve_coalition_round) ---------------------------
+  // Stage I selection and Stage II decision rounds never run at the same
+  // time on one workspace, so they share these slots.
+  std::vector<ChannelId> round_channels;  ///< the round's sellers, slot order
+  std::vector<DynamicBitset> coalitions;  ///< per-slot chosen coalition
 
   // --- shared round temporaries -------------------------------------------
   DynamicBitset apply_set;  ///< serial-phase temp (evicted/admitted/rejected)
@@ -90,7 +94,7 @@ struct MatchWorkspace {
   std::vector<DynamicBitset> lane_set;            ///< candidate/admissible set
   std::vector<graph::MwisScratch> lane_scratch;   ///< MWIS heaps and scores
 
-  // --- component sharding (see matching/component_solve.hpp) --------------
+  // --- component sharding (read only by solve_coalition_round) ------------
   /// Per-channel shard plan: component-id offsets from graph::build_shards.
   /// sharded() false (0 or 1 shards) means the channel solves whole-graph —
   /// single-component channels, sharding disabled, or a kExact run.
@@ -116,5 +120,78 @@ struct MatchWorkspace {
   std::vector<BuyerId> displaced;  ///< dropped buyers, best-first
   DynamicBitset swap_dropped;  ///< members interfering with a candidate joiner
 };
+
+/// One coalition round of Stage I (Algorithm 1 line 12) or Stage II
+/// (Algorithm 2 line 13): every seller in ws.round_channels takes a
+/// maximum-weight independent set of her candidates on her own channel
+/// graph, and slot k of ws.coalitions receives the choice of
+/// ws.round_channels[k]. The stage supplies the candidates twice over:
+/// `fill(i, set)` writes channel i's candidate set into `set` (whole-graph
+/// solves), and `is_candidate(i, v)` answers per vertex (sharded channels).
+///
+/// The driver owns the sharding decision. A fractured channel is solved as
+/// one task per component shard, each writing a disjoint slice of
+/// ws.coal_out that is merged serially in fixed task order; every other
+/// channel, and every channel under kExact (its tie-breaking is not
+/// component-local), is one whole-graph task. Tasks run in
+/// parallel_for_lanes lanes on per-lane scratch, so the result is
+/// bit-for-bit the serial whole-graph one at any thread count (see
+/// matching/component_solve.hpp).
+template <typename FillFn, typename CandidateFn>
+void solve_coalition_round(const market::SpectrumMarket& market,
+                           graph::MwisAlgorithm policy, MatchWorkspace& ws,
+                           FillFn&& fill, CandidateFn&& is_candidate) {
+  const bool shard_ok = policy != graph::MwisAlgorithm::kExact;
+  ws.coal_tasks.clear();
+  std::size_t out_cursor = 0;
+  for (std::size_t k = 0; k < ws.round_channels.size(); ++k) {
+    const ChannelId i = ws.round_channels[k];
+    const MatchWorkspace::ShardPlan& plan =
+        ws.shard_plans[static_cast<std::size_t>(i)];
+    const auto slot = static_cast<std::uint32_t>(k);
+    if (!shard_ok || !plan.sharded()) {
+      ws.coal_tasks.push_back({i, slot, CoalitionTask::kWholeGraph, 0, 0});
+      continue;
+    }
+    ws.coalitions[k].assign_zero(
+        static_cast<std::size_t>(market.num_buyers()));
+    const graph::ComponentIndex& index = market.graph(i).components();
+    for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
+      ws.coal_tasks.push_back({i, slot, s, out_cursor, 0});
+      out_cursor += index.offset(plan.shard_comps[s + 1]) -
+                    index.offset(plan.shard_comps[s]);
+    }
+  }
+  parallel_for_lanes(
+      0, ws.coal_tasks.size(), [&](std::size_t lane, std::size_t t) {
+        CoalitionTask& task = ws.coal_tasks[t];
+        const ChannelId i = task.channel;
+        if (task.shard == CoalitionTask::kWholeGraph) {
+          DynamicBitset& candidates = ws.lane_set[lane];
+          fill(i, candidates);
+          ws.coalitions[task.slot] = graph::solve_mwis(
+              market.graph(i), market.channel_prices(i), candidates, policy,
+              ws.lane_scratch[lane]);
+          return;
+        }
+        const MatchWorkspace::ShardPlan& plan =
+            ws.shard_plans[static_cast<std::size_t>(i)];
+        task.out_count = solve_components(
+            market.graph(i).components(), market.channel_prices(i),
+            plan.shard_comps[task.shard], plan.shard_comps[task.shard + 1],
+            [&](BuyerId v) { return is_candidate(i, v); }, policy,
+            ws.lane_local[lane], ws.lane_weights[lane], ws.lane_scratch[lane],
+            ws.coal_out.data() + task.out_begin);
+      });
+  // Merge the shard slices into their slots (disjoint, so order cannot
+  // change the set; fixed task order keeps it obviously deterministic).
+  for (const CoalitionTask& task : ws.coal_tasks) {
+    if (task.shard == CoalitionTask::kWholeGraph) continue;
+    DynamicBitset& coalition = ws.coalitions[task.slot];
+    for (std::size_t c = 0; c < task.out_count; ++c)
+      coalition.set(static_cast<std::size_t>(ws.coal_out[task.out_begin + c]));
+    if (metrics::enabled()) metrics::count("component.shard_solves");
+  }
+}
 
 }  // namespace specmatch::matching

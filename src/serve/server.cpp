@@ -525,7 +525,6 @@ std::string MatchServer::solve_response(MarketEntry& entry,
     const double carried_welfare = entry.last.social_welfare(entry.market);
     const bool restricted = entry.dirty_valid;
     matching::StageIIConfig stage2;
-    stage2.coalition_policy = config_.coalition_policy;
     if (restricted) stage2.participants = &entry.dirty;
     matching::StageIIResult result = matching::run_transfer_invitation(
         entry.market, entry.last, stage2, workspace);
@@ -565,10 +564,8 @@ std::string MatchServer::solve_response(MarketEntry& entry,
   }
 
   // Cold path (also the fallback for warm requests, per fallback_tag).
-  matching::TwoStageConfig cfg;
-  cfg.coalition_policy = config_.coalition_policy;
   matching::TwoStageResult result =
-      matching::run_two_stage(entry.market, cfg, workspace);
+      matching::run_two_stage(entry.market, {}, workspace);
   note_allocs(result.stage1.steady_allocs);
   note_allocs(result.stage2.steady_allocs);
   entry.last = result.final_matching();

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "graph/mwis.hpp"
 #include "matching/workspace.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -55,7 +54,6 @@ struct ServeConfig {
   /// SPECMATCH_SERVE_MEM_MB (4096).
   std::size_t mem_budget_mb = 4096;
   Overflow overflow = Overflow::kBlock;
-  graph::MwisAlgorithm coalition_policy = graph::MwisAlgorithm::kGwmin;
   /// Escape hatch: after every warm solve, CHECK the result is
   /// interference-free and individually rational. (The third warm invariant
   /// — welfare no worse than the carried matching — is always enforced: a

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -70,6 +71,20 @@ class TokenReader {
     ss >> out;
     if (ss.fail() || !ss.eof())
       fail("malformed value '" + token + "' in " + what);
+  }
+
+  /// Reads `count` values into `out`. Storage grows with the values actually
+  /// read, never with the claimed count: a header may claim any count, and a
+  /// short section fails as truncated after allocating only what it held.
+  template <typename T>
+  void next_values(std::vector<T>& out, std::size_t count,
+                   const std::string& what) {
+    out.clear();
+    for (std::size_t k = 0; k < count; ++k) {
+      T value{};
+      next_value(value, what);
+      out.push_back(value);
+    }
   }
 
   /// Starts a section: the previous one must be fully consumed and the
@@ -176,30 +191,29 @@ market::Scenario load_scenario(std::istream& is, int line_offset,
   market::Scenario scenario;
 
   const int num_sellers = reader.counted_header("sellers");
-  scenario.seller_channel_counts.resize(static_cast<std::size_t>(num_sellers));
-  for (auto& m : scenario.seller_channel_counts)
-    reader.next_value(m, "seller channel counts");
+  reader.next_values(scenario.seller_channel_counts,
+                     static_cast<std::size_t>(num_sellers),
+                     "seller channel counts");
 
   const int num_buyers = reader.counted_header("buyers");
-  scenario.buyer_demands.resize(static_cast<std::size_t>(num_buyers));
-  for (auto& n : scenario.buyer_demands)
-    reader.next_value(n, "buyer demands");
+  reader.next_values(scenario.buyer_demands,
+                     static_cast<std::size_t>(num_buyers), "buyer demands");
 
   {
     const auto tokens = reader.header_line("locations");
     if (tokens.size() != 1 || tokens[0] != "locations")
       reader.fail("expected 'locations', got '" + tokens[0] + "'");
   }
-  scenario.buyer_locations.resize(static_cast<std::size_t>(num_buyers));
-  for (auto& loc : scenario.buyer_locations) {
+  for (int b = 0; b < num_buyers; ++b) {
+    graph::Point loc;
     reader.next_value(loc.x, "buyer locations");
     reader.next_value(loc.y, "buyer locations");
+    scenario.buyer_locations.push_back(loc);
   }
 
   const int num_ranges = reader.counted_header("ranges");
-  scenario.channel_ranges.resize(static_cast<std::size_t>(num_ranges));
-  for (auto& r : scenario.channel_ranges)
-    reader.next_value(r, "channel ranges");
+  reader.next_values(scenario.channel_ranges,
+                     static_cast<std::size_t>(num_ranges), "channel ranges");
 
   // Optional "reserves <M>" section (format extension; absent in files
   // written before reserve prices existed), then the mandatory utilities
@@ -217,9 +231,7 @@ market::Scenario load_scenario(std::istream& is, int line_offset,
       ss >> count;
       if (tokens.size() != 2 || ss.fail() || !ss.eof() || count == 0)
         reader.fail("expected 'reserves <positive count>'");
-      scenario.channel_reserves.resize(count);
-      for (auto& r : scenario.channel_reserves)
-        reader.next_value(r, "channel reserves");
+      reader.next_values(scenario.channel_reserves, count, "channel reserves");
       have_reserves = true;
       continue;
     }
@@ -235,9 +247,26 @@ market::Scenario load_scenario(std::istream& is, int line_offset,
     }
     reader.fail("expected 'reserves' or 'utilities', got '" + tokens[0] + "'");
   }
-  scenario.utilities.resize(M * N);
-  for (auto& u : scenario.utilities)
-    reader.next_value(u, "utility matrix");
+  // Before a single entry is stored, the matrix shape must fit the engine's
+  // int ids (so M x N cannot overflow) and agree with the sections already
+  // read: M channels summed over the sellers, N virtual buyers over demands.
+  constexpr std::size_t kMaxIds = std::numeric_limits<int>::max();
+  if (M > kMaxIds || N > kMaxIds)
+    reader.fail("'utilities <M> <N>' exceeds " + std::to_string(kMaxIds) +
+                " (M x N would overflow)");
+  const auto channels =
+      std::accumulate(scenario.seller_channel_counts.begin(),
+                      scenario.seller_channel_counts.end(), std::int64_t{0});
+  const auto buyers = std::accumulate(scenario.buyer_demands.begin(),
+                                      scenario.buyer_demands.end(),
+                                      std::int64_t{0});
+  if (static_cast<std::int64_t>(M) != channels ||
+      static_cast<std::int64_t>(N) != buyers)
+    reader.fail("'utilities " + std::to_string(M) + " " + std::to_string(N) +
+                "' disagrees with the sellers and buyers sections (" +
+                std::to_string(channels) + " channels, " +
+                std::to_string(buyers) + " virtual buyers)");
+  reader.next_values(scenario.utilities, M * N, "utility matrix");
   if (reader.line_has_more())
     reader.fail("trailing values after the utility matrix");
 

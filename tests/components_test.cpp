@@ -260,6 +260,70 @@ TEST_P(ShardEquivalenceTest, TwoStageBitForBitAcrossShardingAndThreads) {
   }
 }
 
+/// An interference-free matching that leaves Stage II plenty to do: each
+/// buyer in turn takes her *least* preferred channel that still admits her.
+matching::Matching worst_fit_matching(const market::SpectrumMarket& market) {
+  matching::Matching result(market.num_channels(), market.num_buyers());
+  for (BuyerId j = 0; j < market.num_buyers(); ++j) {
+    for (ChannelId i = 0; i < market.num_channels(); ++i) {
+      if (market.utility(i, j) <= 0.0 ||
+          !market.graph(i).is_compatible(j, result.members_of(i)))
+        continue;
+      if (!result.is_matched(j) ||
+          market.utility(i, j) < market.utility(result.seller_of(j), j))
+        result.rematch(j, i);
+    }
+  }
+  return result;
+}
+
+// Stage II alone on the same grid, from a poor input matching and through
+// the two paths the full runs above never take: restricted mode (every third
+// buyer plus channel 0's largest component participates) and re-screening on
+// departure.
+TEST_P(ShardEquivalenceTest, StageIIBitForBitAcrossShardingAndThreads) {
+  const auto [seed, M, N, area, range] = GetParam();
+  const auto market = geometric_market(seed, M, N, area, range);
+  const matching::Matching input = worst_fit_matching(market);
+  DynamicBitset participants(static_cast<std::size_t>(market.num_buyers()));
+  for (std::size_t j = 0; j < participants.size(); j += 3) participants.set(j);
+  const ComponentIndex& index = market.graph(0).components();
+  std::uint32_t largest = 0;
+  for (std::uint32_t c = 0; c < index.num_components(); ++c)
+    if (index.vertices(c).size() > index.vertices(largest).size()) largest = c;
+  for (const BuyerId v : index.vertices(largest))
+    participants.set(static_cast<std::size_t>(v));
+
+  for (auto policy : {MwisAlgorithm::kGwmin, MwisAlgorithm::kGwmin2}) {
+    for (const bool restricted : {true, false}) {
+      matching::StageIIConfig reference_config;
+      reference_config.coalition_policy = policy;
+      reference_config.component_min = -1;  // sharding off: whole-graph path
+      if (restricted)
+        reference_config.participants = &participants;
+      else
+        reference_config.rescreen_on_departure = true;
+      const auto reference =
+          run_transfer_invitation(market, input, reference_config);
+      for (int component_min : {1, 7}) {
+        for (int threads : {1, 4}) {
+          ScopedThreads scope(threads);
+          matching::StageIIConfig config = reference_config;
+          config.component_min = component_min;
+          const auto sharded = run_transfer_invitation(market, input, config);
+          EXPECT_EQ(sharded.matching, reference.matching)
+              << "seed " << seed << " restricted " << restricted << " min "
+              << component_min << " threads " << threads;
+          EXPECT_EQ(sharded.after_phase1, reference.after_phase1);
+          EXPECT_EQ(sharded.transfers_accepted, reference.transfers_accepted);
+          EXPECT_EQ(sharded.invitations_accepted,
+                    reference.invitations_accepted);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Markets, ShardEquivalenceTest,
     ::testing::Values(

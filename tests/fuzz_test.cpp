@@ -1,14 +1,21 @@
-// Randomised differential and stress tests across the stack.
+// Randomised differential and stress tests across the stack, and seeded
+// mutation fuzzing of the parsers that read outside bytes.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "dist/runtime.hpp"
 #include "matching/stability.hpp"
 #include "matching/swap_resolution.hpp"
 #include "matching/two_stage.hpp"
 #include "optimal/exact.hpp"
+#include "serve/protocol.hpp"
 #include "workload/generator.hpp"
+#include "workload/io.hpp"
 
 namespace specmatch {
 namespace {
@@ -168,6 +175,195 @@ TEST(SwapFuzzTest, ResolutionIsAFixedPointOperatorEverywhere) {
     EXPECT_EQ(twice.swaps_applied, 0) << "seed " << seed;
     EXPECT_GE(once.welfare_after + 1e-12, once.welfare_before);
   }
+}
+
+// --- parser mutation fuzzing ------------------------------------------------
+
+/// The scenario the parser fuzzers start from (with the optional reserves
+/// section, so its count can be inflated too).
+const std::string kSeedScenario =
+    "specmatch-scenario v1\n"
+    "sellers 2\n1 1\n"
+    "buyers 3\n1 1 1\n"
+    "locations\n0 0\n1 0\n5 0\n"
+    "ranges 2\n2 2\n"
+    "reserves 2\n0.1 0.2\n"
+    "utilities 2 3\n0.9 0.4 0.7\n0.3 0.8 0.6\n";
+
+/// A valid request stream in the style of the serve_smoke transcript: two
+/// creates with embedded scenarios, then every other verb.
+const std::string kSeedTranscript =
+    "# parser fuzz seed\n"
+    "create a\n" + kSeedScenario +
+    "solve a cold\nquery a\nstats a\n"
+    "create b\n"
+    "specmatch-scenario v1\n"
+    "sellers 1\n2\n"
+    "buyers 2\n1 2\n"
+    "locations\n0 0\n0.5 0\n"
+    "ranges 2\n1.5 1.5\n"
+    "utilities 2 3\n0.5 0.9 0.2\n0.4 0.1 0.8\n"
+    "solve b warm\nprice a 1 0 0.95\nleave a 2\njoin a 2\n"
+    "solve a warm\nsnapshot a\nrestore a\n";
+
+/// Values a hostile peer puts in a count: the int, uint32 and int64
+/// boundaries, and 10^18.
+const std::vector<std::string> kInflated = {
+    "2147483647",          "2147483648",          "-2147483648",
+    "4294967296",          "9223372036854775807", "9223372036854775808",
+    "18446744073709551615", "1000000000000000000"};
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+/// [begin, end) of every numeric token of `text`.
+std::vector<std::pair<std::size_t, std::size_t>> numeric_tokens(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;
+  const auto space = [&](std::size_t at) {
+    return std::isspace(static_cast<unsigned char>(text[at])) != 0;
+  };
+  for (std::size_t at = 0; at < text.size();) {
+    if (space(at)) {
+      ++at;
+      continue;
+    }
+    const std::size_t begin = at;
+    while (at < text.size() && !space(at)) ++at;
+    const char lead = text[begin] == '-' && at - begin > 1 ? text[begin + 1]
+                                                           : text[begin];
+    if (std::isdigit(static_cast<unsigned char>(lead)) != 0)
+      tokens.emplace_back(begin, at);
+  }
+  return tokens;
+}
+
+/// Applies one to three seeded mutations: flip a byte; drop, duplicate or
+/// swap lines; inflate a numeric token.
+std::string mutate(const std::string& seed, Rng& rng) {
+  std::string text = seed;
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const int ops = static_cast<int>(rng.uniform_int(1, 3));
+  for (int op = 0; op < ops; ++op) {
+    std::vector<std::string> lines = split_lines(text);
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        if (!text.empty())
+          text[pick(text.size())] ^=
+              static_cast<char>(rng.uniform_int(1, 255));
+        continue;
+      case 1:
+        if (lines.empty()) continue;
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(
+                                        pick(lines.size())));
+        break;
+      case 2: {
+        if (lines.empty()) continue;
+        const std::size_t at = pick(lines.size());
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                     lines[at]);
+        break;
+      }
+      case 3:
+        if (lines.empty()) continue;
+        std::swap(lines[pick(lines.size())], lines[pick(lines.size())]);
+        break;
+      default: {
+        const auto tokens = numeric_tokens(text);
+        if (tokens.empty()) continue;
+        const auto [begin, end] = tokens[pick(tokens.size())];
+        text.replace(begin, end - begin, kInflated[pick(kInflated.size())]);
+        continue;
+      }
+    }
+    text = join_lines(lines);
+  }
+  return text;
+}
+
+/// Feeds `input` to a parser. Passes when it parses or throws one of the
+/// parsers' own errors; any other exception fails the test with the input.
+/// Returns true iff it parsed.
+template <typename Parse>
+bool parses_or_fails_loudly(const std::string& input, Parse&& parse) {
+  try {
+    parse(input);
+    return true;
+  } catch (const serve::ProtocolError&) {
+  } catch (const workload::ScenarioParseError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "parser escaped with '" << e.what() << "' on:\n"
+                  << input;
+  }
+  return false;
+}
+
+void read_requests(const std::string& text) {
+  std::istringstream in(text);
+  serve::RequestReader reader(in);
+  serve::Request request;
+  while (reader.next(request)) {
+  }
+}
+
+void read_scenario(const std::string& text) {
+  std::istringstream in(text);
+  (void)workload::load_scenario(in);
+}
+
+TEST(ParserFuzzTest, EveryInflatedNumberParsesOrFailsLoudly) {
+  // Exhaustive over the seeds: each numeric token in turn, each hostile
+  // value. An inflated count (reserves 10^18, a utilities M x N past the
+  // address space) must fail as a parse error, never size an allocation.
+  for (const auto& [seed, parse] :
+       {std::pair{kSeedTranscript, &read_requests},
+        std::pair{kSeedScenario, &read_scenario}}) {
+    ASSERT_TRUE(parses_or_fails_loudly(seed, parse));
+    int rejected = 0;
+    const auto tokens = numeric_tokens(seed);
+    for (const auto& [begin, end] : tokens) {
+      for (const std::string& value : kInflated) {
+        std::string mutant = seed;
+        mutant.replace(begin, end - begin, value);
+        if (!parses_or_fails_loudly(mutant, parse)) ++rejected;
+      }
+    }
+    EXPECT_GT(rejected, 0);
+  }
+}
+
+TEST(ParserFuzzTest, MutatedTranscriptsParseOrThrowProtocolError) {
+  Rng rng(2026);
+  int parsed = 0;
+  for (int trial = 0; trial < 3000; ++trial)
+    if (parses_or_fails_loudly(mutate(kSeedTranscript, rng), read_requests))
+      ++parsed;
+  // Mutations must reach the parsers' error paths, and some must survive.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, 3000);
+}
+
+TEST(ParserFuzzTest, MutatedScenariosLoadOrThrowScenarioParseError) {
+  Rng rng(2027);
+  int parsed = 0;
+  for (int trial = 0; trial < 3000; ++trial)
+    if (parses_or_fails_loudly(mutate(kSeedScenario, rng), read_scenario))
+      ++parsed;
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, 3000);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "matching/two_stage.hpp"
 #include "workload/generator.hpp"
@@ -246,6 +248,34 @@ TEST(ScenarioIoTest, MidStreamJunkBytesKeepOffsetCoordinates) {
     ADD_FAILURE() << "corrupt scenario parsed";
   } catch (const ScenarioParseError& e) {
     EXPECT_GT(e.line(), 100) << e.what();
+  }
+}
+
+TEST(ScenarioIoTest, InflatedCountsFailWithoutAllocatingThem) {
+  // Every count below claims far more values than the input holds (or a
+  // matrix larger than the address space); each must fail as a parse error,
+  // with memory bounded by the values actually present.
+  const std::string head =
+      "specmatch-scenario v1\n"
+      "sellers 1\n1\n"
+      "buyers 2\n1 1\n"
+      "locations\n0 0\n1 0\n"
+      "ranges 1\n2\n";
+  const std::string matrix = "utilities 1 2\n0.5 0.6\n";
+  for (const std::string& input : std::vector<std::string>{
+           head + "reserves 1000000000000000000\n0.1\n" + matrix,
+           head + "reserves 9223372036854775808\n0.1\n" + matrix,
+           "specmatch-scenario v1\nsellers 2147483647\n1\n",
+           "specmatch-scenario v1\nsellers 1\n1\nbuyers 2147483647\n1\n",
+           head.substr(0, head.find("ranges")) + "ranges 2147483647\n2\n" +
+               matrix,
+           head + "utilities 1000000000000000000 1000000000000000000\n0.5\n",
+           head + "utilities 18446744073709551615 2\n0.5\n",
+           head + "utilities 4294967296 4294967296\n0.5\n",
+           head + "utilities 1 3000000000\n0.5\n",
+       }) {
+    const ScenarioParseError error = expect_parse_error(input);
+    EXPECT_GT(error.line(), 0) << input;
   }
 }
 

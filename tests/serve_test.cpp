@@ -604,6 +604,32 @@ TEST(ServeProtocolTest, TruncatedEmbeddedCreateThrowsAtEof) {
   EXPECT_TRUE(in.eof());
 }
 
+/// A create frame whose scenario claims 10^18 reserve prices but carries
+/// two: the claimed count must never size an allocation.
+const char* const kInflatedCreate =
+    "create big\n"
+    "specmatch-scenario v1\n"
+    "sellers 2\n1 1\n"
+    "buyers 3\n1 1 1\n"
+    "locations\n0 0\n1 0\n5 0\n"
+    "ranges 2\n2 2\n"
+    "reserves 1000000000000000000\n0.1 0.1\n"
+    "utilities 2 3\n0.9 0.4 0.7\n0.3 0.8 0.6\n";
+
+TEST(ServeProtocolTest, InflatedScenarioCountIsAProtocolError) {
+  std::istringstream in(kInflatedCreate);
+  RequestReader reader(in);
+  Request request;
+  try {
+    (void)reader.next(request);
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("channel reserves"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- the TCP front-end ------------------------------------------------------
 
 /// A NetServer over a 1-lane MatchServer, event loop on its own thread,
@@ -738,6 +764,31 @@ TEST(NetServerTest, JunkMidSessionStillAnswersEarlierRequests) {
   EXPECT_NE(line.find(" seq=2:"), std::string::npos) << line;
   EXPECT_NE(line.find("frobnicate"), std::string::npos) << line;
   EXPECT_FALSE(conn.read_line(line)) << "expected EOF after fatal: " << line;
+}
+
+TEST(NetServerTest, InflatedScenarioCountAnswersErrAndKeepsServing) {
+  NetHarness harness;
+  std::string line;
+  {
+    auto conn = ClientConnection::connect_loopback(harness.port);
+    conn.send_all(kInflatedCreate);
+    conn.half_close();
+    ASSERT_TRUE(conn.read_line(line));
+    EXPECT_EQ(line.rfind("err! protocol conn=", 0), 0u) << line;
+    EXPECT_NE(line.find("channel reserves"), std::string::npos) << line;
+    EXPECT_FALSE(conn.read_line(line)) << "expected EOF after fatal: " << line;
+  }
+  // The server survived: a fresh connection is served normally.
+  auto conn = ClientConnection::connect_loopback(harness.port);
+  conn.send_all(scenario_wire("m", 14));
+  conn.send_all("solve m cold\n");
+  conn.half_close();
+  ASSERT_TRUE(conn.read_line(line));
+  EXPECT_EQ(line.rfind("ok create m ", 0), 0u) << line;
+  ASSERT_TRUE(conn.read_line(line));
+  EXPECT_EQ(line.rfind("ok solve m cold ", 0), 0u) << line;
+  harness.shutdown();
+  EXPECT_EQ(harness.net.stats().protocol_errors, 1);
 }
 
 TEST(NetServerTest, RejectOverflowShedsInline) {
