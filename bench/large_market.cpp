@@ -286,10 +286,7 @@ void run_scale_sweep() {
         DynamicBitset local_set;
         std::vector<double> local_weights;
         graph::MwisScratch scratch;
-        scratch.reserve(index.largest_component(),
-                        graph::MwisScratch::heap_bound(
-                            index.largest_component(), graph.num_edges(),
-                            graph.max_degree()));
+        scratch.reserve(index.largest_component(), 2 * graph.num_edges());
         std::vector<BuyerId> out(static_cast<std::size_t>(N));
         for (std::size_t c = 0; c < index.num_components(); ++c) {
           bench::WallTimer timer;

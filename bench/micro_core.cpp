@@ -26,6 +26,7 @@
 #include "graph/generators.hpp"
 #include "graph/mwis.hpp"
 #include "matching/deferred_acceptance.hpp"
+#include "mwis_reference.hpp"
 #include "matching/two_stage.hpp"
 #include "optimal/exact.hpp"
 #include "workload/generator.hpp"

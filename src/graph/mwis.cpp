@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -30,27 +31,33 @@ double set_weight(std::span<const double> weights,
   return total;
 }
 
-void MwisScratch::reserve(std::size_t n, std::size_t heap_entries) {
+void MwisScratch::reserve(std::size_t n, std::size_t row_entries) {
   viable.assign_zero(n);
   chosen.assign_zero(n);
-  removed.assign_zero(n);
-  touched.assign_zero(n);
-  deg.reserve(n);
-  version.reserve(n);
-  heap.reserve(heap_entries);
+  local_of.reserve(n);
+  member.reserve(n);
+  global_of.reserve(n);
+  row_start.reserve(n + 1);
+  if (rows_capacity < row_entries) {
+    rows = std::make_unique_for_overwrite<std::uint32_t[]>(row_entries);
+    rows_capacity = row_entries;
+  }
+  weight.reserve(n);
+  live_degree.reserve(n);
+  slot.reserve(n);
+  queue.reserve(n);
+  pending.reserve(n);
+  queued.reserve(n);
 }
 
 namespace {
 
-/// Per-solve work counters, accumulated locally (plain increments on the
-/// pick loop) and flushed to the metrics registry once per solve_mwis call.
-/// A null pointer (metrics disabled) keeps the loops free of even the
-/// increment.
+/// Per-solve work counters, accumulated locally and flushed to the metrics
+/// registry once per solve_mwis call.
 struct GreedyWork {
-  std::uint64_t picks = 0;       ///< vertices chosen into the set
-  std::uint64_t heap_pops = 0;   ///< incremental path: entries popped
-  std::uint64_t stale_pops = 0;  ///< incremental path: version-stale skips
-  std::uint64_t scan_evals = 0;  ///< scan path: score evaluations
+  std::uint64_t picks = 0;         ///< vertices chosen into the set
+  std::uint64_t row_entries = 0;   ///< incremental path: induced adjacency
+  std::uint64_t scan_evals = 0;    ///< scan path: score evaluations
 };
 
 /// GWMIN pick score: w(v) / (deg_R(v) + 1). degree_in is the fused
@@ -86,154 +93,221 @@ struct Gwmin2ScanScore {
   }
 };
 
-/// Incremental GWMIN state: deg_R(v) is kept exact (an integer) under batch
-/// removals, so a rescore is one division with the same operands the rescan
-/// reference would produce — bit-identical by construction, and the update
-/// work totals O(edges) over a whole solve instead of O(picks x candidates)
-/// score recomputations. The degree array is borrowed from the caller's
-/// scratch and fully re-initialised by init().
-struct GwminIncremental {
-  const InterferenceGraph& graph;
-  std::span<const double> weights;
-  std::vector<std::size_t>& deg;
+/// Grow-only sizing for the per-solve arrays: within a reserved capacity it
+/// never allocates, and it never shrinks.
+template <typename T>
+T* grow(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
 
-  void init(const DynamicBitset& remaining) {
-    deg.assign(graph.num_vertices(), 0);
-    remaining.for_each_set([&](std::size_t v) {
-      deg[v] = graph.degree_in(static_cast<BuyerId>(v), remaining);
-    });
+/// `slot` value of a local vertex that has left the graph.
+constexpr std::uint32_t kGone = 0xffffffffu;
+
+/// Indexed binary max-heap over the surviving local vertices, ordered by
+/// score with equal scores surfacing the lowest local id — the rescan's
+/// strict-greater, lowest-index-first pick, since local ids keep the global
+/// order. slot[v] tracks v's position, so removals and rescores reach an
+/// entry directly and no entry ever goes stale. The order is a strict total
+/// order on the entries, so the pick sequence does not depend on the heap's
+/// internal arrangement.
+struct IndexedHeap {
+  using Entry = MwisScratch::QueueEntry;
+
+  Entry* q;
+  std::uint32_t* slot;
+  std::size_t size;
+
+  static bool before(const Entry& a, const Entry& b) {
+    return a.score > b.score || (a.score == b.score && a.vertex < b.vertex);
   }
 
-  double score(std::size_t v, const DynamicBitset&) const {
-    return weights[v] / (static_cast<double>(deg[v]) + 1.0);
+  void place(std::size_t i, const Entry& e) {
+    q[i] = e;
+    slot[e.vertex] = static_cast<std::uint32_t>(i);
   }
 
-  /// `removed` has already been subtracted from `remaining`; updates the
-  /// degrees and marks the survivors whose score changed.
-  void apply_removal(const DynamicBitset& removed,
-                     const DynamicBitset& remaining, DynamicBitset& touched) {
-    removed.for_each_set([&](std::size_t u) {
-      graph.for_each_neighbor_in(static_cast<BuyerId>(u), remaining,
-                                 [&](std::size_t w) {
-                                   --deg[w];
-                                   touched.set(w);
-                                 });
-    });
-  }
-};
-
-/// Incremental GWMIN2 state: the neighbour-weight sum cannot be maintained
-/// by floating-point subtraction without drifting off the reference bits, so
-/// touched survivors are re-summed — but only they are (the sum over
-/// N_R(v) is unchanged for everyone else), and the sum itself walks the
-/// intersection words directly instead of materialising a temporary.
-struct Gwmin2Incremental {
-  const InterferenceGraph& graph;
-  std::span<const double> weights;
-
-  void init(const DynamicBitset&) {}
-
-  double score(std::size_t v, const DynamicBitset& remaining) const {
-    return Gwmin2ScanScore{graph, weights}(v, remaining);
-  }
-
-  void apply_removal(const DynamicBitset& removed,
-                     const DynamicBitset& remaining, DynamicBitset& touched) {
-    removed.for_each_set([&](std::size_t u) {
-      graph.add_neighbors_to(static_cast<BuyerId>(u), touched);
-    });
-    touched &= remaining;
-  }
-};
-
-// Max-heap order on score; equal scores surface the lowest index first,
-// matching the strict-greater scan of the rescan reference.
-struct WorseEntry {
-  bool operator()(const MwisScratch::HeapEntry& a,
-                  const MwisScratch::HeapEntry& b) const {
-    if (a.score != b.score) return a.score < b.score;
-    return a.vertex > b.vertex;
-  }
-};
-
-/// Incremental greedy skeleton: repeatedly pick the remaining candidate with
-/// the highest score (ties to the lowest index) and remove its closed
-/// neighbourhood — but instead of rescanning every candidate's score per
-/// pick, keep scores in a lazy max-heap. After choosing v, both GWMIN scores
-/// depend only on the candidate's neighbourhood inside `remaining`, so only
-/// survivors adjacent to a removed vertex can change; the policy rescores
-/// exactly those, with values bit-identical to a full rescan (same operands,
-/// same summation order). Stale heap entries are skipped via a per-vertex
-/// version counter. The heap is a plain vector driven by std::push_heap /
-/// std::pop_heap — the exact operations std::priority_queue performs — so
-/// the pop order is unchanged while the storage (and everything else in the
-/// loop) comes from the reusable scratch.
-/// `kCounting` is a compile-time switch so the metrics-off instantiation is
-/// the exact pre-instrumentation loop — no per-pop null checks or register
-/// pressure (the off-mode wall time is part of the perf acceptance bar).
-template <bool kCounting, typename Policy>
-void greedy(const InterferenceGraph& graph, Policy policy, MwisScratch& s,
-            GreedyWork* work = nullptr) {
-  const std::size_t n = graph.num_vertices();
-  DynamicBitset& remaining = s.viable;
-  s.chosen.assign_zero(n);
-  if (remaining.none()) return;
-
-  s.version.assign(n, 0);
-  s.heap.clear();
-  policy.init(remaining);
-  remaining.for_each_set([&](std::size_t v) {
-    s.heap.push_back(
-        {policy.score(v, remaining), static_cast<std::uint32_t>(v), 0});
-    std::push_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
-  });
-
-  s.touched.assign_zero(n);
-  while (remaining.any()) {
-    // Every remaining vertex always has one current entry queued, so the
-    // heap cannot run dry before `remaining` does.
-    SPECMATCH_DCHECK(!s.heap.empty());
-    std::pop_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
-    const MwisScratch::HeapEntry top = s.heap.back();
-    s.heap.pop_back();
-    if constexpr (kCounting) ++work->heap_pops;
-    const std::size_t v = top.vertex;
-    if (!remaining.test(v) || top.version != s.version[v]) {  // stale
-      if constexpr (kCounting) ++work->stale_pops;
-      continue;
+  void sift_up(std::size_t i) {
+    const Entry e = q[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!before(e, q[parent])) break;
+      place(i, q[parent]);
+      i = parent;
     }
+    place(i, e);
+  }
 
-    if constexpr (kCounting) ++work->picks;
-    s.chosen.set(v);
-    graph.neighbors_in(static_cast<BuyerId>(v), remaining, s.removed);
-    s.removed.set(v);
-    remaining -= s.removed;
+  void sift_down(std::size_t i) {
+    const Entry e = q[i];
+    while (true) {
+      std::size_t child = 2 * i + 1;
+      if (child >= size) break;
+      if (child + 1 < size && before(q[child + 1], q[child])) ++child;
+      if (!before(q[child], e)) break;
+      place(i, q[child]);
+      i = child;
+    }
+    place(i, e);
+  }
 
-    s.touched.clear();
-    policy.apply_removal(s.removed, remaining, s.touched);
-    s.touched.for_each_set([&](std::size_t u) {
-      s.heap.push_back({policy.score(u, remaining),
-                        static_cast<std::uint32_t>(u), ++s.version[u]});
-      std::push_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
-    });
+  /// Floyd heapify of q[0, size).
+  void build() {
+    for (std::size_t i = size / 2; i-- > 0;) sift_down(i);
+  }
 
-    // Lazy-deletion compaction: when the accumulated stale debt outgrows the
-    // live set, drop every superseded entry and re-heapify. The pick
-    // sequence is unchanged — each surviving entry is the unique current one
-    // for its vertex and WorseEntry is a strict total order on them, so the
-    // pop order does not depend on the heap's internal arrangement. This is
-    // what bounds the heap by max degree instead of by edge count (see
-    // MwisScratch::heap_bound): without it a big sparse graph's heap would
-    // grow toward n + E entries.
-    if (s.heap.size() > 2 * n + 16) {
-      s.heap.erase(
-          std::remove_if(s.heap.begin(), s.heap.end(),
-                         [&](const MwisScratch::HeapEntry& e) {
-                           return !remaining.test(e.vertex) ||
-                                  e.version != s.version[e.vertex];
-                         }),
-          s.heap.end());
-      std::make_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
+  /// Removes the queued vertex v and marks it gone.
+  void erase(std::uint32_t v) {
+    const std::size_t i = slot[v];
+    slot[v] = kGone;
+    const Entry last = q[--size];
+    if (i == size) return;
+    place(i, last);
+    if (i > 0 && before(last, q[(i - 1) / 2]))
+      sift_up(i);
+    else
+      sift_down(i);
+  }
+};
+
+/// The candidate-induced subgraph of one solve, in scratch arrays: local
+/// vertex l is the l-th viable candidate in ascending global order, and its
+/// row lists its viable neighbours as ascending local ids.
+struct LocalGraph {
+  std::size_t k = 0;                        ///< vertices
+  const std::uint32_t* row_start = nullptr;  ///< k + 1 offsets into rows
+  const std::uint32_t* rows = nullptr;
+  const double* weight = nullptr;
+};
+
+/// Builds the LocalGraph of `s.viable`: one row walk per candidate, keeping
+/// only the neighbours that are viable candidates themselves. Dense rows
+/// visit row ∩ viable word-parallel; CSR rows are walked branch-free, every
+/// neighbour stored and the cursor advanced past the viable ones only, with
+/// membership read from a byte per vertex (set for this solve's candidates
+/// and cleared again before returning).
+LocalGraph induce(const InterferenceGraph& graph,
+                  std::span<const double> weights, MwisScratch& s) {
+  const std::size_t n = graph.num_vertices();
+  const bool dense = graph.representation() == GraphRep::kDense;
+  std::uint32_t* local_of = grow(s.local_of, n);
+  std::uint8_t* member = dense ? nullptr : grow(s.member, n);
+  std::uint32_t* global_of = grow(s.global_of, s.viable.count());
+  const std::span<const std::uint32_t> degrees = graph.degrees();
+  std::uint32_t k = 0;
+  std::size_t entries = 0;  // summed degree: every row write stays inside
+  s.viable.for_each_set([&](std::size_t v) {
+    local_of[v] = k;
+    global_of[k++] = static_cast<std::uint32_t>(v);
+    entries += degrees[v];
+    if (!dense) member[v] = 1;
+  });
+  if (s.rows_capacity < entries) {
+    s.rows = std::make_unique_for_overwrite<std::uint32_t[]>(entries);
+    s.rows_capacity = entries;
+  }
+  std::uint32_t* row_start = grow(s.row_start, std::size_t{k} + 1);
+  std::uint32_t* rows = s.rows.get();
+  std::size_t len = 0;
+  for (std::uint32_t l = 0; l < k; ++l) {
+    row_start[l] = static_cast<std::uint32_t>(len);
+    const auto v = static_cast<BuyerId>(global_of[l]);
+    if (dense) {
+      graph.for_each_neighbor_in(v, s.viable, [&](std::size_t u) {
+        rows[len++] = static_cast<std::uint32_t>(u);
+      });
+    } else {
+      graph.for_each_neighbor(v, [&](std::size_t u) {
+        rows[len] = static_cast<std::uint32_t>(u);
+        len += member[u];
+      });
+    }
+  }
+  row_start[k] = static_cast<std::uint32_t>(len);
+  if (!dense)
+    for (std::uint32_t l = 0; l < k; ++l) member[global_of[l]] = 0;
+  // Renumbered after the walk, over the few entries it kept.
+  for (std::size_t e = 0; e < len; ++e) rows[e] = local_of[rows[e]];
+  double* weight = grow(s.weight, k);
+  for (std::uint32_t l = 0; l < k; ++l) weight[l] = weights[global_of[l]];
+  return {k, row_start, rows, weight};
+}
+
+/// The incremental path: greedy on the candidate-induced subgraph. Pop the
+/// best survivor, remove its closed neighbourhood, and rescore only the
+/// survivors adjacent to a removed vertex — once each, however many removed
+/// neighbours they had. GWMIN keeps deg_R(v) exact as an integer, so a
+/// rescore is one division with the operands the rescan would use. GWMIN2's
+/// neighbour-weight sum cannot be maintained by floating-point subtraction
+/// without drifting off the reference bits, so a touched survivor is
+/// re-summed over its surviving neighbours in ascending order — the
+/// rescan's exact sequence of additions. Both scores only grow as
+/// neighbours leave (a degree drops; a sum loses positive terms, and
+/// rounding is monotone), so a rescore is one sift-up. Every step of a pick
+/// is O(local degree); nothing per pick touches the whole graph or all k
+/// vertices.
+void solve_local(const InterferenceGraph& graph,
+                 std::span<const double> weights, MwisAlgorithm algorithm,
+                 MwisScratch& s, GreedyWork& work) {
+  s.chosen.assign_zero(graph.num_vertices());
+  const LocalGraph g = induce(graph, weights, s);
+  work.row_entries = g.row_start[g.k];
+  if (g.k == 0) return;
+  IndexedHeap heap{grow(s.queue, g.k), grow(s.slot, g.k), g.k};
+  std::uint32_t* live_degree = grow(s.live_degree, g.k);
+  std::uint32_t* pending = grow(s.pending, g.k);
+  std::uint8_t* queued = grow(s.queued, g.k);
+  std::fill_n(queued, g.k, std::uint8_t{0});
+  const auto score = [&](std::uint32_t v) {
+    if (algorithm == MwisAlgorithm::kGwmin)
+      return g.weight[v] / (static_cast<double>(live_degree[v]) + 1.0);
+    double nbr_weight = 0.0;
+    for (std::uint32_t e = g.row_start[v]; e < g.row_start[v + 1]; ++e)
+      if (heap.slot[g.rows[e]] != kGone) nbr_weight += g.weight[g.rows[e]];
+    return g.weight[v] / (g.weight[v] + nbr_weight);
+  };
+  for (std::uint32_t v = 0; v < g.k; ++v) {
+    heap.slot[v] = v;
+    live_degree[v] = g.row_start[v + 1] - g.row_start[v];
+  }
+  for (std::uint32_t v = 0; v < g.k; ++v) heap.q[v] = {score(v), v};
+  heap.build();
+
+  while (heap.size > 0) {
+    const std::uint32_t v = heap.q[0].vertex;
+    heap.erase(v);
+    s.chosen.set(s.global_of[v]);
+    ++work.picks;
+    // v's surviving neighbours leave with it; v's row then has no
+    // survivors, so only theirs are walked for rescores.
+    std::size_t removed = 0;
+    for (std::uint32_t e = g.row_start[v]; e < g.row_start[v + 1]; ++e) {
+      const std::uint32_t u = g.rows[e];
+      if (heap.slot[u] == kGone) continue;
+      heap.erase(u);
+      pending[removed++] = u;
+    }
+    std::size_t end = removed;  // touched survivors follow the removed ones
+    for (std::size_t r = 0; r < removed; ++r) {
+      const std::uint32_t u = pending[r];
+      for (std::uint32_t e = g.row_start[u]; e < g.row_start[u + 1]; ++e) {
+        const std::uint32_t w = g.rows[e];
+        if (heap.slot[w] == kGone) continue;
+        --live_degree[w];
+        if (queued[w] == 0) {
+          queued[w] = 1;
+          pending[end++] = w;
+        }
+      }
+    }
+    for (std::size_t t = removed; t < end; ++t) {
+      const std::uint32_t w = pending[t];
+      queued[w] = 0;
+      const std::size_t at = heap.slot[w];
+      const double rescored = score(w);
+      SPECMATCH_DCHECK(rescored >= heap.q[at].score);
+      heap.q[at].score = rescored;
+      heap.sift_up(at);
     }
   }
 }
@@ -241,11 +315,10 @@ void greedy(const InterferenceGraph& graph, Policy policy, MwisScratch& s,
 /// Scan-mode greedy: recompute every remaining candidate's score per pick.
 /// This is the right strategy on dense graphs, where nearly every survivor
 /// is adjacent to the removed neighbourhood anyway and the word-parallel
-/// bitset scoring beats per-edge bookkeeping. Also the body of the
-/// solve_mwis_rescan baseline.
-/// Picks the identical vertex sequence as the incremental skeleton: both
-/// take the highest score with ties to the lowest index, and the score
-/// values agree bit-for-bit.
+/// bitset scoring beats per-edge bookkeeping.
+/// Picks the identical vertex sequence as the incremental greedy: both take
+/// the highest score with ties to the lowest index, and the score values
+/// agree bit-for-bit.
 template <bool kCounting = false, typename ScoreFn>
 void greedy_scan(const InterferenceGraph& graph, const ScoreFn& score,
                  MwisScratch& s, GreedyWork* work = nullptr) {
@@ -351,43 +424,35 @@ const DynamicBitset& solve_mwis(const InterferenceGraph& graph,
   check_inputs(graph, weights, candidates);
   viable_candidates(weights, candidates, scratch);
 
-  // Strategy split (outputs are bit-identical either way): lazy incremental
-  // scoring wins when neighbourhoods are small relative to the candidate
-  // set (the market's geometric graphs); on high-average-degree graphs with
-  // dense bitset rows, nearly every survivor is rescored every pick
-  // regardless, so the word-parallel scan without the heap bookkeeping is
-  // faster. CSR graphs have no word-parallel rows and always take the
-  // incremental path (mwis_uses_scan, shared with workspace heap sizing).
-  const bool dense = mwis_uses_scan(graph);
+  // Strategy split (outputs are bit-identical either way): the incremental
+  // greedy on the candidate-induced subgraph wins when neighbourhoods are
+  // small relative to the candidate set (the market's geometric graphs); on
+  // high-average-degree graphs with dense bitset rows, nearly every survivor
+  // is rescored every pick regardless, so the word-parallel scan is faster.
+  // CSR graphs always take the incremental path (mwis_uses_scan, shared
+  // with workspace sizing).
+  const bool scan = mwis_uses_scan(graph);
 
   GreedyWork work;
   GreedyWork* wp = metrics::enabled() ? &work : nullptr;
-  // Dispatch once on (algorithm, density, counting); the counting=false
-  // instantiations are the uninstrumented loops, so metrics-off runs pay
-  // nothing inside the pick loop.
-  const auto run_greedy = [&](auto policy, auto scan_score) {
-    if (dense) {
-      if (wp != nullptr)
-        greedy_scan<true>(graph, scan_score, scratch, wp);
-      else
-        greedy_scan(graph, scan_score, scratch);
-      return;
-    }
-    if (wp != nullptr)
-      greedy<true>(graph, std::move(policy), scratch, wp);
+  // The counting=false scan instantiation is the uninstrumented loop, so
+  // metrics-off runs pay nothing inside its pick loop.
+  const auto run_greedy = [&](auto scan_score) {
+    if (!scan)
+      solve_local(graph, weights, algorithm, scratch, work);
+    else if (wp != nullptr)
+      greedy_scan<true>(graph, scan_score, scratch, wp);
     else
-      greedy<false>(graph, std::move(policy), scratch);
+      greedy_scan(graph, scan_score, scratch);
   };
   bool solved = false;
   switch (algorithm) {
     case MwisAlgorithm::kGwmin:
-      run_greedy(GwminIncremental{graph, weights, scratch.deg},
-                 GwminScanScore{graph, weights});
+      run_greedy(GwminScanScore{graph, weights});
       solved = true;
       break;
     case MwisAlgorithm::kGwmin2:
-      run_greedy(Gwmin2Incremental{graph, weights},
-                 Gwmin2ScanScore{graph, weights});
+      run_greedy(Gwmin2ScanScore{graph, weights});
       solved = true;
       break;
     case MwisAlgorithm::kExact: {
@@ -409,15 +474,13 @@ const DynamicBitset& solve_mwis(const InterferenceGraph& graph,
     metrics::count("mwis.calls");
     metrics::count("mwis.picks", static_cast<std::int64_t>(work.picks));
     if (algorithm != MwisAlgorithm::kExact) {
-      if (dense) {
+      if (scan) {
         metrics::count("mwis.fallback_scans");
         metrics::count("mwis.scan_score_evals",
                        static_cast<std::int64_t>(work.scan_evals));
       } else {
-        metrics::count("mwis.heap_pops",
-                       static_cast<std::int64_t>(work.heap_pops));
-        metrics::count("mwis.stale_pops",
-                       static_cast<std::int64_t>(work.stale_pops));
+        metrics::count("mwis.induced_edges",
+                       static_cast<std::int64_t>(work.row_entries / 2));
       }
     }
   }
@@ -430,23 +493,6 @@ DynamicBitset solve_mwis(const InterferenceGraph& graph,
                          MwisAlgorithm algorithm, MwisStats* stats) {
   MwisScratch scratch;
   solve_mwis(graph, weights, candidates, algorithm, scratch, stats);
-  return std::move(scratch.chosen);
-}
-
-DynamicBitset solve_mwis_rescan(const InterferenceGraph& graph,
-                                std::span<const double> weights,
-                                const DynamicBitset& candidates,
-                                MwisAlgorithm algorithm) {
-  check_inputs(graph, weights, candidates);
-  SPECMATCH_CHECK_MSG(algorithm != MwisAlgorithm::kExact,
-                      "the rescan reference only exists for the greedy "
-                      "algorithms");
-  MwisScratch scratch;
-  viable_candidates(weights, candidates, scratch);
-  if (algorithm == MwisAlgorithm::kGwmin)
-    greedy_scan(graph, GwminScanScore{graph, weights}, scratch);
-  else
-    greedy_scan(graph, Gwmin2ScanScore{graph, weights}, scratch);
   return std::move(scratch.chosen);
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -28,15 +29,15 @@ enum class MwisAlgorithm : std::uint8_t {
 std::string_view to_string(MwisAlgorithm algorithm);
 
 /// Density split of the greedy solvers: dense-representation graphs with
-/// average degree (2E/V) at or above this take the heap-free word-parallel
-/// rescan, everything else the incremental lazy heap. Outputs are
-/// bit-identical either way.
+/// average degree (2E/V) at or above this take the word-parallel rescan,
+/// everything else the incremental greedy on the candidate-induced
+/// subgraph. Outputs are bit-identical either way.
 inline constexpr std::size_t kMwisScanDegreeThreshold = 64;
 
 /// True when solve_mwis will take the word-parallel rescan for this graph.
 /// CSR graphs always take the incremental path — without bitset rows there
-/// is no word-parallel scoring to win back the heap bookkeeping. Exported so
-/// workspace sizing can tell which channels will use the heap.
+/// is no word-parallel scoring to win back a full pass per pick. Exported so
+/// workspace sizing can tell which channels need induced-adjacency room.
 inline bool mwis_uses_scan(const InterferenceGraph& graph) {
   return graph.representation() == GraphRep::kDense &&
          graph.num_vertices() > 0 &&
@@ -55,45 +56,43 @@ struct MwisStats {
 /// reserve() has been called with large-enough bounds, a greedy solve
 /// performs zero heap allocations. The exact solver is exempt (its
 /// branch-and-bound recursion allocates per node; it is ablation-only).
+///
+/// The incremental greedy works on the subgraph induced by the k viable
+/// candidates, renumbered to local ids 0..k-1 in ascending global order.
+/// Apart from the global-indexed members (the `viable`/`chosen` bitsets and
+/// the `local_of`/`member` maps, written only at candidate positions),
+/// per-solve state is sized by k, not by the graph's vertex count.
 struct MwisScratch {
-  /// Lazy max-heap entry: (score, vertex) plus the vertex's version stamp at
-  /// push time, so superseded entries are skipped on pop.
-  struct HeapEntry {
+  /// Indexed max-heap entry: a local vertex and its current score.
+  struct QueueEntry {
     double score;
     std::uint32_t vertex;
-    std::uint32_t version;
   };
 
-  DynamicBitset viable;   ///< remaining candidates during the solve
-  DynamicBitset chosen;   ///< the result set (referenced by the return value)
-  DynamicBitset removed;  ///< closed neighbourhood of the latest pick
-  DynamicBitset touched;  ///< survivors rescored after the latest pick
-  std::vector<std::size_t> deg;        ///< GWMIN: exact deg_R(v)
-  std::vector<std::uint32_t> version;  ///< lazy-heap staleness stamps
-  std::vector<HeapEntry> heap;         ///< lazy max-heap storage
+  DynamicBitset viable;  ///< candidates with positive weight (global ids)
+  DynamicBitset chosen;  ///< the result set (referenced by the return value)
+  std::vector<std::uint32_t> local_of;  ///< global -> local id (viable only)
+  std::vector<std::uint8_t> member;  ///< 1 on viable (CSR walk), else 0
+  std::vector<std::uint32_t> global_of;  ///< local -> global id, ascending
+  std::vector<std::uint32_t> row_start;  ///< k + 1 induced-row offsets
+  /// Induced rows: each local vertex's viable neighbours as ascending local
+  /// ids. Left uninitialised: the worst-case capacity is reserved once, and
+  /// a solve writes only the entries it walks past.
+  std::unique_ptr<std::uint32_t[]> rows;
+  std::size_t rows_capacity = 0;
+  std::vector<double> weight;           ///< local weights
+  std::vector<std::uint32_t> live_degree;  ///< surviving neighbours
+  std::vector<std::uint32_t> slot;  ///< queue position; kGone once removed
+  std::vector<QueueEntry> queue;    ///< indexed max-heap of survivors
+  std::vector<std::uint32_t> pending;  ///< a pick's removals, then rescores
+  std::vector<std::uint8_t> queued;    ///< rescore already queued this pick
 
-  /// Pre-sizes every container for an n-vertex graph whose sparse-path solve
-  /// holds at most `heap_entries` heap entries; pass heap_bound() below for
-  /// a bound that guarantees allocation-free solves.
-  void reserve(std::size_t n, std::size_t heap_entries);
-
-  /// Largest heap the incremental greedy can hold on an n-vertex graph with
-  /// `edges` edges and max degree `max_degree`. Two bounds, take the min:
-  /// total pushes are n + E (every rescore push pairs with an edge from a
-  /// removed vertex to a survivor, each edge at most once per solve), and
-  /// lazy compaction (see greedy() in mwis.cpp) caps the live heap at
-  /// 2n + 16 entries plus one pick's worth of pushes — at most
-  /// (max_degree + 1) removals, each rescoring at most max_degree
-  /// survivors. The degree bound is what keeps per-lane scratch small on
-  /// big sparse graphs (E can be millions while max_degree is a few
-  /// hundred).
-  static std::size_t heap_bound(std::size_t n, std::size_t edges,
-                                std::size_t max_degree) {
-    const std::size_t by_edges = n + edges;
-    const std::size_t by_degree =
-        2 * n + 16 + max_degree * (max_degree + 1);
-    return by_edges < by_degree ? by_edges : by_degree;
-  }
+  /// Pre-sizes every container for an n-vertex graph whose induced
+  /// adjacency holds at most `row_entries` entries. The incremental greedy
+  /// needs room for the summed degree of its viable candidates, so
+  /// 2 * num_edges of the largest graph solved guarantees allocation-free
+  /// solves.
+  void reserve(std::size_t n, std::size_t row_entries);
 };
 
 /// Scratch-reusing solve_mwis: identical results to the allocating overload
@@ -117,17 +116,6 @@ DynamicBitset solve_mwis(const InterferenceGraph& graph,
                          std::span<const double> weights,
                          const DynamicBitset& candidates,
                          MwisAlgorithm algorithm, MwisStats* stats = nullptr);
-
-/// Test/bench-only reference for kGwmin and kGwmin2: the pre-incremental
-/// greedy that rescans every candidate's score per pick. solve_mwis now
-/// maintains scores lazily (only vertices adjacent to a removed vertex are
-/// rescored) and must return the identical set — asserted by the equivalence
-/// property test and timed against this baseline by the perf harness.
-/// Rejects kExact.
-DynamicBitset solve_mwis_rescan(const InterferenceGraph& graph,
-                                std::span<const double> weights,
-                                const DynamicBitset& candidates,
-                                MwisAlgorithm algorithm);
 
 /// Total weight of the set bits of `members`.
 double set_weight(std::span<const double> weights,

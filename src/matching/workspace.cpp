@@ -101,34 +101,29 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   coal_tasks.reserve(total_tasks);
   if (coal_out.size() < out_bound) coal_out.resize(out_bound);
 
-  // One solver scratch per pool lane, sized by the worst heap-path channel.
-  // MwisScratch::heap_bound caps the lazy heap by max degree (the solver
-  // compacts stale entries), so a multi-million-edge sparse channel costs a
-  // few hundred KB of heap per lane, not n + E entries. Channels that will
-  // take the heap-free scan path are skipped (mwis_uses_scan is the same
-  // predicate the solver dispatches on) — except sharded channels, whose
-  // component subgraphs may take the heap path even when the whole graph
-  // would scan, so their largest component is always covered.
+  // One solver scratch per pool lane, sized for an all-candidate solve on
+  // the widest incremental-path channel: its induced adjacency holds at
+  // most the summed degree of the graph, 2E. The capacity is left
+  // uninitialised; a solve writes only the rows it keeps.
+  // Channels that take the scan path (mwis_uses_scan is the same predicate
+  // the solver dispatches on) need none — except sharded channels, whose
+  // component subgraphs may take the incremental path even when the whole
+  // graph would scan; their components' edges are bounded by the graph's.
   const std::size_t lanes = ThreadPool::global().num_threads();
   if (lane_set.size() < lanes) lane_set.resize(lanes);
   if (lane_scratch.size() < lanes) lane_scratch.resize(lanes);
   if (lane_local.size() < lanes) lane_local.resize(lanes);
   if (lane_weights.size() < lanes) lane_weights.resize(lanes);
-  std::size_t heap_bound = nu;
+  std::size_t row_entries = 0;
   for (ChannelId i = 0; i < M; ++i) {
     const graph::InterferenceGraph& g = market.graph(i);
-    if (shard_plans[static_cast<std::size_t>(i)].sharded())
-      heap_bound = std::max(
-          heap_bound,
-          graph::MwisScratch::heap_bound(g.components().largest_component(),
-                                         g.num_edges(), g.max_degree()));
-    if (graph::mwis_uses_scan(g)) continue;
-    heap_bound = std::max(heap_bound, graph::MwisScratch::heap_bound(
-                                          nu, g.num_edges(), g.max_degree()));
+    if (shard_plans[static_cast<std::size_t>(i)].sharded() ||
+        !graph::mwis_uses_scan(g))
+      row_entries = std::max(row_entries, 2 * g.num_edges());
   }
   for (std::size_t lane = 0; lane < lane_set.size(); ++lane) {
     lane_set[lane].assign_zero(nu);
-    lane_scratch[lane].reserve(nu, heap_bound);
+    lane_scratch[lane].reserve(nu, row_entries);
     lane_local[lane].assign_zero(max_component);
     if (lane_weights[lane].size() < max_component)
       lane_weights[lane].resize(max_component);

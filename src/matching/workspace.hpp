@@ -7,13 +7,14 @@
 // that allocator traffic, not the matching arithmetic, bounds throughput. A
 // MatchWorkspace owns all of it — the flattened CSR preference orders, the
 // per-seller proposer/applicant/rejected/invitation bitsets, the coalition
-// slots both stages' rounds share, the per-lane MWIS scratch (score arrays
-// + lazy heaps), and the round snapshot — sized once by prepare() and reinitialised (never
-// reallocated) by each run, so steady-state Stage I/II rounds perform zero
-// heap allocations on the serial path (threads = 1; the thread pool's
-// dispatch itself allocates). The engine samples the SPECMATCH_COUNT_ALLOCS
-// counter around steady rounds to prove it (StageIResult::steady_allocs,
-// StageIIResult::steady_allocs, workspace_test, bench/large_market).
+// slots both stages' rounds share, the per-lane MWIS scratch (induced
+// adjacency, scores and indexed heaps), and the round snapshot — sized once
+// by prepare() and reinitialised (never reallocated) by each run, so
+// steady-state Stage I/II rounds perform zero heap allocations on the serial
+// path (threads = 1; the thread pool's dispatch itself allocates). The
+// engine samples the SPECMATCH_COUNT_ALLOCS counter around steady rounds to
+// prove it (StageIResult::steady_allocs, StageIIResult::steady_allocs,
+// workspace_test, bench/large_market).
 //
 // Reuse contract: results never depend on prior workspace contents — every
 // run_* entry point taking a workspace calls prepare(), which re-derives all
@@ -92,7 +93,7 @@ struct MatchWorkspace {
 
   // --- per-lane solver scratch (indexed by pool lane; grow-only) ----------
   std::vector<DynamicBitset> lane_set;            ///< candidate/admissible set
-  std::vector<graph::MwisScratch> lane_scratch;   ///< MWIS heaps and scores
+  std::vector<graph::MwisScratch> lane_scratch;   ///< MWIS induced graphs
 
   // --- component sharding (read only by solve_coalition_round) ------------
   /// Per-channel shard plan: component-id offsets from graph::build_shards.

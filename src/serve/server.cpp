@@ -79,7 +79,9 @@ ServeConfig ServeConfig::from_env() {
 
 MatchServer::MatchServer(ServeConfig config)
     : config_(config),
-      pool_(static_cast<std::size_t>(std::max(1, config.drain_lanes))),
+      // One worker per drain lane: ThreadPool(n) counts the submitting
+      // thread as a lane but runs submitted tasks on its n - 1 workers only.
+      pool_(static_cast<std::size_t>(std::max(1, config.drain_lanes)) + 1),
       registry_(config.mem_budget_mb * std::size_t{1024} * 1024,
                 config.store) {
   config_.drain_lanes = std::max(1, config_.drain_lanes);
@@ -150,8 +152,6 @@ bool MatchServer::submit(Request request, ResponseCallback callback) {
       schedule = true;
     }
   }
-  // Never submit while holding the lock: a 1-lane pool runs the task inline
-  // before returning, and that task locks the same mutex.
   if (schedule) pool_.submit([this, id] { run_market(id); });
   return true;
 }
@@ -207,8 +207,8 @@ void MatchServer::run_market(const std::string& id) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (free_workspaces_.empty()) {
-      // More concurrent drains than configured lanes (several clients of a
-      // 1-lane server run inline at once): grow the pool. One-time cost;
+      // More concurrent drains than configured lanes (several threads
+      // draining inline under manual_drain): grow the pool. One-time cost;
       // the new workspace is kept and reused like the others.
       workspace = std::make_unique<matching::MatchWorkspace>();
     } else {

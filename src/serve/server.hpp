@@ -43,9 +43,9 @@ struct ServeConfig {
     kReject,  ///< shed the request, submit() returns false (load shedding)
   };
 
-  /// Drain lanes (resident workspaces; the pool spawns lanes - 1 workers,
-  /// so 1 lane processes inline on the submitting thread). Default:
-  /// SPECMATCH_SERVE_THREADS, falling back to the engine thread count.
+  /// Drain lanes: markets drained concurrently, each on its own worker
+  /// thread with a resident workspace. Default: SPECMATCH_SERVE_THREADS,
+  /// falling back to the engine thread count.
   int drain_lanes = 1;
   /// Admission queue capacity in requests. Default: SPECMATCH_SERVE_QUEUE
   /// (1024).
@@ -81,8 +81,8 @@ struct Response {
 };
 
 /// Invoked exactly once per admitted request, from whichever thread finished
-/// the request (the submitter itself on a 1-lane server). Must be
-/// thread-safe; keep it cheap.
+/// the request (a drain worker, or the submitter for creates, restores and
+/// manual drains). Must be thread-safe; keep it cheap.
 using ResponseCallback = std::function<void(const Response&)>;
 
 class MatchServer {

@@ -9,6 +9,7 @@
 #include "common/check.hpp"
 #include "graph/generators.hpp"
 #include "graph/mwis.hpp"
+#include "mwis_reference.hpp"
 #include "test_util.hpp"
 
 namespace specmatch::graph {

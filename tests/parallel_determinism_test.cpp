@@ -5,6 +5,7 @@
 // implementation on random graphs on both sides of the density threshold.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "graph/mwis.hpp"
 #include "matching/two_stage.hpp"
+#include "mwis_reference.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch {
@@ -151,6 +153,79 @@ TEST(IncrementalMwisTest, MatchesRescanReferenceAcrossDensities) {
         EXPECT_EQ(fast, reference);
       }
     }
+  }
+}
+
+TEST(IncrementalMwisTest, MatchesRescanOnLargeSparseCandidateSets) {
+  // Market-scale geometric graphs (mean degree ~14) under both forced
+  // representations, with candidate sets from 1% to all of the graph, so
+  // the induced subgraph ranges from k << N to k = N. Weights come from a
+  // few values (ties in both GWMIN and GWMIN2 scores) plus some zeros
+  // (non-viable candidates, so local ids skip global ids).
+  constexpr double kWeightValues[] = {0.0, 0.5, 1.0, 1.5, 2.0, 2.0, 1.0, 0.5};
+  constexpr double kCandidateShares[] = {0.01, 0.05, 0.3, 1.0};
+  Rng rng(2026);
+  for (std::size_t n : {3000u, 8000u}) {
+    // Density 4 per unit area, range 1.05: mean degree 4 * pi * 1.05^2.
+    const double side = std::sqrt(static_cast<double>(n) / 4.0);
+    std::vector<graph::Point> points(n);
+    for (graph::Point& p : points)
+      p = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+    const auto built = graph::geometric(points, 1.05);
+    std::vector<double> weights(n);
+    for (double& w : weights) w = kWeightValues[rng.uniform_int(0, 7)];
+    for (graph::GraphRep rep :
+         {graph::GraphRep::kCsr, graph::GraphRep::kDense}) {
+      const auto g = graph::with_representation(built, rep);
+      ASSERT_FALSE(graph::mwis_uses_scan(g));
+      for (double share : kCandidateShares) {
+        DynamicBitset candidates(n);
+        for (std::size_t v = 0; v < n; ++v)
+          if (share == 1.0 || rng.uniform() < share) candidates.set(v);
+        for (graph::MwisAlgorithm algorithm :
+             {graph::MwisAlgorithm::kGwmin, graph::MwisAlgorithm::kGwmin2}) {
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " rep=" << static_cast<int>(rep)
+                       << " share=" << share
+                       << " alg=" << to_string(algorithm));
+          EXPECT_EQ(solve_mwis(g, weights, candidates, algorithm),
+                    solve_mwis_rescan(g, weights, candidates, algorithm));
+        }
+      }
+    }
+  }
+}
+
+TEST(IncrementalMwisTest, OneScratchServesAnySequenceOfSolves) {
+  // The engine reuses one scratch per lane across channels, components and
+  // rounds: each solve must match the rescan whatever the scratch solved
+  // before — a larger graph, a smaller one, other candidates.
+  Rng rng(31);
+  std::vector<graph::InterferenceGraph> graphs;
+  for (std::size_t n : {2500u, 400u, 1200u}) {
+    const double side = std::sqrt(static_cast<double>(n) / 4.0);
+    std::vector<graph::Point> points(n);
+    for (graph::Point& p : points)
+      p = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+    const auto g = graph::geometric(points, 1.05);
+    graphs.push_back(graph::with_representation(g, graph::GraphRep::kCsr));
+    graphs.push_back(graph::with_representation(g, graph::GraphRep::kDense));
+  }
+  graph::MwisScratch scratch;
+  for (int solve = 0; solve < 24; ++solve) {
+    const auto& g = graphs[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+    const std::size_t n = g.num_vertices();
+    std::vector<double> weights(n);
+    for (double& w : weights) w = rng.uniform(0.0, 1.0);
+    const double share = rng.uniform(0.01, 1.0);
+    DynamicBitset candidates(n);
+    for (std::size_t v = 0; v < n; ++v)
+      if (rng.uniform() < share) candidates.set(v);
+    const auto algorithm = solve % 2 == 0 ? graph::MwisAlgorithm::kGwmin
+                                          : graph::MwisAlgorithm::kGwmin2;
+    SCOPED_TRACE(testing::Message() << "solve " << solve << " n=" << n);
+    EXPECT_EQ(solve_mwis(g, weights, candidates, algorithm, scratch),
+              solve_mwis_rescan(g, weights, candidates, algorithm));
   }
 }
 

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -487,6 +490,44 @@ TEST(MatchServerTest, ConcurrentColdSolvesIdenticalAcrossEngineLanes) {
   const auto reference = run_concurrent_cold_stream(1, 1);
   EXPECT_EQ(run_concurrent_cold_stream(4, 1), reference);
   EXPECT_EQ(run_concurrent_cold_stream(4, 4), reference);
+}
+
+TEST(MatchServerTest, EveryDrainLaneDrainsConcurrently) {
+  // k drain lanes must drain k markets at once. Each market gets one stats
+  // request, answered from inside its drain, and every callback waits at a
+  // rendezvous until all k have arrived. A server that drains fewer than k
+  // markets at a time misses it: the wait times out and `met` stays short.
+  for (int lanes : {1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << "drain lanes " << lanes);
+    ServeConfig config = test_config();
+    config.drain_lanes = lanes;
+    MatchServer server(config);
+    for (int m = 0; m < lanes; ++m)
+      ASSERT_TRUE(server
+                      .handle(create_request(
+                          "m" + std::to_string(m),
+                          random_scenario(90 + static_cast<std::uint64_t>(m),
+                                          2, 6)))
+                      .ok);
+    std::mutex mutex;
+    std::condition_variable arrivals;
+    int arrived = 0;
+    int met = 0;
+    for (int m = 0; m < lanes; ++m) {
+      ASSERT_TRUE(server.submit(
+          make_request(RequestType::kStats, "m" + std::to_string(m)),
+          [&](const Response&) {
+            std::unique_lock<std::mutex> lock(mutex);
+            ++arrived;
+            arrivals.notify_all();
+            if (arrivals.wait_for(lock, std::chrono::seconds(10),
+                                  [&] { return arrived == lanes; }))
+              ++met;
+          }));
+    }
+    server.drain();
+    EXPECT_EQ(met, lanes);
+  }
 }
 
 // --- zero-allocation steady state -----------------------------------------

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -18,7 +19,9 @@
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "graph/mwis.hpp"
 #include "market/preferences.hpp"
+#include "market/scenario.hpp"
 #include "matching/paper_examples.hpp"
 #include "matching/swap_resolution.hpp"
 #include "matching/two_stage.hpp"
@@ -187,6 +190,54 @@ TEST(WorkspaceTest, SteadyRoundsAllocateNothingWhenWorkspaceIsWarm) {
     EXPECT_EQ(warm.stage2.steady_allocs, 0);
     expect_identical(warmup, warm);
   }
+}
+
+// prepare() reserves the MWIS scratch for the worst case, not for what a
+// warm-up happened to touch: on a market shaped like perfbench's cold_solve
+// (N = 8000 CSR buyers, M = 16 stratified ranges in (1, 5]), an
+// all-candidate solve on the channel with the most edges allocates nothing
+// on any lane's scratch, fresh from prepare().
+TEST(WorkspaceTest, PreparedLaneScratchSolvesWidestChannelWithoutAllocating) {
+  ScopedThreads threads(2);
+  workload::WorkloadParams params;
+  params.num_sellers = 16;
+  params.num_buyers = 8000;
+  params.area_size = 10.0 * std::sqrt(8000.0 / 500.0);
+  params.min_range = 1.0;
+  Rng rng(8);
+  market::Scenario scenario = workload::generate_scenario(params, rng);
+  const double slices = static_cast<double>(scenario.channel_ranges.size());
+  for (std::size_t i = 0; i < scenario.channel_ranges.size(); ++i)
+    scenario.channel_ranges[i] =
+        1.0 + 4.0 * (static_cast<double>(i) + 0.5) / slices;
+  const market::SpectrumMarket market = market::build_market(scenario);
+
+  matching::MatchWorkspace ws;
+  ws.prepare(market);
+  ChannelId widest = 0;
+  for (ChannelId i = 1; i < market.num_channels(); ++i)
+    if (market.graph(i).num_edges() > market.graph(widest).num_edges())
+      widest = i;
+  const graph::InterferenceGraph& g = market.graph(widest);
+  ASSERT_EQ(g.representation(), graph::GraphRep::kCsr);
+  std::vector<double> weights(g.num_vertices());
+  for (double& w : weights) w = rng.uniform(0.01, 1.0);
+  DynamicBitset all(g.num_vertices());
+  for (std::size_t v = 0; v < all.size(); ++v) all.set(v);
+
+  ASSERT_EQ(ws.lane_scratch.size(), 2u);
+  alloc_count::set_counting(true);
+  for (graph::MwisScratch& scratch : ws.lane_scratch) {
+    for (graph::MwisAlgorithm algorithm :
+         {graph::MwisAlgorithm::kGwmin, graph::MwisAlgorithm::kGwmin2}) {
+      alloc_count::Scope scope;
+      const DynamicBitset& chosen =
+          graph::solve_mwis(g, weights, all, algorithm, scratch);
+      EXPECT_EQ(scope.total(), 0) << to_string(algorithm);
+      EXPECT_TRUE(chosen.any());
+    }
+  }
+  alloc_count::set_counting(false);
 }
 
 // Without the knob (or the test override) the counter never advances and
