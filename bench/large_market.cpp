@@ -9,6 +9,10 @@
 // interference degree) stays at the paper's level instead of degenerating
 // into a clique; transmission ranges keep the paper's (0, 5] draw, so the
 // per-channel graphs still straddle the MWIS dense/sparse strategy split.
+// Extra legs at fixed points: a fresh-workspace run and a dense-vs-CSR run
+// at N=8000, M=16; the whole solve under every SIMD tier the CPU supports at
+// M=16 on the dense N=2000 and CSR N=8000 points; and component-sharded
+// sub-percolation markets.
 //
 // Knobs: SPECMATCH_BENCH_SMOKE shrinks the grid to smoke size,
 // SPECMATCH_SCALE_MAX_N caps the N sweep, SPECMATCH_BENCH_JSON overrides
@@ -28,6 +32,7 @@
 #include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/components.hpp"
@@ -243,6 +248,56 @@ void run_scale_sweep() {
     std::cout << "rep: N=" << N << " M=" << M << " csr_ms=" << csr_ms
               << " dense_ms=" << dense_ms << " csr_adj_mb=" << csr_mb
               << " dense_adj_mb=" << dense_mb << std::endl;
+  }
+
+  // Engine-level SIMD leg: the whole two-stage solve under each dispatch
+  // tier this CPU runs, at M=16 on the dense N=2000 and the CSR N=8000
+  // points. micro_kernels times the kernels alone; these rows show what a
+  // tier is worth to a whole solve. Every tier must give the same matching.
+  if (!smoke) {
+    const simd::Tier saved_tier = simd::active_tier();
+    for (const int N : {2000, 8000}) {
+      if (std::find(n_grid.begin(), n_grid.end(), N) == n_grid.end()) continue;
+      const int M = 16;
+      const int reps = bench::env_trials(3);
+      const auto market = scale_market(M, N);
+      const bool dense =
+          market.graph(0).representation() == graph::GraphRep::kDense;
+      matching::Matching reference;
+      for (const simd::Tier tier :
+           {simd::Tier::kAvx2, simd::Tier::kSse2, simd::Tier::kScalar}) {
+        if (!simd::force_tier(tier)) continue;
+        matching::TwoStageResult result;
+        result = matching::run_two_stage(market, {}, workspace);  // warm-up
+        double best_ms = 0.0;
+        for (int r = 0; r < reps; ++r) {
+          bench::WallTimer timer;
+          result = matching::run_two_stage(market, {}, workspace);
+          best_ms = r == 0 ? timer.elapsed_ms()
+                           : std::min(best_ms, timer.elapsed_ms());
+        }
+        if (reference.num_buyers() == 0) reference = result.final_matching();
+        SPECMATCH_CHECK_MSG(result.final_matching() == reference,
+                            "SIMD tier " << simd::to_string(tier)
+                                         << " changed the matching at N="
+                                         << N);
+        bench::BenchRecord record{
+            std::string("two_stage_scale_simd_") + simd::to_string(tier),
+            M,
+            N,
+            "gwmin",
+            threads,
+            best_ms,
+            total_rounds(result)};
+        record.note = std::string(dense ? "dense" : "csr") +
+                      " adjacency (matchings verified identical across tiers)";
+        records.push_back(record);
+        std::cout << "simd: N=" << N << " M=" << M
+                  << " tier=" << simd::to_string(tier)
+                  << " wall_ms=" << best_ms << std::endl;
+      }
+    }
+    simd::force_tier(saved_tier);
   }
 
   // Component-sharding leg: sub-percolation sparse markets whose channel

@@ -1,5 +1,6 @@
 #include "matching/transfer_invitation.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/alloc_count.hpp"
@@ -47,6 +48,7 @@ StageIIResult run_transfer_invitation_prepared(
     const StageIIConfig& config, MatchWorkspace& ws) {
   const int M = market.num_channels();
   const int N = market.num_buyers();
+  const auto nu = static_cast<std::size_t>(N);
   SPECMATCH_CHECK(stage1.num_channels() == M && stage1.num_buyers() == N);
   for (ChannelId i = 0; i < M; ++i)
     SPECMATCH_CHECK_MSG(
@@ -109,6 +111,58 @@ StageIIResult run_transfer_invitation_prepared(
     }
   };
 
+  // ---- Admissibility (Algorithm 2 line 13) --------------------------------
+  // v is admissible to seller i when no current member of i interferes with
+  // her. A channel with a built blocker row answers in O(1); the others walk
+  // v's neighbour row against µ(i). Channel i's row is built the first time
+  // the run is about to ask at least |µ(i)| questions about it, so the build
+  // is amortised over that round's queries and every later round's (over a
+  // whole cold solve it pays for itself on CSR and dense channels alike).
+  // Building every row at entry instead would cost restricted warm
+  // re-solves, which ask a handful of questions, a walk over every member's
+  // row.
+  // The rows are Stage II's alone, so they are sized here (grow-only).
+  if (ws.blockers.size() < static_cast<std::size_t>(M) * nu)
+    ws.blockers.resize(static_cast<std::size_t>(M) * nu);
+  ws.blocker_built.assign(static_cast<std::size_t>(M), 0);
+  auto blocker_row = [&](ChannelId i) {
+    return ws.blockers.data() + static_cast<std::size_t>(i) * nu;
+  };
+  /// Adds `delta` (1, or ~0u for -1: unsigned wrap) to channel i's row over
+  /// buyer j's neighbours, when that row is built.
+  auto count_member = [&](ChannelId i, BuyerId j, std::uint32_t delta) {
+    if (i == kUnmatched || !ws.blocker_built[static_cast<std::size_t>(i)])
+      return;
+    std::uint32_t* row = blocker_row(i);
+    market.graph(i).for_each_neighbor(j,
+                                      [&](std::size_t u) { row[u] += delta; });
+  };
+  auto build_if_worthwhile = [&](ChannelId i, std::size_t queries) {
+    const auto iu = static_cast<std::size_t>(i);
+    if (ws.blocker_built[iu] || queries < result.matching.members_of(i).count())
+      return;
+    std::fill(blocker_row(i), blocker_row(i) + nu, 0u);
+    ws.blocker_built[iu] = 1;
+    result.matching.members_of(i).for_each_set([&](std::size_t m) {
+      count_member(i, static_cast<BuyerId>(m), 1u);
+    });
+  };
+  auto admissible = [&](ChannelId i, BuyerId v) {
+    if (ws.blocker_built[static_cast<std::size_t>(i)])
+      return blocker_row(i)[static_cast<std::size_t>(v)] == 0;
+    return market.graph(i).is_compatible(v, result.matching.members_of(i));
+  };
+  /// Every Phase-1 move and Phase-2 acceptance: moves buyer j to seller i
+  /// and keeps the built rows of her old and new channels current. Returns
+  /// her old seller.
+  auto rematch = [&](BuyerId j, ChannelId i) {
+    const ChannelId old_channel = result.matching.seller_of(j);
+    count_member(old_channel, j, ~0u);
+    result.matching.rematch(j, i);
+    count_member(i, j, 1u);
+    return old_channel;
+  };
+
   // ---- Phase 1: Transfer -------------------------------------------------
   trace::ScopedSpan phase1_span("stage2.phase1");
   // T_j: strictly-better sellers, best-first with a cursor; only the prefix
@@ -152,23 +206,21 @@ StageIIResult run_transfer_invitation_prepared(
     if (!any_application) break;
     ++result.phase1_rounds;
 
-    // Sellers decide simultaneously against a snapshot; moves are applied
-    // afterwards. Accepted sets stay feasible because µ(i) can only shrink
-    // between snapshot and application (no eviction in Stage II). The
-    // decisions only read the snapshot, so they are solved concurrently
-    // (solve_coalition_round, the same driver as Stage I) and the
-    // moves/rejections collected serially in channel order — identical
-    // output at any thread count.
-    ws.snapshot = result.matching;
+    // Sellers decide simultaneously against the round's starting matching;
+    // moves are applied afterwards. Nothing writes the matching (or the
+    // blocker rows) until every decision is made, so the live state is that
+    // snapshot. Accepted sets stay feasible because µ(i) can only shrink
+    // between decision and application (no eviction in Stage II). The
+    // decisions are solved concurrently (solve_coalition_round, the same
+    // driver as Stage I) and the moves/rejections collected serially in
+    // channel order — identical output at any thread count.
     ws.round_channels.clear();
-    for (ChannelId i = 0; i < M; ++i)
-      if (ws.applicants[static_cast<std::size_t>(i)].any())
-        ws.round_channels.push_back(i);
-    // Only applicants compatible with every current member are admissible
-    // (the seller cannot evict, Algorithm 2 line 13).
-    const auto admissible = [&](ChannelId i, BuyerId v) {
-      return market.graph(i).is_compatible(v, ws.snapshot.members_of(i));
-    };
+    for (ChannelId i = 0; i < M; ++i) {
+      const DynamicBitset& d = ws.applicants[static_cast<std::size_t>(i)];
+      if (!d.any()) continue;
+      ws.round_channels.push_back(i);
+      build_if_worthwhile(i, d.count());
+    }
     solve_coalition_round(
         market, config.coalition_policy, ws,
         [&](ChannelId i, DynamicBitset& candidates) {
@@ -195,8 +247,7 @@ StageIIResult run_transfer_invitation_prepared(
       ws.applicants[iu].clear();
     }
     for (const auto& [j, i] : ws.moves) {
-      const ChannelId old_channel = result.matching.seller_of(j);
-      result.matching.rematch(j, i);
+      const ChannelId old_channel = rematch(j, i);
       ++result.transfers_accepted;
       activate_departure(old_channel, j);
     }
@@ -215,18 +266,19 @@ StageIIResult run_transfer_invitation_prepared(
   // runs on.
   auto screen = [&](ChannelId i, std::size_t lane) {
     const auto iu = static_cast<std::size_t>(i);
+    build_if_worthwhile(i, ws.invite_list[iu].count());
     DynamicBitset& screened = ws.lane_set[lane];
-    screened.assign_zero(static_cast<std::size_t>(N));
+    screened.assign_zero(nu);
     ws.invite_list[iu].for_each_set([&](std::size_t j) {
       const auto buyer = static_cast<BuyerId>(j);
       if (result.matching.seller_of(buyer) == i) return;
-      if (market.graph(i).is_compatible(buyer, result.matching.members_of(i)))
-        screened.set(j);
+      if (admissible(i, buyer)) screened.set(j);
     });
     ws.invite_list[iu] = screened;
   };
-  // Screening a list touches only that seller's slot (against the now-stable
-  // Phase-1 matching), so all sellers screen concurrently.
+  // Screening a list touches only that seller's slot and blocker row
+  // (against the now-stable Phase-1 matching), so all sellers screen
+  // concurrently.
   parallel_for_lanes(0, static_cast<std::size_t>(M),
                      [&](std::size_t lane, std::size_t iu) {
                        const auto i = static_cast<ChannelId>(iu);
@@ -256,12 +308,9 @@ StageIIResult run_transfer_invitation_prepared(
       SPECMATCH_DCHECK(best != kUnmatched);
       ++result.invitations_sent;
       any_invitation = true;
-      const bool still_compatible =
-          market.graph(i).is_compatible(best, result.matching.members_of(i));
-      if (still_compatible &&
+      if (admissible(i, best) &&
           best_price > current_utility(market, result.matching, best)) {
-        const SellerId old_seller = result.matching.seller_of(best);
-        result.matching.rematch(best, i);
+        const SellerId old_seller = rematch(best, i);
         ++result.invitations_accepted;
         // Drop the new member's interfering neighbours (line 29).
         market.graph(i).remove_neighbors_from(best, ws.invite_list[iu]);
@@ -287,6 +336,8 @@ StageIIResult run_transfer_invitation_prepared(
 
   result.matching.check_consistent();
   if (counting) result.steady_allocs = steady_allocs;
+  result.blocker_rows =
+      std::count(ws.blocker_built.begin(), ws.blocker_built.begin() + M, 1);
   // One flush per run, mirroring the StageIIResult fields (see the matching
   // note in deferred_acceptance.cpp).
   if (metrics::enabled()) {
@@ -299,6 +350,7 @@ StageIIResult run_transfer_invitation_prepared(
     metrics::count("stage2.invitations_sent", result.invitations_sent);
     metrics::count("stage2.invitations_accepted",
                    result.invitations_accepted);
+    metrics::count("stage2.blocker_rows", result.blocker_rows);
   }
   return result;
 }

@@ -51,6 +51,8 @@ struct StageIIResult {
   std::int64_t transfers_accepted = 0;
   std::int64_t invitations_sent = 0;
   std::int64_t invitations_accepted = 0;
+  /// Channels whose blocker row (MatchWorkspace::blockers) the run built.
+  std::int64_t blocker_rows = 0;
   /// Heap allocations across steady-state rounds (phase-1 and phase-2
   /// rounds >= 2 of their loops) when SPECMATCH_COUNT_ALLOCS is enabled;
   /// -1 = not measured. See StageIResult::steady_allocs.

@@ -45,7 +45,6 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   }
   moves.clear();
   moves.reserve(nu);
-  snapshot = Matching(M, N);
 
   round_channels.clear();
   round_channels.reserve(mu);

@@ -8,23 +8,26 @@
 // MatchWorkspace owns all of it — the flattened CSR preference orders, the
 // per-seller proposer/applicant/rejected/invitation bitsets, the coalition
 // slots both stages' rounds share, the per-lane MWIS scratch (induced
-// adjacency, scores and indexed heaps), and the round snapshot — sized once
-// by prepare() and reinitialised (never reallocated) by each run, so
-// steady-state Stage I/II rounds perform zero heap allocations on the serial
-// path (threads = 1; the thread pool's dispatch itself allocates). The
-// engine samples the SPECMATCH_COUNT_ALLOCS counter around steady rounds to
-// prove it (StageIResult::steady_allocs, StageIIResult::steady_allocs,
+// adjacency, scores and indexed heaps), and Stage II's per-channel blocker
+// counts — sized once (by prepare(), and the blocker rows at Stage II entry)
+// and reinitialised (never reallocated) by each run, so steady-state Stage
+// I/II rounds perform zero heap allocations on the serial path (threads = 1;
+// the thread pool's dispatch itself allocates). The engine samples the
+// SPECMATCH_COUNT_ALLOCS counter around steady rounds to prove it
+// (StageIResult::steady_allocs, StageIIResult::steady_allocs,
 // workspace_test, bench/large_market).
 //
 // Reuse contract: results never depend on prior workspace contents — every
 // run_* entry point taking a workspace calls prepare(), which re-derives all
-// market-dependent state (the CSR) and zeroes all round state, so one
-// workspace may serve any sequence of markets of any shapes (asserted by
+// market-dependent state (the CSR) and zeroes all round state (Stage II
+// marks every blocker row unbuilt at entry; a build zeroes its own row), so
+// one workspace may serve any sequence of markets of any shapes (asserted by
 // workspace_test). The workspace is not thread-safe; per-lane members are
 // indexed by the pool lane the engine hands each task.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -80,7 +83,16 @@ struct MatchWorkspace {
   std::vector<DynamicBitset> rejected;     ///< rejected-ever per seller
   std::vector<DynamicBitset> invite_list;  ///< R_i per seller
   std::vector<std::pair<BuyerId, ChannelId>> moves;  ///< round's transfers
-  Matching snapshot;  ///< frozen matching sellers decide against
+  /// Blocker counts, one row of N per channel: blockers[i·N + v] is the
+  /// number of µ(i) members adjacent to v on channel i, so v is admissible
+  /// to seller i (Algorithm 2 line 13) exactly when it is 0. Only Stage II
+  /// uses them: it sizes them at entry (grow-only; the first growth zeroes
+  /// them, later runs do not), builds a channel's row the first time it is
+  /// about to make at least |µ(i)| admissibility queries there, and keeps
+  /// built rows current across every transfer; other channels answer with
+  /// an is_compatible row walk.
+  std::vector<std::uint32_t> blockers;
+  std::vector<std::uint8_t> blocker_built;  ///< per channel: row is current
 
   // --- coalition rounds (solve_coalition_round) ---------------------------
   // Stage I selection and Stage II decision rounds never run at the same

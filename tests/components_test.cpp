@@ -14,11 +14,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.hpp"
-#include "common/thread_pool.hpp"
 #include "matching/stability.hpp"
 #include "matching/transfer_invitation.hpp"
 #include "matching/two_stage.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch::graph {
@@ -36,21 +35,7 @@ market::SpectrumMarket geometric_market(std::uint64_t seed, int sellers,
   return workload::generate_market(params, rng);
 }
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int num_threads)
-      : saved_(SpecmatchConfig::global().num_threads) {
-    SpecmatchConfig::global().num_threads = num_threads;
-    (void)ThreadPool::global();
-  }
-  ~ScopedThreads() {
-    SpecmatchConfig::global().num_threads = saved_;
-    (void)ThreadPool::global();
-  }
-
- private:
-  int saved_;
-};
+using testutil::ScopedThreads;
 
 // ---------------------------------------------------------------------------
 // ComponentIndex structure

@@ -9,36 +9,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "exp/experiment.hpp"
 #include "graph/generators.hpp"
 #include "graph/mwis.hpp"
 #include "matching/two_stage.hpp"
 #include "mwis_reference.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch {
 namespace {
 
-/// Sets the engine thread count for the duration of a scope and restores
-/// the previous value (and pool) on exit.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int num_threads)
-      : saved_(SpecmatchConfig::global().num_threads) {
-    SpecmatchConfig::global().num_threads = num_threads;
-    (void)ThreadPool::global();
-  }
-  ~ScopedThreads() {
-    SpecmatchConfig::global().num_threads = saved_;
-    (void)ThreadPool::global();
-  }
-
- private:
-  int saved_;
-};
+using testutil::ScopedThreads;
 
 matching::TwoStageResult run_with_threads(const market::SpectrumMarket& market,
                                           graph::MwisAlgorithm policy,

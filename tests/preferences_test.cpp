@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "market/coalition.hpp"
+#include "matching/paper_examples.hpp"
+#include "matching/two_stage.hpp"
 #include "test_util.hpp"
 
 namespace specmatch::market {
@@ -99,6 +101,37 @@ TEST(SellerPrefersTest, Eq6Cases) {
   EXPECT_FALSE(seller_prefers(m, 0, bits(4, {0, 1}), bits(4, {})));
   // Any paying interference-free coalition beats being unmatched.
   EXPECT_TRUE(seller_prefers(m, 0, bits(4, {0}), bits(4, {})));
+}
+
+// EXPERIMENTS.md known deviation 4: the offered price b_{i,j} is also
+// buyer j's utility for channel i (§II-A), and a seller's utility is the
+// total price of her coalition. On the toy example's final matching every
+// matched buyer's utility is the price she offers her seller, every
+// seller's coalition value is the sum of her members' prices, and social
+// welfare counts each price once from either side.
+TEST(CoalitionTest, PricesDoubleAsUtilitiesAndSellerUtilityIsTotalPrice) {
+  const SpectrumMarket m = matching::toy_example();
+  const matching::Matching& final_matching =
+      matching::run_two_stage(m).stage2.matching;
+  double buyer_side = 0.0;
+  for (BuyerId j = 0; j < m.num_buyers(); ++j) {
+    const ChannelId i = final_matching.seller_of(j);
+    if (i == kUnmatched) continue;
+    EXPECT_DOUBLE_EQ(final_matching.buyer_utility(m, j), m.utility(i, j));
+    buyer_side += m.utility(i, j);
+  }
+  double seller_side = 0.0;
+  for (ChannelId i = 0; i < m.num_channels(); ++i) {
+    const DynamicBitset& members = final_matching.members_of(i);
+    double sum = 0.0;
+    members.for_each_set(
+        [&](std::size_t j) { sum += m.utility(i, static_cast<BuyerId>(j)); });
+    EXPECT_DOUBLE_EQ(coalition_value(m, i, members).value(), sum);
+    seller_side += total_price(m, i, members);
+  }
+  EXPECT_DOUBLE_EQ(buyer_side, 30.0);  // Fig. 2(d)
+  EXPECT_DOUBLE_EQ(seller_side, buyer_side);
+  EXPECT_DOUBLE_EQ(final_matching.social_welfare(m), buyer_side);
 }
 
 }  // namespace

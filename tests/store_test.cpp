@@ -20,16 +20,15 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "graph/components.hpp"
 #include "market/market.hpp"
 #include "matching/two_stage.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "store/snapshot.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch::store {
@@ -37,23 +36,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Sets the engine thread count for a scope (parallel_determinism_test's
-/// idiom) so load fidelity can be asserted at 1 and 4 lanes.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int num_threads)
-      : saved_(SpecmatchConfig::global().num_threads) {
-    SpecmatchConfig::global().num_threads = num_threads;
-    (void)ThreadPool::global();
-  }
-  ~ScopedThreads() {
-    SpecmatchConfig::global().num_threads = saved_;
-    (void)ThreadPool::global();
-  }
-
- private:
-  int saved_;
-};
+using testutil::ScopedThreads;
 
 std::shared_ptr<const market::Scenario> random_scenario(std::uint64_t seed,
                                                         int sellers,

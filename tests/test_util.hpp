@@ -5,7 +5,9 @@
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/config.hpp"
 #include "common/ids.hpp"
+#include "common/thread_pool.hpp"
 #include "matching/matching.hpp"
 
 namespace specmatch::testutil {
@@ -28,6 +30,24 @@ inline matching::Matching make_matching(
       m.match(j, static_cast<SellerId>(i));
   return m;
 }
+
+/// Sets the engine thread count for the duration of a scope and restores
+/// the previous value (and pool) on exit.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int num_threads)
+      : saved_(SpecmatchConfig::global().num_threads) {
+    SpecmatchConfig::global().num_threads = num_threads;
+    (void)ThreadPool::global();
+  }
+  ~ScopedThreads() {
+    SpecmatchConfig::global().num_threads = saved_;
+    (void)ThreadPool::global();
+  }
+
+ private:
+  int saved_;
+};
 
 /// Members of seller i as a sorted vector (bitsets print poorly in gtest).
 inline std::vector<BuyerId> members(const matching::Matching& m, SellerId i) {

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "matching/deferred_acceptance.hpp"
 #include "matching/paper_examples.hpp"
 #include "matching/stability.hpp"
+#include "matching/workspace.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
 
@@ -145,6 +152,118 @@ TEST(StageIITest, TransferListIsPrunedAfterATransfer) {
   EXPECT_EQ(result.phase1_rounds, 1);
   EXPECT_EQ(result.matching.seller_of(0), 0);
   EXPECT_EQ(result.invitations_sent, 0);
+}
+
+// ---- Blocker rows (MatchWorkspace::blockers) --------------------------------
+
+using testutil::ScopedThreads;
+
+/// Runs Stage II on `ws` and checks every blocker row it built against a
+/// recount from the final matching. Returns the run's result.
+StageIIResult run_and_recount(const market::SpectrumMarket& market,
+                              const Matching& input,
+                              const StageIIConfig& config,
+                              MatchWorkspace& ws) {
+  const StageIIResult result =
+      run_transfer_invitation(market, input, config, ws);
+  const auto nu = static_cast<std::size_t>(market.num_buyers());
+  std::int64_t built = 0;
+  for (ChannelId i = 0; i < market.num_channels(); ++i) {
+    const auto iu = static_cast<std::size_t>(i);
+    if (!ws.blocker_built[iu]) continue;
+    ++built;
+    std::vector<std::uint32_t> recount(nu, 0);
+    result.matching.members_of(i).for_each_set([&](std::size_t m) {
+      market.graph(i).for_each_neighbor(static_cast<BuyerId>(m),
+                                        [&](std::size_t u) { ++recount[u]; });
+    });
+    const std::vector<std::uint32_t> row(
+        ws.blockers.begin() + static_cast<std::ptrdiff_t>(iu * nu),
+        ws.blockers.begin() + static_cast<std::ptrdiff_t>((iu + 1) * nu));
+    EXPECT_EQ(row, recount) << "channel " << i;
+  }
+  EXPECT_EQ(result.blocker_rows, built);
+  return result;
+}
+
+TEST(StageIITest, BlockerRowsTrackTheMatching) {
+  const int host =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  // A buyer leaves a built channel. Buyers a=0, b=1; a and b interfere on
+  // channel 0 only. From channel 0 = {a}, round 1 has a applying to channel
+  // 1 (10 > 5) and b to channel 0 (8 > 0), so both rows are built; b is
+  // rejected (a is still there) and a transfers, which must decrement b's
+  // count on channel 0. Phase 2 then finds b admissible and invites her.
+  {
+    std::vector<graph::InterferenceGraph> graphs;
+    graphs.emplace_back(2);
+    graphs[0].add_edge(0, 1);
+    graphs.emplace_back(2);
+    const market::SpectrumMarket market(2, 2, {5.0, 8.0, 10.0, 0.0},
+                                        std::move(graphs));
+    MatchWorkspace ws;
+    const auto result = run_and_recount(
+        market, make_matching(2, 2, {{0}, {}}), {}, ws);
+    EXPECT_EQ(result.blocker_rows, 2);
+    EXPECT_EQ(result.transfers_accepted, 1);
+    EXPECT_EQ(result.invitations_accepted, 1);
+    EXPECT_EQ(members(result.matching, 0), (std::vector<BuyerId>{1}));
+    EXPECT_EQ(members(result.matching, 1), (std::vector<BuyerId>{0}));
+  }
+  // Random markets, dense and forced CSR, restricted and unrestricted, with
+  // and without re-screening, at one lane and at every host lane. Each run
+  // starts from the Stage I matching and from a random interference-free
+  // one (which makes Stage II move many buyers, from built channels too).
+  // One workspace serves every run, so stale rows would show as well.
+  std::int64_t rows_built = 0;
+  for (std::uint64_t seed : {3u, 8u, 21u}) {
+    workload::WorkloadParams params;
+    params.num_sellers = 6;
+    params.num_buyers = 60;
+    Rng rng(seed);
+    const auto generated = workload::generate_market(params, rng);
+    const int M = generated.num_channels();
+    const int N = generated.num_buyers();
+    DynamicBitset participants(static_cast<std::size_t>(N));
+    for (std::size_t j = 0; j < participants.size(); ++j)
+      if (rng.uniform() < 0.3) participants.set(j);
+    Matching scattered(M, N);
+    for (BuyerId j = 0; j < N; ++j) {
+      const auto i = static_cast<ChannelId>(rng.uniform_int(0, M - 1));
+      if (generated.utility(i, j) > 0.0 &&
+          generated.graph(i).is_compatible(j, scattered.members_of(i)))
+        scattered.match(j, i);
+    }
+    for (graph::GraphRep rep :
+         {graph::GraphRep::kDense, graph::GraphRep::kCsr}) {
+      const auto market = market::with_graph_representation(generated, rep);
+      const auto stage1 = run_deferred_acceptance(market);
+      for (const int lanes : {1, host}) {
+        ScopedThreads threads(lanes);
+        MatchWorkspace ws;
+        for (const Matching* input :
+             {&stage1.matching, static_cast<const Matching*>(&scattered)}) {
+          for (const bool restricted : {false, true}) {
+            for (const bool rescreen : {false, true}) {
+              SCOPED_TRACE(testing::Message()
+                           << "seed=" << seed
+                           << " rep=" << static_cast<int>(rep)
+                           << " lanes=" << lanes
+                           << " scattered=" << (input == &scattered)
+                           << " restricted=" << restricted
+                           << " rescreen=" << rescreen);
+              StageIIConfig config;
+              config.rescreen_on_departure = rescreen;
+              if (restricted) config.participants = &participants;
+              rows_built +=
+                  run_and_recount(market, *input, config, ws).blocker_rows;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(rows_built, 0);
 }
 
 // ---- Properties on random markets ------------------------------------------

@@ -6,16 +6,15 @@
 
 #include <tuple>
 
-#include "common/config.hpp"
 #include "common/simd.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "matching/stability.hpp"
 #include "matching/swap_resolution.hpp"
 #include "optimal/exact.hpp"
 #include "optimal/greedy.hpp"
 #include "optimal/random_matcher.hpp"
 #include "serve/server.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch::matching {
@@ -148,21 +147,7 @@ TEST(TwoStageTest, SingleChannelKeepsBestIndependentSetApproximately) {
 // the matchings and welfare series must be bit-for-bit identical.
 // ---------------------------------------------------------------------------
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int num_threads)
-      : saved_(SpecmatchConfig::global().num_threads) {
-    SpecmatchConfig::global().num_threads = num_threads;
-    (void)ThreadPool::global();
-  }
-  ~ScopedThreads() {
-    SpecmatchConfig::global().num_threads = saved_;
-    (void)ThreadPool::global();
-  }
-
- private:
-  int saved_;
-};
+using testutil::ScopedThreads;
 
 TEST(GraphRepresentationEquivalenceTest, TwoStageMatchingsBitForBitIdentical) {
   for (auto [seed, M, N] : {std::make_tuple(11u, 4, 20),

@@ -16,9 +16,7 @@
 
 #include "common/alloc_count.hpp"
 #include "common/bitset.hpp"
-#include "common/config.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "graph/mwis.hpp"
 #include "market/preferences.hpp"
 #include "market/scenario.hpp"
@@ -26,28 +24,13 @@
 #include "matching/swap_resolution.hpp"
 #include "matching/two_stage.hpp"
 #include "matching/workspace.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch {
 namespace {
 
-/// Sets the engine thread count for the duration of a scope and restores
-/// the previous value (and pool) on exit.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int num_threads)
-      : saved_(SpecmatchConfig::global().num_threads) {
-    SpecmatchConfig::global().num_threads = num_threads;
-    (void)ThreadPool::global();
-  }
-  ~ScopedThreads() {
-    SpecmatchConfig::global().num_threads = saved_;
-    (void)ThreadPool::global();
-  }
-
- private:
-  int saved_;
-};
+using testutil::ScopedThreads;
 
 market::SpectrumMarket generated_market(int sellers, int buyers,
                                         std::uint64_t seed) {
@@ -56,6 +39,22 @@ market::SpectrumMarket generated_market(int sellers, int buyers,
   params.num_buyers = buyers;
   Rng rng(seed);
   return workload::generate_market(params, rng);
+}
+
+/// A market shaped like perfbench's cold_solve: N = 8000 CSR buyers, M = 16
+/// stratified ranges in (1, 5].
+market::SpectrumMarket cold_solve_market(Rng& rng) {
+  workload::WorkloadParams params;
+  params.num_sellers = 16;
+  params.num_buyers = 8000;
+  params.area_size = 10.0 * std::sqrt(8000.0 / 500.0);
+  params.min_range = 1.0;
+  market::Scenario scenario = workload::generate_scenario(params, rng);
+  const double slices = static_cast<double>(scenario.channel_ranges.size());
+  for (std::size_t i = 0; i < scenario.channel_ranges.size(); ++i)
+    scenario.channel_ranges[i] =
+        1.0 + 4.0 * (static_cast<double>(i) + 0.5) / slices;
+  return market::build_market(scenario);
 }
 
 void expect_identical(const matching::TwoStageResult& a,
@@ -193,24 +192,13 @@ TEST(WorkspaceTest, SteadyRoundsAllocateNothingWhenWorkspaceIsWarm) {
 }
 
 // prepare() reserves the MWIS scratch for the worst case, not for what a
-// warm-up happened to touch: on a market shaped like perfbench's cold_solve
-// (N = 8000 CSR buyers, M = 16 stratified ranges in (1, 5]), an
+// warm-up happened to touch: on the cold_solve-shaped market, an
 // all-candidate solve on the channel with the most edges allocates nothing
 // on any lane's scratch, fresh from prepare().
 TEST(WorkspaceTest, PreparedLaneScratchSolvesWidestChannelWithoutAllocating) {
   ScopedThreads threads(2);
-  workload::WorkloadParams params;
-  params.num_sellers = 16;
-  params.num_buyers = 8000;
-  params.area_size = 10.0 * std::sqrt(8000.0 / 500.0);
-  params.min_range = 1.0;
   Rng rng(8);
-  market::Scenario scenario = workload::generate_scenario(params, rng);
-  const double slices = static_cast<double>(scenario.channel_ranges.size());
-  for (std::size_t i = 0; i < scenario.channel_ranges.size(); ++i)
-    scenario.channel_ranges[i] =
-        1.0 + 4.0 * (static_cast<double>(i) + 0.5) / slices;
-  const market::SpectrumMarket market = market::build_market(scenario);
+  const market::SpectrumMarket market = cold_solve_market(rng);
 
   matching::MatchWorkspace ws;
   ws.prepare(market);
@@ -238,6 +226,31 @@ TEST(WorkspaceTest, PreparedLaneScratchSolvesWidestChannelWithoutAllocating) {
     }
   }
   alloc_count::set_counting(false);
+}
+
+// Stage II on the cold_solve-shaped market builds blocker rows, and with a
+// warm workspace its steady rounds still allocate nothing at any lane count:
+// Stage II sizes every row at entry, and a build or a transfer writes in
+// place.
+TEST(WorkspaceTest, StageIIBlockerRowsAllocateNothingOnColdSolveMarket) {
+  Rng rng(8);
+  const market::SpectrumMarket market = cold_solve_market(rng);
+  const int host =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const int lanes : {1, host}) {
+    SCOPED_TRACE(lanes);
+    ScopedThreads scope(lanes);
+    matching::MatchWorkspace ws;
+    alloc_count::set_counting(true);
+    const auto warmup = matching::run_two_stage(market, {}, ws);
+    const auto warm = matching::run_two_stage(market, {}, ws);
+    alloc_count::set_counting(false);
+
+    EXPECT_GT(warm.stage2.blocker_rows, 0);
+    ASSERT_GE(warm.stage2.phase1_rounds, 2);
+    EXPECT_EQ(warm.stage2.steady_allocs, 0);
+    expect_identical(warmup, warm);
+  }
 }
 
 // Without the knob (or the test override) the counter never advances and
