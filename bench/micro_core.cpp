@@ -3,8 +3,8 @@
 // runtime, and the bitset primitives everything leans on.
 //
 // After the google-benchmark suite, main() runs the core perf trajectory —
-// the two-stage pipeline at 1 vs SPECMATCH_BENCH_THREADS lanes and the
-// incremental MWIS vs the rescan baseline — and writes the results to
+// the two-stage pipeline at 1 vs SPECMATCH_BENCH_THREADS lanes and
+// solve_mwis vs the textbook rescan reference — and writes the results to
 // BENCH_core.json (path override: SPECMATCH_BENCH_JSON). SPECMATCH_BENCH_SMOKE=1
 // shrinks the workloads to smoke-test size.
 #include <benchmark/benchmark.h>
@@ -169,8 +169,10 @@ double best_wall_ms(int reps, Fn&& fn) {
 }
 
 /// The headline trajectory of this perf series: the full pipeline at the
-/// paper's largest setting for serial vs parallel lanes, and the incremental
-/// MWIS against the preserved rescan baseline on a dense graph.
+/// paper's largest setting for serial vs parallel lanes, and solve_mwis
+/// against the textbook rescan (tests/mwis_reference.hpp) on G(500, 0.2),
+/// mean degree ~100: a dense-row graph where a word-parallel rescore of
+/// every survivor per pick is at its strongest.
 void run_core_trajectory() {
   const bool smoke = bench::env_int("SPECMATCH_BENCH_SMOKE", 0) != 0;
   const char* json_env = std::getenv("SPECMATCH_BENCH_JSON");

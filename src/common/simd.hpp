@@ -1,12 +1,13 @@
 // Runtime-dispatched SIMD kernel layer for the word-array hot paths.
 //
 // Every bitset-shaped hot loop in the engine — adjacency intersection tests,
-// MWIS degree recomputation, Stage II masked-applicant scans — bottoms out in
-// a handful of primitives over arrays of 64-bit words: multi-word popcount,
-// and/andnot-popcount ("count bits of A within mask B"), bulk and/or/andnot
-// stores, emptiness/subset tests, and nonzero-word scans (the skeleton of
-// find-first / find-next / for-each-set iteration). This header exposes those
-// primitives once, behind a function-pointer table resolved at runtime:
+// MWIS induced-subgraph gathers, Stage II masked-applicant scans — bottoms
+// out in a handful of primitives over arrays of 64-bit words: multi-word
+// popcount, and/andnot-popcount ("count bits of A within mask B"), bulk
+// and/or/andnot stores, emptiness/subset tests, and nonzero-word scans (the
+// skeleton of find-first / find-next / for-each-set iteration). This header
+// exposes those primitives once, behind a function-pointer table resolved
+// at runtime:
 //
 //   AVX2 (256-bit, CPUID-probed)  ->  SSE2 (128-bit)  ->  scalar
 //
@@ -17,7 +18,7 @@
 // Hard contract: every tier returns bit-identical results. All kernels are
 // pure integer/bitwise operations, so this holds by construction — there is
 // no floating-point reassociation anywhere in the layer (the GWMIN2 weight
-// sums deliberately stay scalar in graph/mwis.cpp for exactly that reason).
+// sums in graph/mwis.cpp are plain scalar loops over the induced rows).
 // tests/simd_test.cpp checks each kernel of each available tier against a
 // naive reference, and the simd_equivalence ctest pins end-to-end matchings,
 // serve transcripts, and bench `result:` lines across tiers.

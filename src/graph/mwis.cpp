@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -55,42 +54,8 @@ namespace {
 /// Per-solve work counters, accumulated locally and flushed to the metrics
 /// registry once per solve_mwis call.
 struct GreedyWork {
-  std::uint64_t picks = 0;         ///< vertices chosen into the set
-  std::uint64_t row_entries = 0;   ///< incremental path: induced adjacency
-  std::uint64_t scan_evals = 0;    ///< scan path: score evaluations
-};
-
-/// GWMIN pick score: w(v) / (deg_R(v) + 1). degree_in is the fused
-/// and-popcount kernel (common/simd.hpp) on dense graphs and an O(deg) row
-/// walk on CSR — the integer degree (and hence the score bits) is identical
-/// either way, and across every SIMD dispatch tier.
-struct GwminScanScore {
-  const InterferenceGraph& graph;
-  std::span<const double> weights;
-
-  double operator()(std::size_t v, const DynamicBitset& remaining) const {
-    const double deg = static_cast<double>(
-        graph.degree_in(static_cast<BuyerId>(v), remaining));
-    return weights[v] / (deg + 1.0);
-  }
-};
-
-/// GWMIN2 pick score: w(v) / (w(v) + w(N_R(v))). for_each_neighbor_in visits
-/// the surviving neighbours in ascending order under both representations,
-/// so the floating-point sum — and the score — is bit-identical. The SIMD
-/// kernels only find the set bits to visit; the weight accumulation itself
-/// deliberately stays scalar, in ascending index order, on every tier.
-struct Gwmin2ScanScore {
-  const InterferenceGraph& graph;
-  std::span<const double> weights;
-
-  double operator()(std::size_t v, const DynamicBitset& remaining) const {
-    double nbr_weight = 0.0;
-    graph.for_each_neighbor_in(
-        static_cast<BuyerId>(v), remaining,
-        [&](std::size_t u) { nbr_weight += weights[u]; });
-    return weights[v] / (weights[v] + nbr_weight);
-  }
+  std::uint64_t picks = 0;        ///< vertices chosen into the set
+  std::uint64_t row_entries = 0;  ///< induced adjacency entries
 };
 
 /// Grow-only sizing for the per-solve arrays: within a reserved capacity it
@@ -105,12 +70,12 @@ T* grow(std::vector<T>& v, std::size_t n) {
 constexpr std::uint32_t kGone = 0xffffffffu;
 
 /// Indexed binary max-heap over the surviving local vertices, ordered by
-/// score with equal scores surfacing the lowest local id — the rescan's
-/// strict-greater, lowest-index-first pick, since local ids keep the global
-/// order. slot[v] tracks v's position, so removals and rescores reach an
-/// entry directly and no entry ever goes stale. The order is a strict total
-/// order on the entries, so the pick sequence does not depend on the heap's
-/// internal arrangement.
+/// score with equal scores surfacing the lowest local id — the textbook
+/// rescan's strict-greater, lowest-index-first pick, since local ids keep
+/// the global order. slot[v] tracks v's position, so removals and rescores
+/// reach an entry directly and no entry ever goes stale. The order is a
+/// strict total order on the entries, so the pick sequence does not depend
+/// on the heap's internal arrangement.
 struct IndexedHeap {
   using Entry = MwisScratch::QueueEntry;
 
@@ -233,8 +198,8 @@ LocalGraph induce(const InterferenceGraph& graph,
   return {k, row_start, rows, weight};
 }
 
-/// The incremental path: greedy on the candidate-induced subgraph. Pop the
-/// best survivor, remove its closed neighbourhood, and rescore only the
+/// GWMIN and GWMIN2 on the candidate-induced subgraph. Pop the best
+/// survivor, remove its closed neighbourhood, and rescore only the
 /// survivors adjacent to a removed vertex — once each, however many removed
 /// neighbours they had. GWMIN keeps deg_R(v) exact as an integer, so a
 /// rescore is one division with the operands the rescan would use. GWMIN2's
@@ -309,38 +274,6 @@ void solve_local(const InterferenceGraph& graph,
       heap.q[at].score = rescored;
       heap.sift_up(at);
     }
-  }
-}
-
-/// Scan-mode greedy: recompute every remaining candidate's score per pick.
-/// This is the right strategy on dense graphs, where nearly every survivor
-/// is adjacent to the removed neighbourhood anyway and the word-parallel
-/// bitset scoring beats per-edge bookkeeping.
-/// Picks the identical vertex sequence as the incremental greedy: both take
-/// the highest score with ties to the lowest index, and the score values
-/// agree bit-for-bit.
-template <bool kCounting = false, typename ScoreFn>
-void greedy_scan(const InterferenceGraph& graph, const ScoreFn& score,
-                 MwisScratch& s, GreedyWork* work = nullptr) {
-  DynamicBitset& remaining = s.viable;
-  s.chosen.assign_zero(graph.num_vertices());
-  while (remaining.any()) {
-    if constexpr (kCounting) {  // one popcount per pick, off the inner loop
-      ++work->picks;
-      work->scan_evals += remaining.count();
-    }
-    double best_score = -std::numeric_limits<double>::infinity();
-    std::size_t best_v = remaining.size();
-    remaining.for_each_set([&](std::size_t v) {
-      const double s_v = score(v, remaining);
-      if (s_v > best_score) {  // strict: ties resolve to the lowest index
-        best_score = s_v;
-        best_v = v;
-      }
-    });
-    s.chosen.set(best_v);
-    remaining.reset(best_v);
-    graph.remove_neighbors_from(static_cast<BuyerId>(best_v), remaining);
   }
 }
 
@@ -424,35 +357,13 @@ const DynamicBitset& solve_mwis(const InterferenceGraph& graph,
   check_inputs(graph, weights, candidates);
   viable_candidates(weights, candidates, scratch);
 
-  // Strategy split (outputs are bit-identical either way): the incremental
-  // greedy on the candidate-induced subgraph wins when neighbourhoods are
-  // small relative to the candidate set (the market's geometric graphs); on
-  // high-average-degree graphs with dense bitset rows, nearly every survivor
-  // is rescored every pick regardless, so the word-parallel scan is faster.
-  // CSR graphs always take the incremental path (mwis_uses_scan, shared
-  // with workspace sizing).
-  const bool scan = mwis_uses_scan(graph);
-
   GreedyWork work;
-  GreedyWork* wp = metrics::enabled() ? &work : nullptr;
-  // The counting=false scan instantiation is the uninstrumented loop, so
-  // metrics-off runs pay nothing inside its pick loop.
-  const auto run_greedy = [&](auto scan_score) {
-    if (!scan)
-      solve_local(graph, weights, algorithm, scratch, work);
-    else if (wp != nullptr)
-      greedy_scan<true>(graph, scan_score, scratch, wp);
-    else
-      greedy_scan(graph, scan_score, scratch);
-  };
+  const bool counting = metrics::enabled();
   bool solved = false;
   switch (algorithm) {
     case MwisAlgorithm::kGwmin:
-      run_greedy(GwminScanScore{graph, weights});
-      solved = true;
-      break;
     case MwisAlgorithm::kGwmin2:
-      run_greedy(Gwmin2ScanScore{graph, weights});
+      solve_local(graph, weights, algorithm, scratch, work);
       solved = true;
       break;
     case MwisAlgorithm::kExact: {
@@ -460,7 +371,7 @@ const DynamicBitset& solve_mwis(const InterferenceGraph& graph,
                          DynamicBitset(graph.num_vertices())};
       search.run(scratch.viable, DynamicBitset(graph.num_vertices()), 0.0);
       if (stats != nullptr) stats->nodes_explored = search.nodes;
-      if (wp != nullptr)
+      if (counting)
         metrics::count("mwis.exact_nodes",
                        static_cast<std::int64_t>(search.nodes));
       work.picks = search.best.count();
@@ -470,19 +381,12 @@ const DynamicBitset& solve_mwis(const InterferenceGraph& graph,
     }
   }
   SPECMATCH_CHECK_MSG(solved, "unreachable MWIS algorithm");
-  if (wp != nullptr) {
+  if (counting) {
     metrics::count("mwis.calls");
     metrics::count("mwis.picks", static_cast<std::int64_t>(work.picks));
-    if (algorithm != MwisAlgorithm::kExact) {
-      if (scan) {
-        metrics::count("mwis.fallback_scans");
-        metrics::count("mwis.scan_score_evals",
-                       static_cast<std::int64_t>(work.scan_evals));
-      } else {
-        metrics::count("mwis.induced_edges",
-                       static_cast<std::int64_t>(work.row_entries / 2));
-      }
-    }
+    if (algorithm != MwisAlgorithm::kExact)
+      metrics::count("mwis.induced_edges",
+                     static_cast<std::int64_t>(work.row_entries / 2));
   }
   return scratch.chosen;
 }

@@ -5,7 +5,9 @@
 // offered prices. The paper adopts the linear-time greedy algorithms of
 // Sakai, Togasaki & Yamazaki (Discrete Applied Mathematics 126, 2003); we
 // implement GWMIN and GWMIN2 plus an exact branch-and-bound solver used for
-// cross-checks and the seller-policy ablation bench.
+// cross-checks and the seller-policy ablation bench. Both greedy algorithms
+// run one path on either graph representation: an indexed-heap greedy on the
+// subgraph induced by the viable candidates.
 #pragma once
 
 #include <cstddef>
@@ -27,23 +29,6 @@ enum class MwisAlgorithm : std::uint8_t {
 };
 
 std::string_view to_string(MwisAlgorithm algorithm);
-
-/// Density split of the greedy solvers: dense-representation graphs with
-/// average degree (2E/V) at or above this take the word-parallel rescan,
-/// everything else the incremental greedy on the candidate-induced
-/// subgraph. Outputs are bit-identical either way.
-inline constexpr std::size_t kMwisScanDegreeThreshold = 64;
-
-/// True when solve_mwis will take the word-parallel rescan for this graph.
-/// CSR graphs always take the incremental path — without bitset rows there
-/// is no word-parallel scoring to win back a full pass per pick. Exported so
-/// workspace sizing can tell which channels need induced-adjacency room.
-inline bool mwis_uses_scan(const InterferenceGraph& graph) {
-  return graph.representation() == GraphRep::kDense &&
-         graph.num_vertices() > 0 &&
-         2 * graph.num_edges() >=
-             kMwisScanDegreeThreshold * graph.num_vertices();
-}
 
 /// Statistics of one solver invocation (exact solver reports search size).
 struct MwisStats {

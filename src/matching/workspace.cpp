@@ -101,25 +101,18 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   if (coal_out.size() < out_bound) coal_out.resize(out_bound);
 
   // One solver scratch per pool lane, sized for an all-candidate solve on
-  // the widest incremental-path channel: its induced adjacency holds at
-  // most the summed degree of the graph, 2E. The capacity is left
-  // uninitialised; a solve writes only the rows it keeps.
-  // Channels that take the scan path (mwis_uses_scan is the same predicate
-  // the solver dispatches on) need none — except sharded channels, whose
-  // component subgraphs may take the incremental path even when the whole
-  // graph would scan; their components' edges are bounded by the graph's.
+  // the widest channel: its induced adjacency holds at most the summed
+  // degree of the graph, 2E, which also bounds any component subgraph's.
+  // The capacity is left uninitialised; a solve writes only the rows it
+  // keeps.
   const std::size_t lanes = ThreadPool::global().num_threads();
   if (lane_set.size() < lanes) lane_set.resize(lanes);
   if (lane_scratch.size() < lanes) lane_scratch.resize(lanes);
   if (lane_local.size() < lanes) lane_local.resize(lanes);
   if (lane_weights.size() < lanes) lane_weights.resize(lanes);
   std::size_t row_entries = 0;
-  for (ChannelId i = 0; i < M; ++i) {
-    const graph::InterferenceGraph& g = market.graph(i);
-    if (shard_plans[static_cast<std::size_t>(i)].sharded() ||
-        !graph::mwis_uses_scan(g))
-      row_entries = std::max(row_entries, 2 * g.num_edges());
-  }
+  for (ChannelId i = 0; i < M; ++i)
+    row_entries = std::max(row_entries, 2 * market.graph(i).num_edges());
   for (std::size_t lane = 0; lane < lane_set.size(); ++lane) {
     lane_set[lane].assign_zero(nu);
     lane_scratch[lane].reserve(nu, row_entries);

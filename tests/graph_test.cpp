@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -106,6 +107,47 @@ TEST(GeneratorsTest, GeometricZeroRangeOnlyLinksCoincidentPoints) {
   const auto g = geometric(pts, 0.0);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(0, 2));
+}
+
+TEST(GeneratorsTest, GeometricGridPathMatchesAllPairs) {
+  // Above 1024 points geometric() buckets points into a grid of cells of
+  // side `range`; every served market takes that path. Its neighbour rows
+  // must equal a brute-force all-pairs list under the same distance
+  // predicate. At 4 points per unit area the ranges span sub-percolating
+  // (mean degree ~1) to percolating (~50). Coincident points and pairs
+  // offset by exactly `range` sit on cell boundaries.
+  Rng rng(1500);
+  for (std::size_t n : {1500u, 8000u}) {
+    const double side = std::sqrt(static_cast<double>(n) / 4.0);
+    for (double range : {0.3, 0.6, 1.05, 2.0}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " range=" << range);
+      std::vector<Point> pts(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        if (v % 100 == 1)
+          pts[v] = pts[v - 1];
+        else if (v % 100 == 2)
+          pts[v] = {pts[v - 2].x + range, pts[v - 2].y};
+        else
+          pts[v] = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+      }
+      const InterferenceGraph g = geometric(pts, range);
+      std::size_t degree_sum = 0;
+      std::vector<std::size_t> expected;
+      std::vector<std::size_t> got;
+      for (std::size_t a = 0; a < n; ++a) {
+        expected.clear();
+        for (std::size_t b = 0; b < n; ++b)
+          if (b != a && distance(pts[a], pts[b]) <= range)
+            expected.push_back(b);
+        got.clear();
+        g.for_each_neighbor(static_cast<BuyerId>(a),
+                            [&](std::size_t u) { got.push_back(u); });
+        ASSERT_EQ(got, expected) << "vertex " << a;
+        degree_sum += expected.size();
+      }
+      EXPECT_EQ(2 * g.num_edges(), degree_sum);
+    }
+  }
 }
 
 TEST(GeneratorsTest, CompleteAndEmpty) {

@@ -1,12 +1,13 @@
 // Property tests for the parallel engine's core guarantee: SPECMATCH_THREADS
 // changes wall-clock time only, never results. Runs the same computations at
 // 1 and 4 lanes and requires bit-identical outputs, and checks that the
-// incremental MWIS returns exactly the set of the pre-change rescan
-// implementation on random graphs on both sides of the density threshold.
+// incremental MWIS returns exactly the set of the textbook rescan reference
+// on random and geometric graphs from sparse to near-complete.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -113,9 +114,7 @@ TEST(ParallelDeterminismTest, RunTrialsAggregatesAreThreadCountInvariant) {
 }
 
 TEST(IncrementalMwisTest, MatchesRescanReferenceAcrossDensities) {
-  // Edge probabilities straddling the dense/sparse strategy threshold, so
-  // both the incremental-heap and the word-parallel-scan paths are compared
-  // against the preserved pre-change implementation.
+  // Small graphs from empty to near-complete.
   constexpr double kEdgeProbabilities[] = {0.0, 0.01, 0.05, 0.15, 0.4, 0.8};
   Rng rng(77);
   for (double p : kEdgeProbabilities) {
@@ -139,43 +138,84 @@ TEST(IncrementalMwisTest, MatchesRescanReferenceAcrossDensities) {
   }
 }
 
+// Weights from a few values (ties in both GWMIN and GWMIN2 scores) plus some
+// zeros (non-viable candidates, so local ids skip global ids).
+std::vector<double> few_valued_weights(std::size_t n, Rng& rng) {
+  constexpr double kWeightValues[] = {0.0, 0.5, 1.0, 1.5, 2.0, 2.0, 1.0, 0.5};
+  std::vector<double> weights(n);
+  for (double& w : weights) w = kWeightValues[rng.uniform_int(0, 7)];
+  return weights;
+}
+
+/// `n` points uniform in a square of the given side.
+std::vector<graph::Point> uniform_points(std::size_t n, double side,
+                                         Rng& rng) {
+  std::vector<graph::Point> points(n);
+  for (graph::Point& p : points)
+    p = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+  return points;
+}
+
+/// Requires solve_mwis to return the rescan reference's set on `g` for
+/// GWMIN and GWMIN2, with candidate sets from 1% to all of the graph, so
+/// the induced subgraph ranges from k << N to k = N.
+void expect_matches_rescan_over_shares(const graph::InterferenceGraph& g,
+                                       std::span<const double> weights,
+                                       Rng& rng) {
+  constexpr double kCandidateShares[] = {0.01, 0.05, 0.3, 1.0};
+  const std::size_t n = g.num_vertices();
+  for (double share : kCandidateShares) {
+    DynamicBitset candidates(n);
+    for (std::size_t v = 0; v < n; ++v)
+      if (share == 1.0 || rng.uniform() < share) candidates.set(v);
+    for (graph::MwisAlgorithm algorithm :
+         {graph::MwisAlgorithm::kGwmin, graph::MwisAlgorithm::kGwmin2}) {
+      SCOPED_TRACE(testing::Message()
+                   << "n=" << n
+                   << " rep=" << static_cast<int>(g.representation())
+                   << " share=" << share << " alg=" << to_string(algorithm));
+      EXPECT_EQ(solve_mwis(g, weights, candidates, algorithm),
+                solve_mwis_rescan(g, weights, candidates, algorithm));
+    }
+  }
+}
+
 TEST(IncrementalMwisTest, MatchesRescanOnLargeSparseCandidateSets) {
   // Market-scale geometric graphs (mean degree ~14) under both forced
-  // representations, with candidate sets from 1% to all of the graph, so
-  // the induced subgraph ranges from k << N to k = N. Weights come from a
-  // few values (ties in both GWMIN and GWMIN2 scores) plus some zeros
-  // (non-viable candidates, so local ids skip global ids).
-  constexpr double kWeightValues[] = {0.0, 0.5, 1.0, 1.5, 2.0, 2.0, 1.0, 0.5};
-  constexpr double kCandidateShares[] = {0.01, 0.05, 0.3, 1.0};
+  // representations.
   Rng rng(2026);
   for (std::size_t n : {3000u, 8000u}) {
     // Density 4 per unit area, range 1.05: mean degree 4 * pi * 1.05^2.
     const double side = std::sqrt(static_cast<double>(n) / 4.0);
-    std::vector<graph::Point> points(n);
-    for (graph::Point& p : points)
-      p = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
-    const auto built = graph::geometric(points, 1.05);
-    std::vector<double> weights(n);
-    for (double& w : weights) w = kWeightValues[rng.uniform_int(0, 7)];
+    const auto built = graph::geometric(uniform_points(n, side, rng), 1.05);
+    const std::vector<double> weights = few_valued_weights(n, rng);
     for (graph::GraphRep rep :
          {graph::GraphRep::kCsr, graph::GraphRep::kDense}) {
-      const auto g = graph::with_representation(built, rep);
-      ASSERT_FALSE(graph::mwis_uses_scan(g));
-      for (double share : kCandidateShares) {
-        DynamicBitset candidates(n);
-        for (std::size_t v = 0; v < n; ++v)
-          if (share == 1.0 || rng.uniform() < share) candidates.set(v);
-        for (graph::MwisAlgorithm algorithm :
-             {graph::MwisAlgorithm::kGwmin, graph::MwisAlgorithm::kGwmin2}) {
-          SCOPED_TRACE(testing::Message()
-                       << "n=" << n << " rep=" << static_cast<int>(rep)
-                       << " share=" << share
-                       << " alg=" << to_string(algorithm));
-          EXPECT_EQ(solve_mwis(g, weights, candidates, algorithm),
-                    solve_mwis_rescan(g, weights, candidates, algorithm));
-        }
-      }
+      expect_matches_rescan_over_shares(
+          graph::with_representation(built, rep), weights, rng);
     }
+  }
+}
+
+TEST(IncrementalMwisTest, MatchesRescanOnDenseHighDegreeGraphs) {
+  // spill_churn's shape: N = 2000 dense buyers in a 20 x 20 area, ranges at
+  // midpoints of 16 equal slices of (0, 5]; every fifth slice spans
+  // sub-percolating to mean degree ~290. Then G(500, p) near-complete.
+  Rng rng(2027);
+  const auto points = uniform_points(2000, 20.0, rng);
+  const std::vector<double> geo_weights = few_valued_weights(2000, rng);
+  for (int slice : {0, 5, 10, 15}) {
+    const double range = 5.0 * (slice + 0.5) / 16.0;
+    SCOPED_TRACE(testing::Message() << "range=" << range);
+    const auto g = graph::geometric(points, range);
+    ASSERT_EQ(g.representation(), graph::GraphRep::kDense);
+    expect_matches_rescan_over_shares(g, geo_weights, rng);
+  }
+  for (double p : {0.2, 0.8}) {
+    SCOPED_TRACE(testing::Message() << "p=" << p);
+    const auto g = graph::erdos_renyi(500, p, rng);
+    ASSERT_EQ(g.representation(), graph::GraphRep::kDense);
+    expect_matches_rescan_over_shares(g, few_valued_weights(500, rng), rng);
   }
 }
 
@@ -187,10 +227,7 @@ TEST(IncrementalMwisTest, OneScratchServesAnySequenceOfSolves) {
   std::vector<graph::InterferenceGraph> graphs;
   for (std::size_t n : {2500u, 400u, 1200u}) {
     const double side = std::sqrt(static_cast<double>(n) / 4.0);
-    std::vector<graph::Point> points(n);
-    for (graph::Point& p : points)
-      p = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
-    const auto g = graph::geometric(points, 1.05);
+    const auto g = graph::geometric(uniform_points(n, side, rng), 1.05);
     graphs.push_back(graph::with_representation(g, graph::GraphRep::kCsr));
     graphs.push_back(graph::with_representation(g, graph::GraphRep::kDense));
   }

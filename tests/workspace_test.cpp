@@ -41,20 +41,33 @@ market::SpectrumMarket generated_market(int sellers, int buyers,
   return workload::generate_market(params, rng);
 }
 
-/// A market shaped like perfbench's cold_solve: N = 8000 CSR buyers, M = 16
-/// stratified ranges in (1, 5].
-market::SpectrumMarket cold_solve_market(Rng& rng) {
+/// A market shaped like perfbench's workloads: M = 16 channels whose ranges
+/// are the midpoints of 16 equal slices of (min_range, 5], in an area of
+/// side 10 * sqrt(N / 500).
+market::SpectrumMarket stratified_market(Rng& rng, int buyers,
+                                         double min_range) {
   workload::WorkloadParams params;
   params.num_sellers = 16;
-  params.num_buyers = 8000;
-  params.area_size = 10.0 * std::sqrt(8000.0 / 500.0);
-  params.min_range = 1.0;
+  params.num_buyers = buyers;
+  params.area_size = 10.0 * std::sqrt(buyers / 500.0);
+  params.min_range = min_range;
   market::Scenario scenario = workload::generate_scenario(params, rng);
   const double slices = static_cast<double>(scenario.channel_ranges.size());
   for (std::size_t i = 0; i < scenario.channel_ranges.size(); ++i)
     scenario.channel_ranges[i] =
-        1.0 + 4.0 * (static_cast<double>(i) + 0.5) / slices;
+        min_range + (params.max_range - min_range) *
+                        (static_cast<double>(i) + 0.5) / slices;
   return market::build_market(scenario);
+}
+
+/// cold_solve's shape: N = 8000 CSR buyers, ranges in (1, 5].
+market::SpectrumMarket cold_solve_market(Rng& rng) {
+  return stratified_market(rng, 8000, 1.0);
+}
+
+/// spill_churn's shape: N = 2000 dense buyers, ranges in (0, 5].
+market::SpectrumMarket spill_churn_market(Rng& rng) {
+  return stratified_market(rng, 2000, 0.0);
 }
 
 void expect_identical(const matching::TwoStageResult& a,
@@ -192,40 +205,55 @@ TEST(WorkspaceTest, SteadyRoundsAllocateNothingWhenWorkspaceIsWarm) {
 }
 
 // prepare() reserves the MWIS scratch for the worst case, not for what a
-// warm-up happened to touch: on the cold_solve-shaped market, an
-// all-candidate solve on the channel with the most edges allocates nothing
-// on any lane's scratch, fresh from prepare().
+// warm-up happened to touch: on the cold_solve- and spill_churn-shaped
+// markets, an all-candidate solve on the channel with the most edges
+// allocates nothing on any lane's scratch, fresh from prepare().
 TEST(WorkspaceTest, PreparedLaneScratchSolvesWidestChannelWithoutAllocating) {
   ScopedThreads threads(2);
   Rng rng(8);
-  const market::SpectrumMarket market = cold_solve_market(rng);
-
-  matching::MatchWorkspace ws;
-  ws.prepare(market);
-  ChannelId widest = 0;
-  for (ChannelId i = 1; i < market.num_channels(); ++i)
-    if (market.graph(i).num_edges() > market.graph(widest).num_edges())
-      widest = i;
-  const graph::InterferenceGraph& g = market.graph(widest);
-  ASSERT_EQ(g.representation(), graph::GraphRep::kCsr);
-  std::vector<double> weights(g.num_vertices());
-  for (double& w : weights) w = rng.uniform(0.01, 1.0);
-  DynamicBitset all(g.num_vertices());
-  for (std::size_t v = 0; v < all.size(); ++v) all.set(v);
-
-  ASSERT_EQ(ws.lane_scratch.size(), 2u);
-  alloc_count::set_counting(true);
-  for (graph::MwisScratch& scratch : ws.lane_scratch) {
-    for (graph::MwisAlgorithm algorithm :
-         {graph::MwisAlgorithm::kGwmin, graph::MwisAlgorithm::kGwmin2}) {
-      alloc_count::Scope scope;
-      const DynamicBitset& chosen =
-          graph::solve_mwis(g, weights, all, algorithm, scratch);
-      EXPECT_EQ(scope.total(), 0) << to_string(algorithm);
-      EXPECT_TRUE(chosen.any());
+  // Both representations: the widest cold_solve channel is CSR, the widest
+  // spill_churn channel dense with mean degree far above 64.
+  struct Shape {
+    const char* name;
+    market::SpectrumMarket market;
+    graph::GraphRep rep;
+  };
+  const Shape shapes[] = {
+      {"cold_solve", cold_solve_market(rng), graph::GraphRep::kCsr},
+      {"spill_churn", spill_churn_market(rng), graph::GraphRep::kDense}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const market::SpectrumMarket& market = shape.market;
+    matching::MatchWorkspace ws;
+    ws.prepare(market);
+    ChannelId widest = 0;
+    for (ChannelId i = 1; i < market.num_channels(); ++i)
+      if (market.graph(i).num_edges() > market.graph(widest).num_edges())
+        widest = i;
+    const graph::InterferenceGraph& g = market.graph(widest);
+    ASSERT_EQ(g.representation(), shape.rep);
+    if (shape.rep == graph::GraphRep::kDense) {
+      ASSERT_GE(2 * g.num_edges(), 64 * g.num_vertices());
     }
+    std::vector<double> weights(g.num_vertices());
+    for (double& w : weights) w = rng.uniform(0.01, 1.0);
+    DynamicBitset all(g.num_vertices());
+    for (std::size_t v = 0; v < all.size(); ++v) all.set(v);
+
+    ASSERT_EQ(ws.lane_scratch.size(), 2u);
+    alloc_count::set_counting(true);
+    for (graph::MwisScratch& scratch : ws.lane_scratch) {
+      for (graph::MwisAlgorithm algorithm :
+           {graph::MwisAlgorithm::kGwmin, graph::MwisAlgorithm::kGwmin2}) {
+        alloc_count::Scope scope;
+        const DynamicBitset& chosen =
+            graph::solve_mwis(g, weights, all, algorithm, scratch);
+        EXPECT_EQ(scope.total(), 0) << to_string(algorithm);
+        EXPECT_TRUE(chosen.any());
+      }
+    }
+    alloc_count::set_counting(false);
   }
-  alloc_count::set_counting(false);
 }
 
 // Stage II on the cold_solve-shaped market builds blocker rows, and with a
