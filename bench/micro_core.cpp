@@ -25,8 +25,10 @@
 #include "dist/runtime.hpp"
 #include "graph/generators.hpp"
 #include "graph/mwis.hpp"
+#include "market/scenario.hpp"
 #include "matching/deferred_acceptance.hpp"
 #include "mwis_reference.hpp"
+#include "test_util.hpp"
 #include "matching/two_stage.hpp"
 #include "optimal/exact.hpp"
 #include "workload/generator.hpp"
@@ -66,6 +68,25 @@ void BM_GeometricGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GeometricGraph)->Arg(100)->Arg(300)->Arg(500);
+
+/// cold_solve's market shape (perfbench/): M = 16 channels whose ranges are
+/// the midpoints of 16 equal slices of (1, 5], so every channel percolates.
+market::Scenario cold_solve_scenario(int buyers) {
+  Rng rng(7);
+  return testutil::stratified_scenario(rng, buyers, 1.0);
+}
+
+/// Every channel's interference graph of a cold_solve-shaped market, on the
+/// engine's lanes (SPECMATCH_THREADS).
+void BM_BuildMarket(benchmark::State& state) {
+  const market::Scenario scenario =
+      cold_solve_scenario(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto market = market::build_market(scenario);
+    benchmark::DoNotOptimize(market);
+  }
+}
+BENCHMARK(BM_BuildMarket)->Arg(8000)->Unit(benchmark::kMillisecond);
 
 template <graph::MwisAlgorithm Alg>
 void BM_Mwis(benchmark::State& state) {
@@ -169,7 +190,9 @@ double best_wall_ms(int reps, Fn&& fn) {
 }
 
 /// The headline trajectory of this perf series: the full pipeline at the
-/// paper's largest setting for serial vs parallel lanes, and solve_mwis
+/// paper's largest setting for serial vs parallel lanes, build_market on a
+/// cold_solve-shaped market (N = 8000, M = 16; "rounds" holds its edge
+/// total) at the same two lane counts, and solve_mwis
 /// against the textbook rescan (tests/mwis_reference.hpp) on G(500, 0.2),
 /// mean degree ~100: a dense-row graph where a word-parallel rescore of
 /// every survivor per pick is at its strongest.
@@ -200,6 +223,23 @@ void run_core_trajectory() {
                        threads, wall_ms,
                        result.stage1.rounds + result.stage2.phase1_rounds +
                            result.stage2.phase2_rounds});
+  }
+
+  const int build_buyers = smoke ? 500 : 8000;
+  const market::Scenario cold = cold_solve_scenario(build_buyers);
+  for (int threads : {1, parallel_threads}) {
+    config.num_threads = threads;
+    (void)ThreadPool::global();
+    std::size_t edges = 0;
+    const double wall_ms = best_wall_ms(reps, [&] {
+      const market::SpectrumMarket built = market::build_market(cold);
+      edges = 0;
+      for (ChannelId i = 0; i < built.num_channels(); ++i)
+        edges += built.graph(i).num_edges();
+    });
+    records.push_back({"build_market", cold.num_channels(), build_buyers,
+                       "geometric", threads, wall_ms,
+                       static_cast<int>(edges)});
   }
   config.num_threads = saved_threads;
   (void)ThreadPool::global();

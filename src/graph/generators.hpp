@@ -22,7 +22,30 @@ struct Point {
 
 double distance(const Point& a, const Point& b);
 
-/// Unit-disk interference: an edge wherever two buyers are within `range`.
+/// Axis-aligned bounds of a point set.
+struct Box {
+  double min_x = 0.0;
+  double max_x = 0.0;
+  double min_y = 0.0;
+  double max_y = 0.0;
+};
+
+/// The bounds of `positions` (all zero when empty). Throws CheckError on a
+/// non-finite coordinate or when max - min overflows a double on an axis:
+/// such a point set has no finite cell grid.
+Box bounding_box(std::span<const Point> positions);
+
+/// The largest squared distance whose square root is at most `range`
+/// (finite, >= 0). sqrt is correctly rounded and monotone, so for any
+/// squared distance d2, `d2 <= squared_threshold(range)` holds exactly when
+/// `sqrt(d2) <= range` does.
+double squared_threshold(double range);
+
+/// Unit-disk interference: an edge wherever two buyers are within `range`,
+/// i.e. distance(a, b) <= range. Points are counting-sorted into a flat grid
+/// of O(n) cells and each candidate pair is tested on its squared distance,
+/// so a build costs O(n + candidates) with no pair list. Throws CheckError
+/// on a negative or non-finite range, or points bounding_box rejects.
 InterferenceGraph geometric(std::span<const Point> positions, double range);
 
 /// G(n, p) random graph.

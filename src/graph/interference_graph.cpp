@@ -9,6 +9,7 @@
 
 namespace specmatch::graph {
 
+InterferenceGraph::InterferenceGraph() = default;
 InterferenceGraph::~InterferenceGraph() = default;
 InterferenceGraph::InterferenceGraph(InterferenceGraph&& other) noexcept =
     default;
@@ -290,34 +291,13 @@ void InterferenceGraph::finalize() {
   finalized_ = true;
 }
 
-void InterferenceGraph::definalize() {
-  // Mutation needs owned arrays (add_edge bumps degrees_ in place), so a
-  // view-backed graph copies its borrowed sections down first.
-  materialize();
-  rows_.resize(num_vertices_);
-  for (std::size_t v = 0; v < num_vertices_; ++v) {
-    auto& row = rows_[v];
-    row.clear();
-    row.reserve(degrees_[v]);
-    const std::size_t begin = offsets_[v];
-    const std::size_t end = offsets_[v + 1];
-    if (narrow_)
-      row.assign(flat16_.begin() + static_cast<std::ptrdiff_t>(begin),
-                 flat16_.begin() + static_cast<std::ptrdiff_t>(end));
-    else
-      row.assign(flat32_.begin() + static_cast<std::ptrdiff_t>(begin),
-                 flat32_.begin() + static_cast<std::ptrdiff_t>(end));
-  }
-  std::vector<std::uint32_t>().swap(offsets_);
-  std::vector<std::uint16_t>().swap(flat16_);
-  std::vector<std::uint32_t>().swap(flat32_);
-  finalized_ = false;
-}
-
 void InterferenceGraph::add_edge(BuyerId a, BuyerId b) {
   check_vertex(a);
   check_vertex(b);
   SPECMATCH_CHECK_MSG(a != b, "self-loop at vertex " << a);
+  SPECMATCH_CHECK_MSG(rep_ == GraphRep::kDense || !finalized_,
+                      "add_edge on a finalized CSR graph; build it from an "
+                      "edge list (from_edges) instead");
   components_.reset();  // edge mutations invalidate the component index
   const auto ua = static_cast<std::size_t>(a);
   const auto ub = static_cast<std::size_t>(b);
@@ -326,7 +306,6 @@ void InterferenceGraph::add_edge(BuyerId a, BuyerId b) {
     adjacency_[ua].set(ub);
     adjacency_[ub].set(ua);
   } else {
-    if (finalized_) definalize();
     auto& row_a = rows_[ua];
     const auto wa = static_cast<std::uint32_t>(ub);
     const auto it_a = std::lower_bound(row_a.begin(), row_a.end(), wa);

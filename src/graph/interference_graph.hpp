@@ -25,14 +25,17 @@
 // allowed) and an immutable finalized phase (the flat arrays). finalize()
 // compacts build rows into flat storage; SpectrumMarket finalizes its graphs
 // on construction, and the geometric generator emits finalized graphs
-// directly. add_edge on a finalized CSR graph transparently re-enters the
-// build phase (rare: clique edges over dummy buyers on small markets).
+// directly through from_neighbors. A finalized graph is never mutated:
+// add_edge on one throws.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,7 +72,10 @@ struct CsrView {
 
 class InterferenceGraph {
  public:
-  InterferenceGraph() = default;
+  /// The empty graph (zero vertices). Out of line, like the rule of five
+  /// below, so a vector of graphs can be sized where ComponentIndex is
+  /// incomplete.
+  InterferenceGraph();
 
   /// An edgeless graph over `num_vertices` buyers; representation chosen by
   /// vertex count against dense_max().
@@ -90,6 +96,20 @@ class InterferenceGraph {
   static InterferenceGraph from_edges(
       std::size_t num_vertices,
       std::span<const std::pair<BuyerId, BuyerId>> edge_list, GraphRep rep);
+
+  /// Builds a finalized graph in place from a neighbour enumeration, with no
+  /// edge list, no per-row sort and no add_edge; representation chosen by
+  /// vertex count against dense_max(). `visit(a, emit)` must call `emit(b)`
+  /// once for every neighbour b != a of a, in any order, and the relation
+  /// must be symmetric (a CSR build checks every row's fill against its
+  /// count: each write in debug builds, the totals in all builds). It runs
+  /// for every a ascending: once for a dense graph, whose bits go straight
+  /// into the rows; twice for a CSR graph, a count pass and then a fill pass
+  /// that appends a to each neighbour's row, so every row comes out
+  /// ascending.
+  template <typename Visit>
+  static InterferenceGraph from_neighbors(std::size_t num_vertices,
+                                          Visit&& visit);
 
   // The lazily built component-index cache makes the graph's copy special
   // (copies share nothing; the cache is rebuilt on demand), so the whole
@@ -120,8 +140,7 @@ class InterferenceGraph {
   std::size_t num_edges() const { return num_edges_; }
 
   /// Adds the undirected edge (a, b). Self-loops are rejected; duplicate
-  /// insertions are idempotent. Re-enters the build phase on a finalized
-  /// CSR graph.
+  /// insertions are idempotent. Throws on a finalized CSR graph.
   void add_edge(BuyerId a, BuyerId b);
 
   bool has_edge(BuyerId a, BuyerId b) const;
@@ -163,7 +182,7 @@ class InterferenceGraph {
   /// A finalized kCsr graph whose adjacency reads THROUGH `view`'s pointers
   /// — no copy. The caller guarantees the pointed-to memory (typically an
   /// mmap'd snapshot) outlives the graph. Copying a view-backed graph
-  /// deep-copies into owned arrays; add_edge materializes first. `view` must
+  /// deep-copies into owned arrays. `view` must
   /// be structurally valid (the snapshot reader checksum- and
   /// bounds-verifies before calling).
   static InterferenceGraph from_csr_view(const CsrView& view);
@@ -380,12 +399,9 @@ class InterferenceGraph {
   }
 
   /// Copies externally viewed arrays into owned storage and drops the
-  /// borrowed pointers. Called before any mutation (add_edge) and by the
-  /// copy operations — a copy must never alias another graph's backing.
+  /// borrowed pointers. Called by the copy operations — a copy must never
+  /// alias another graph's backing.
   void materialize();
-
-  /// Moves a finalized CSR graph back to build rows so add_edge can mutate.
-  void definalize();
 
   /// True when 16-bit neighbour ids cover every vertex.
   bool narrow_ids() const { return num_vertices_ <= (1u << 16); }
@@ -421,6 +437,64 @@ class InterferenceGraph {
   /// a copy rebuilds its own on first use. add_edge resets it.
   mutable std::unique_ptr<ComponentIndex> components_;
 };
+
+template <typename Visit>
+InterferenceGraph InterferenceGraph::from_neighbors(std::size_t num_vertices,
+                                                    Visit&& visit) {
+  InterferenceGraph g(num_vertices, num_vertices <= dense_max()
+                                        ? GraphRep::kDense
+                                        : GraphRep::kCsr);
+  std::uint32_t* degrees = g.degrees_.data();
+  if (g.rep_ == GraphRep::kDense) {
+    for (std::size_t a = 0; a < num_vertices; ++a) {
+      DynamicBitset& row = g.adjacency_[a];
+      visit(a, [&](std::size_t b) {
+        row.set(b);
+        ++degrees[a];
+      });
+    }
+  } else {
+    for (std::size_t a = 0; a < num_vertices; ++a)
+      visit(a, [&](std::size_t) { ++degrees[a]; });
+    g.offsets_.resize(num_vertices + 1);
+    std::size_t total = 0;
+    for (std::size_t v = 0; v < num_vertices; ++v) {
+      g.offsets_[v] = static_cast<std::uint32_t>(total);
+      total += degrees[v];
+      SPECMATCH_CHECK_MSG(total <= std::numeric_limits<std::uint32_t>::max(),
+                          "CSR offsets overflow uint32");
+    }
+    g.offsets_[num_vertices] = static_cast<std::uint32_t>(total);
+    std::vector<std::uint32_t> cursor(g.offsets_.begin(),
+                                      g.offsets_.end() - 1);
+    const auto fill = [&](auto& flat) {
+      using Id = typename std::remove_reference_t<decltype(flat)>::value_type;
+      flat.resize(total);
+      Id* ids = flat.data();
+      for (std::size_t a = 0; a < num_vertices; ++a)
+        visit(a, [&](std::size_t b) {
+          SPECMATCH_DCHECK(cursor[b] < g.offsets_[b + 1]);
+          ids[cursor[b]++] = static_cast<Id>(a);
+        });
+    };
+    if (g.narrow_)
+      fill(g.flat16_);
+    else
+      fill(g.flat32_);
+    for (std::size_t v = 0; v < num_vertices; ++v)
+      SPECMATCH_CHECK_MSG(cursor[v] == g.offsets_[v + 1],
+                          "asymmetric neighbour enumeration at vertex " << v);
+    std::vector<std::vector<std::uint32_t>>().swap(g.rows_);
+    g.finalized_ = true;
+  }
+  std::size_t degree_sum = 0;
+  for (std::size_t v = 0; v < num_vertices; ++v) {
+    degree_sum += degrees[v];
+    g.max_degree_ = std::max<std::size_t>(g.max_degree_, degrees[v]);
+  }
+  g.num_edges_ = degree_sum / 2;
+  return g;
+}
 
 /// Rebuilds `graph` under `rep` (same vertices, same edges). Used by the
 /// dense-vs-CSR property tests and the bench comparison leg.

@@ -1,5 +1,6 @@
 #include "market/scenario.hpp"
 
+#include <cmath>
 #include <numeric>
 #include <utility>
 
@@ -52,7 +53,11 @@ void Scenario::validate() const {
                                                         << " entries, got "
                                                         << utilities.size());
   for (double r : channel_ranges)
-    SPECMATCH_CHECK_MSG(r > 0.0, "transmission range must be positive");
+    SPECMATCH_CHECK_MSG(r > 0.0 && std::isfinite(r),
+                        "transmission range must be positive and finite");
+  // Non-finite coordinates, or a span past the largest double, are
+  // rejected here rather than deep inside the grid build.
+  (void)graph::bounding_box(buyer_locations);
   if (!channel_reserves.empty()) {
     SPECMATCH_CHECK_MSG(channel_reserves.size() == M,
                         "one reserve price per virtual channel");
@@ -76,9 +81,7 @@ SpectrumMarket build_market(const Scenario& scenario) {
             buyer_parents[static_cast<std::size_t>(j)])]);
 
   // Dummies of the same parent form contiguous runs of virtual_buyer_parents
-  // (it emits each parent's dummies back-to-back); precompute the runs once
-  // so the per-channel clique pass below is O(sum of run sizes squared), not
-  // the all-pairs O(N^2) scan per channel it used to be.
+  // (it emits each parent's dummies back-to-back).
   std::vector<std::pair<int, int>> parent_runs;  // [start, end) per parent
   for (int start = 0; start < N;) {
     int end = start + 1;
@@ -89,22 +92,20 @@ SpectrumMarket build_market(const Scenario& scenario) {
     start = end;
   }
 
-  std::vector<graph::InterferenceGraph> graphs;
-  graphs.reserve(static_cast<std::size_t>(M));
-  for (int i = 0; i < M; ++i) {
-    auto g = graph::geometric(positions,
-                              scenario.channel_ranges[static_cast<std::size_t>(i)]);
-    // Dummies of the same parent must never share a channel (§II-A). Their
-    // distance is zero so the geometric pass already links them, but we add
-    // the edges explicitly so the invariant survives any generator change.
+  std::vector<graph::InterferenceGraph> graphs(static_cast<std::size_t>(M));
+  for_each_channel(M, static_cast<std::size_t>(N), [&](std::size_t i) {
+    graphs[i] = graph::geometric(positions, scenario.channel_ranges[i]);
+    // Dummies of the same parent must never share a channel (§II-A). They
+    // sit at distance zero, so the geometric pass links them on every
+    // channel.
     for (const auto& [start, end] : parent_runs)
       for (int a = start; a < end; ++a)
-        for (int b = a + 1; b < end; ++b) g.add_edge(a, b);
-    // Compact each CSR graph before accumulating the next one, so the build
-    // footprint is one channel's worth of mutable rows, not all M.
-    g.finalize();
-    graphs.push_back(std::move(g));
-  }
+        for (int b = a + 1; b < end; ++b)
+          SPECMATCH_CHECK_MSG(graphs[i].has_edge(a, b),
+                              "dummies " << a << " and " << b
+                                         << " do not interfere on channel "
+                                         << i);
+  });
 
   return SpectrumMarket(M, N, scenario.utilities, std::move(graphs),
                         buyer_parents, scenario.virtual_seller_parents(),

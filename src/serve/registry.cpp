@@ -67,9 +67,13 @@ MarketEntry::MarketEntry(store::LoadedMarket&& loaded)
 void MarketEntry::finish_construction() {
   // Force the per-channel component indices now: mutations and warm solves
   // read them on the serving hot path, and building here keeps first-request
-  // latency flat and the byte estimate complete.
-  for (ChannelId i = 0; i < market.num_channels(); ++i)
-    (void)market.graph(i).components();
+  // latency flat and the byte estimate complete. Each graph owns its cache,
+  // so the builds share nothing.
+  market::for_each_channel(
+      market.num_channels(), static_cast<std::size_t>(market.num_buyers()),
+      [&](std::size_t i) {
+        (void)market.graph(static_cast<ChannelId>(i)).components();
+      });
   dirty.assign_zero(static_cast<std::size_t>(market.num_buyers()));
   bytes = resident_bytes();
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -109,15 +110,38 @@ TEST(GeneratorsTest, GeometricZeroRangeOnlyLinksCoincidentPoints) {
   EXPECT_FALSE(g.has_edge(0, 2));
 }
 
+/// Requires every neighbour row of `g` to equal a brute-force all-pairs list
+/// under distance(a, b) <= range.
+void expect_all_pairs_rows(const InterferenceGraph& g,
+                           const std::vector<Point>& pts, double range) {
+  const std::size_t n = pts.size();
+  ASSERT_EQ(g.num_vertices(), n);
+  std::size_t degree_sum = 0;
+  std::vector<std::size_t> expected;
+  std::vector<std::size_t> got;
+  for (std::size_t a = 0; a < n; ++a) {
+    expected.clear();
+    for (std::size_t b = 0; b < n; ++b)
+      if (b != a && distance(pts[a], pts[b]) <= range) expected.push_back(b);
+    got.clear();
+    g.for_each_neighbor(static_cast<BuyerId>(a),
+                        [&](std::size_t u) { got.push_back(u); });
+    ASSERT_EQ(got, expected) << "vertex " << a;
+    ASSERT_EQ(g.degree(static_cast<BuyerId>(a)), expected.size());
+    degree_sum += expected.size();
+  }
+  EXPECT_EQ(2 * g.num_edges(), degree_sum);
+}
+
 TEST(GeneratorsTest, GeometricGridPathMatchesAllPairs) {
-  // Above 1024 points geometric() buckets points into a grid of cells of
-  // side `range`; every served market takes that path. Its neighbour rows
-  // must equal a brute-force all-pairs list under the same distance
-  // predicate. At 4 points per unit area the ranges span sub-percolating
-  // (mean degree ~1) to percolating (~50). Coincident points and pairs
-  // offset by exactly `range` sit on cell boundaries.
+  // geometric() counting-sorts points into a grid and tests candidates in
+  // neighbouring cells on their squared distance, at every n. Its neighbour
+  // rows must equal a brute-force all-pairs list under distance(). n = 1500
+  // and 8000 are CSR, the rest dense. At 4 points per unit area the ranges
+  // span sub-percolating (mean degree ~1) to percolating (~50). Coincident
+  // points and pairs offset by exactly `range` sit on cell boundaries.
   Rng rng(1500);
-  for (std::size_t n : {1500u, 8000u}) {
+  for (std::size_t n : {2u, 50u, 400u, 1024u, 1500u, 8000u}) {
     const double side = std::sqrt(static_cast<double>(n) / 4.0);
     for (double range : {0.3, 0.6, 1.05, 2.0}) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " range=" << range);
@@ -130,22 +154,74 @@ TEST(GeneratorsTest, GeometricGridPathMatchesAllPairs) {
         else
           pts[v] = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
       }
-      const InterferenceGraph g = geometric(pts, range);
-      std::size_t degree_sum = 0;
-      std::vector<std::size_t> expected;
-      std::vector<std::size_t> got;
-      for (std::size_t a = 0; a < n; ++a) {
-        expected.clear();
-        for (std::size_t b = 0; b < n; ++b)
-          if (b != a && distance(pts[a], pts[b]) <= range)
-            expected.push_back(b);
-        got.clear();
-        g.for_each_neighbor(static_cast<BuyerId>(a),
-                            [&](std::size_t u) { got.push_back(u); });
-        ASSERT_EQ(got, expected) << "vertex " << a;
-        degree_sum += expected.size();
-      }
-      EXPECT_EQ(2 * g.num_edges(), degree_sum);
+      expect_all_pairs_rows(geometric(pts, range), pts, range);
+    }
+  }
+}
+
+TEST(GeneratorsTest, GeometricMatchesAllPairsAtExtremeScales) {
+  // Scales where the cell arithmetic is most fragile: a range far below
+  // the point spacing (where dx * dx underflows to 0 for offsets below
+  // ~1e-162, so distance() links them), coordinates near the largest
+  // double, and a range larger than the whole span.
+  Rng rng(77);
+  struct Case {
+    double scale;
+    double range;
+  };
+  for (const Case c : {Case{10.0, 1e-300}, Case{10.0, 0.0},
+                       Case{1e-170, 1e-300}, Case{1e-160, 1e-300},
+                       Case{4e307, 1e307},
+                       Case{1.0, 1e300}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "scale=" << c.scale << " range=" << c.range);
+    std::vector<Point> pts;
+    for (int v = 0; v < 60; ++v) {
+      const Point p{rng.uniform(-c.scale, c.scale),
+                    rng.uniform(-c.scale, c.scale)};
+      pts.push_back(p);
+      if (v % 10 == 0) pts.push_back(p);  // coincident
+      if (v % 10 == 1) pts.push_back({p.x + 1e-170, p.y});
+    }
+    expect_all_pairs_rows(geometric(pts, c.range), pts, c.range);
+  }
+}
+
+TEST(GeneratorsTest, GeometricRejectsHostileInput) {
+  const std::vector<Point> wide = {{-1e308, 0.0}, {1e308, 0.0}};
+  EXPECT_THROW((void)geometric(wide, 1.0), CheckError);  // span overflows
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)geometric(std::vector<Point>{{inf, 0.0}}, 1.0),
+               CheckError);
+  EXPECT_THROW((void)geometric(std::vector<Point>{{std::nan(""), 0.0}}, 1.0),
+               CheckError);
+  const std::vector<Point> two = {{0.0, 0.0}, {1.0, 0.0}};
+  EXPECT_THROW((void)geometric(two, -1.0), CheckError);
+  EXPECT_THROW((void)geometric(two, inf), CheckError);
+  EXPECT_THROW((void)geometric(two, std::nan("")), CheckError);
+  EXPECT_EQ(geometric({}, 1.0).num_vertices(), 0u);
+}
+
+TEST(GeneratorsTest, SquaredThresholdIsExactlyTheSqrtTest) {
+  // d2 <= t must hold exactly when sqrt(d2) <= r: at t itself, at its two
+  // neighbouring doubles, and at random d2 around r².
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(4242);
+  std::vector<double> ranges = {0.0, 1e-300, 5e-324, 1.0, 2.0, 3.0, 5.0,
+                                1e150, 1e300,
+                                std::numeric_limits<double>::max()};
+  for (int k = 0; k < 2000; ++k)
+    ranges.push_back(rng.uniform(0.0, 5.0) *
+                     std::pow(10.0, rng.uniform_int(-200, 200)));
+  for (double r : ranges) {
+    SCOPED_TRACE(testing::Message() << "r=" << r);
+    const double t = squared_threshold(r);
+    EXPECT_LE(std::sqrt(t), r);
+    EXPECT_GT(std::sqrt(std::nextafter(t, inf)), r);
+    if (t > 0.0) EXPECT_LE(std::sqrt(std::nextafter(t, -inf)), r);
+    for (int k = 0; k < 8; ++k) {
+      const double d2 = r * r * rng.uniform(0.999999, 1.000001);
+      EXPECT_EQ(d2 <= t, std::sqrt(d2) <= r) << "d2=" << d2;
     }
   }
 }
@@ -298,7 +374,7 @@ TEST(GraphRepresentationTest, MwisSelectionsAgreeOnRandomGraphs) {
   }
 }
 
-TEST(GraphRepresentationTest, CsrBuildFinalizeAndMutateAfterFinalize) {
+TEST(GraphRepresentationTest, CsrBuildFinalizeThenRejectMutation) {
   InterferenceGraph g(6, GraphRep::kCsr);
   EXPECT_FALSE(g.finalized());
   g.add_edge(2, 0);
@@ -313,19 +389,12 @@ TEST(GraphRepresentationTest, CsrBuildFinalizeAndMutateAfterFinalize) {
   EXPECT_EQ(g.degree(2), 2u);
   EXPECT_EQ(g.max_degree(), 2u);
 
-  // add_edge on a finalized CSR graph transparently re-enters the build
-  // phase (the scenario builder's clique pass relies on this).
-  g.add_edge(2, 4);  // duplicate against finalized storage
+  // A finalized graph is immutable: no edge, not even a duplicate, is added
+  // to its flat arrays.
+  EXPECT_THROW(g.add_edge(2, 4), CheckError);
+  EXPECT_THROW(g.add_edge(1, 5), CheckError);
   EXPECT_EQ(g.num_edges(), 2u);
-  g.add_edge(1, 5);
-  EXPECT_EQ(g.num_edges(), 3u);
-  EXPECT_TRUE(g.has_edge(5, 1));
-  g.finalize();
-  const auto edges = g.edges();
-  ASSERT_EQ(edges.size(), 3u);
-  EXPECT_EQ(edges[0], std::make_pair(BuyerId{0}, BuyerId{2}));
-  EXPECT_EQ(edges[1], std::make_pair(BuyerId{1}, BuyerId{5}));
-  EXPECT_EQ(edges[2], std::make_pair(BuyerId{2}, BuyerId{4}));
+  EXPECT_FALSE(g.has_edge(1, 5));
 
   // Same checks as the dense representation.
   EXPECT_THROW(g.add_edge(1, 1), CheckError);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/check.hpp"
 #include "market/scenario.hpp"
 #include "test_util.hpp"
@@ -128,6 +131,38 @@ TEST(ScenarioTest, ValidationCatchesInconsistencies) {
   bad = s;
   bad.buyer_demands = {0};
   EXPECT_THROW(bad.validate(), CheckError);
+}
+
+TEST(ScenarioTest, ValidationRejectsHostileGeometry) {
+  Scenario s;
+  s.seller_channel_counts = {1};
+  s.buyer_demands = {1, 1};
+  s.buyer_locations = {{0, 0}, {1, 1}};
+  s.channel_ranges = {1.0};
+  s.utilities = {0.5, 0.5};
+  s.validate();  // baseline OK
+
+  const double inf = std::numeric_limits<double>::infinity();
+  auto bad = s;
+  bad.channel_ranges = {inf};
+  EXPECT_THROW(bad.validate(), CheckError);
+  bad.channel_ranges = {std::nan("")};
+  EXPECT_THROW(bad.validate(), CheckError);
+
+  bad = s;
+  bad.buyer_locations[1] = {inf, 0.0};
+  EXPECT_THROW(bad.validate(), CheckError);
+  bad.buyer_locations[1] = {0.0, std::nan("")};
+  EXPECT_THROW(bad.validate(), CheckError);
+
+  // Each coordinate is finite, but max - min is not.
+  bad = s;
+  bad.buyer_locations = {{-1e308, 0.0}, {1e308, 0.0}};
+  EXPECT_THROW(bad.validate(), CheckError);
+  bad.buyer_locations = {{0.0, -1e308}, {0.0, 1e308}};
+  EXPECT_THROW(bad.validate(), CheckError);
+  bad.buyer_locations = {{-8e307, 8e307}, {8e307, -8e307}};
+  bad.validate();  // a span of 1.6e308 still fits
 }
 
 TEST(BuildMarketTest, SameParentDummiesInterfereOnEveryChannel) {

@@ -5,8 +5,11 @@
 // on random and geometric graphs from sparse to near-complete.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -110,6 +113,74 @@ TEST(ParallelDeterminismTest, RunTrialsAggregatesAreThreadCountInvariant) {
     SCOPED_TRACE(name);
     EXPECT_EQ(serial.mean(name), parallel.mean(name));
     EXPECT_EQ(serial.stderror(name), parallel.stderror(name));
+  }
+}
+
+/// Requires byte-identical adjacency: CSR arrays compared with memcmp, dense
+/// rows word for word, and the same degree caches.
+void expect_same_graphs(const market::SpectrumMarket& a,
+                        const market::SpectrumMarket& b) {
+  ASSERT_EQ(a.num_channels(), b.num_channels());
+  for (ChannelId i = 0; i < a.num_channels(); ++i) {
+    SCOPED_TRACE(testing::Message() << "channel " << i);
+    const graph::InterferenceGraph& ga = a.graph(i);
+    const graph::InterferenceGraph& gb = b.graph(i);
+    ASSERT_EQ(ga.representation(), gb.representation());
+    ASSERT_EQ(ga.num_vertices(), gb.num_vertices());
+    ASSERT_EQ(ga.num_edges(), gb.num_edges());
+    EXPECT_EQ(ga.max_degree(), gb.max_degree());
+    const std::size_t n = ga.num_vertices();
+    EXPECT_EQ(std::memcmp(ga.degrees().data(), gb.degrees().data(),
+                          n * sizeof(std::uint32_t)),
+              0);
+    if (ga.representation() == graph::GraphRep::kCsr) {
+      const graph::CsrView va = ga.csr_export();
+      const graph::CsrView vb = gb.csr_export();
+      ASSERT_EQ(va.narrow, vb.narrow);
+      EXPECT_EQ(std::memcmp(va.offsets, vb.offsets,
+                            (n + 1) * sizeof(std::uint32_t)),
+                0);
+      const std::size_t entries = 2 * va.num_edges;
+      EXPECT_EQ(va.narrow ? std::memcmp(va.ids16, vb.ids16,
+                                        entries * sizeof(std::uint16_t))
+                          : std::memcmp(va.ids32, vb.ids32,
+                                        entries * sizeof(std::uint32_t)),
+                0);
+    } else {
+      for (std::size_t v = 0; v < n; ++v) {
+        const auto wa = ga.neighbors(static_cast<BuyerId>(v)).words();
+        const auto wb = gb.neighbors(static_cast<BuyerId>(v)).words();
+        ASSERT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin(), wb.end()))
+            << "row " << v;
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, BuildMarketIsThreadCountInvariant) {
+  // build_market builds one channel per engine lane; the graphs must not
+  // depend on the lane count. cold_solve's shape (N = 8000, CSR) and
+  // spill_churn's (N = 2000, dense).
+  struct Shape {
+    int buyers;
+    double min_range;
+    graph::GraphRep rep;
+  };
+  for (const Shape shape : {Shape{8000, 1.0, graph::GraphRep::kCsr},
+                            Shape{2000, 0.0, graph::GraphRep::kDense}}) {
+    SCOPED_TRACE(testing::Message() << "N=" << shape.buyers);
+    Rng rng(71);
+    const market::Scenario scenario =
+        testutil::stratified_scenario(rng, shape.buyers, shape.min_range);
+    std::optional<market::SpectrumMarket> serial;
+    {
+      ScopedThreads scope(1);
+      serial.emplace(market::build_market(scenario));
+    }
+    ScopedThreads scope(4);
+    const market::SpectrumMarket parallel = market::build_market(scenario);
+    ASSERT_EQ(parallel.graph(0).representation(), shape.rep);
+    expect_same_graphs(*serial, parallel);
   }
 }
 

@@ -29,6 +29,7 @@
 #include "serve/registry.hpp"
 #include "workload/generator.hpp"
 #include "workload/io.hpp"
+#include "test_util.hpp"
 
 namespace specmatch::serve {
 namespace {
@@ -224,6 +225,83 @@ TEST(MatchServerTest, SemanticErrorsAnswerWithoutKillingTheServer) {
 
   // The server still works after every error.
   EXPECT_TRUE(server.handle(solve_request("m", false)).ok);
+}
+
+/// One seller of two channels of range `range` and one buyer per location,
+/// the first demanding two channels.
+std::shared_ptr<const market::Scenario> geometry_scenario(
+    const std::vector<graph::Point>& locations, double range) {
+  market::Scenario scenario;
+  scenario.seller_channel_counts = {2};
+  scenario.buyer_demands.assign(locations.size(), 1);
+  scenario.buyer_demands[0] = 2;
+  scenario.buyer_locations = locations;
+  scenario.channel_ranges = {range, range};
+  scenario.utilities.assign(2 * (locations.size() + 1), 0.5);
+  return std::make_shared<const market::Scenario>(std::move(scenario));
+}
+
+TEST(MatchServerTest, HostileGeometryFailsLoudlyOrBuildsTheAllPairsGraph) {
+  // Finite coordinates whose span overflows a double have no finite cell
+  // grid. In process, the create answers an error...
+  MatchServer server(test_config());
+  const Response wide = server.handle(create_request(
+      "wide", geometry_scenario({{-1e308, 0.0}, {1e308, 5.0}, {0.0, 0.0}},
+                                1.0)));
+  EXPECT_FALSE(wide.ok);
+  EXPECT_NE(wide.text.find("invalid scenario"), std::string::npos)
+      << wide.text;
+  // ...and on the wire the embedded scenario is a protocol error.
+  std::istringstream wire(
+      "create wide\n"
+      "specmatch-scenario v1\n"
+      "sellers 1\n2\n"
+      "buyers 2\n1 1\n"
+      "locations\n-1e308 0\n1e308 5\n"
+      "ranges 2\n1 1\n"
+      "utilities 2 2\n0.5 0.5\n0.5 0.5\n");
+  RequestReader reader(wire);
+  Request request;
+  try {
+    (void)reader.next(request);
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("span"), std::string::npos)
+        << e.what();
+  }
+
+  // A range of 1e-300 over a 10 x 10 area, sent through the wire format:
+  // only coincident buyers (and the first buyer's two dummies) interfere,
+  // exactly as the all-pairs test decides, and the grid stays O(N) cells.
+  Rng rng(1300);
+  std::vector<graph::Point> locations;
+  for (int v = 0; v < 40; ++v)
+    locations.push_back({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
+  locations[7] = locations[3];
+  std::istringstream tiny_wire(format_request(
+      create_request("tiny", geometry_scenario(locations, 1e-300))));
+  RequestReader tiny_reader(tiny_wire);
+  Request tiny;
+  ASSERT_TRUE(tiny_reader.next(tiny));
+  const Response created = server.handle(tiny);
+  ASSERT_TRUE(created.ok) << created.text;
+  const market::SpectrumMarket market = market::build_market(*tiny.scenario);
+  for (ChannelId i = 0; i < market.num_channels(); ++i) {
+    std::vector<std::pair<BuyerId, BuyerId>> all_pairs;
+    for (BuyerId a = 0; a < market.num_buyers(); ++a)
+      for (BuyerId b = a + 1; b < market.num_buyers(); ++b)
+        if (graph::distance(
+                locations[static_cast<std::size_t>(market.buyer_parent(a))],
+                locations[static_cast<std::size_t>(market.buyer_parent(b))]) <=
+            1e-300)
+          all_pairs.emplace_back(a, b);
+    EXPECT_EQ(market.graph(i).edges(), all_pairs) << "channel " << i;
+    EXPECT_EQ(all_pairs.size(), 2u);  // the dummies, and buyers 3 and 7
+  }
+  const Response solved = server.handle(solve_request("tiny", false));
+  ASSERT_TRUE(solved.ok) << solved.text;
+  EXPECT_EQ(*server.last_matching("tiny"),
+            matching::run_two_stage(market).final_matching());
 }
 
 TEST(MatchServerTest, WarmBeforeAnySolveFallsBackToCold) {
@@ -425,35 +503,13 @@ TEST(MatchServerTest, TranscriptsIdenticalAcrossDrainLanes) {
   EXPECT_EQ(serial, parallel);
 }
 
-/// Sets the engine pool's lane count (SPECMATCH_THREADS) for one scope.
-class ScopedEngineLanes {
- public:
-  explicit ScopedEngineLanes(int lanes)
-      : saved_(SpecmatchConfig::global().num_threads) {
-    SpecmatchConfig::global().num_threads = lanes;
-    (void)ThreadPool::global();
-  }
-  ~ScopedEngineLanes() {
-    SpecmatchConfig::global().num_threads = saved_;
-    (void)ThreadPool::global();
-  }
-
- private:
-  int saved_;
-};
-
-/// This host's lane count, at least 2 so the parallel legs really fan out.
-int host_lanes() {
-  return std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
-}
-
 /// Two markets solved cold over and over, every request in flight at once,
 /// so drain lanes solve both markets concurrently and each fans its engine
 /// rounds out over the shared engine pool. Responses land in per-request
 /// slots, so the transcript is in submission order whatever the timing.
 std::vector<std::string> run_concurrent_cold_stream(int drain_lanes,
                                                     int engine_lanes) {
-  const ScopedEngineLanes engine(engine_lanes);
+  const testutil::ScopedThreads engine(engine_lanes);
   ServeConfig config = test_config();
   config.drain_lanes = drain_lanes;
   MatchServer server(config);
@@ -532,13 +588,14 @@ TEST(MatchServerTest, EveryDrainLaneDrainsConcurrently) {
 
 // --- zero-allocation steady state -----------------------------------------
 
-/// (drain lanes, engine lanes): the contract must hold at any lane count.
+/// (drain lanes, engine lanes): the contract must hold at any lane count, so
+/// the second value is forced to at least 2 lanes even on a 1-core host.
 class SteadyStateAllocTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(SteadyStateAllocTest, SteadyStateServingIsAllocationFree) {
   const auto [drain_lanes, engine_lanes] = GetParam();
-  const ScopedEngineLanes engine(engine_lanes);
+  const testutil::ScopedThreads engine(engine_lanes);
   alloc_count::set_counting(true);
   {
     const auto scenario = random_scenario(61, 4, 24);
@@ -567,8 +624,8 @@ TEST_P(SteadyStateAllocTest, SteadyStateServingIsAllocationFree) {
 
 INSTANTIATE_TEST_SUITE_P(
     LaneGrid, SteadyStateAllocTest,
-    ::testing::Combine(::testing::Values(1, host_lanes()),
-                       ::testing::Values(1, host_lanes())),
+    ::testing::Combine(::testing::Values(1, testutil::contract_lanes()),
+                       ::testing::Values(1, testutil::contract_lanes())),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return "drain" + std::to_string(std::get<0>(info.param)) + "_engine" +
              std::to_string(std::get<1>(info.param));

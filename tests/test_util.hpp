@@ -1,14 +1,20 @@
 // Shared helpers for the specmatch test suites.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <initializer_list>
+#include <thread>
 #include <vector>
 
 #include "common/bitset.hpp"
 #include "common/config.hpp"
 #include "common/ids.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "market/scenario.hpp"
 #include "matching/matching.hpp"
+#include "workload/generator.hpp"
 
 namespace specmatch::testutil {
 
@@ -48,6 +54,36 @@ class ScopedThreads {
  private:
   int saved_;
 };
+
+/// The lane count for a contract leg (bit-identical results, zero steady
+/// allocations): this host's hardware threads, and at least 2. On a 1-core
+/// host the two lanes time-slice one core, which is still a real second
+/// lane for a contract that must hold at any lane count, so such a leg keeps
+/// forcing it. A leg that asserts concurrency or speed must not use this: it
+/// skips visibly on a 1-core host instead (thread_pool_test).
+inline int contract_lanes() {
+  return std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// A scenario shaped like perfbench's workloads: M = 16 channels whose
+/// ranges are the midpoints of 16 equal slices of (min_range, 5], in an
+/// area of side 10 * sqrt(N / 500). cold_solve is N = 8000 with
+/// min_range 1 (CSR), spill_churn N = 2000 with min_range 0 (dense).
+inline market::Scenario stratified_scenario(Rng& rng, int buyers,
+                                            double min_range) {
+  workload::WorkloadParams params;
+  params.num_sellers = 16;
+  params.num_buyers = buyers;
+  params.area_size = 10.0 * std::sqrt(buyers / 500.0);
+  params.min_range = min_range;
+  market::Scenario scenario = workload::generate_scenario(params, rng);
+  const double slices = static_cast<double>(scenario.channel_ranges.size());
+  for (std::size_t i = 0; i < scenario.channel_ranges.size(); ++i)
+    scenario.channel_ranges[i] =
+        min_range + (params.max_range - min_range) *
+                        (static_cast<double>(i) + 0.5) / slices;
+  return scenario;
+}
 
 /// Members of seller i as a sorted vector (bitsets print poorly in gtest).
 inline std::vector<BuyerId> members(const matching::Matching& m, SellerId i) {

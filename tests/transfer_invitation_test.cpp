@@ -187,8 +187,9 @@ StageIIResult run_and_recount(const market::SpectrumMarket& market,
 }
 
 TEST(StageIITest, BlockerRowsTrackTheMatching) {
-  const int host =
-      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  // A contract leg (blocker rows exact at any lane count): a second lane is
+  // forced even on a 1-core host.
+  const int host = testutil::contract_lanes();
   // A buyer leaves a built channel. Buyers a=0, b=1; a and b interfere on
   // channel 0 only. From channel 0 = {a}, round 1 has a applying to channel
   // 1 (10 > 5) and b to channel 0 (8 > 0), so both rows are built; b is

@@ -41,23 +41,11 @@ market::SpectrumMarket generated_market(int sellers, int buyers,
   return workload::generate_market(params, rng);
 }
 
-/// A market shaped like perfbench's workloads: M = 16 channels whose ranges
-/// are the midpoints of 16 equal slices of (min_range, 5], in an area of
-/// side 10 * sqrt(N / 500).
+/// A market shaped like perfbench's workloads (testutil::stratified_scenario).
 market::SpectrumMarket stratified_market(Rng& rng, int buyers,
                                          double min_range) {
-  workload::WorkloadParams params;
-  params.num_sellers = 16;
-  params.num_buyers = buyers;
-  params.area_size = 10.0 * std::sqrt(buyers / 500.0);
-  params.min_range = min_range;
-  market::Scenario scenario = workload::generate_scenario(params, rng);
-  const double slices = static_cast<double>(scenario.channel_ranges.size());
-  for (std::size_t i = 0; i < scenario.channel_ranges.size(); ++i)
-    scenario.channel_ranges[i] =
-        min_range + (params.max_range - min_range) *
-                        (static_cast<double>(i) + 0.5) / slices;
-  return market::build_market(scenario);
+  return market::build_market(
+      testutil::stratified_scenario(rng, buyers, min_range));
 }
 
 /// cold_solve's shape: N = 8000 CSR buyers, ranges in (1, 5].
@@ -167,8 +155,9 @@ TEST(WorkspaceTest, SharedWorkspaceIsThreadCountInvariant) {
 // and the pool lanes it fans out to.
 TEST(WorkspaceTest, SteadyRoundsAllocateNothingWhenWorkspaceIsWarm) {
   const auto market = generated_market(8, 120, 41);
-  const int host = std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
-  for (const int lanes : {1, host}) {
+  // A contract leg: zero allocations must hold with a second lane too, even
+  // on a 1-core host.
+  for (const int lanes : {1, testutil::contract_lanes()}) {
     SCOPED_TRACE(lanes);
     ScopedThreads scope(lanes);
     matching::MatchWorkspace ws;
@@ -263,9 +252,9 @@ TEST(WorkspaceTest, PreparedLaneScratchSolvesWidestChannelWithoutAllocating) {
 TEST(WorkspaceTest, StageIIBlockerRowsAllocateNothingOnColdSolveMarket) {
   Rng rng(8);
   const market::SpectrumMarket market = cold_solve_market(rng);
-  const int host =
-      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
-  for (const int lanes : {1, host}) {
+  // A contract leg (zero allocations, identical results): a second lane is
+  // forced even on a 1-core host.
+  for (const int lanes : {1, testutil::contract_lanes()}) {
     SCOPED_TRACE(lanes);
     ScopedThreads scope(lanes);
     matching::MatchWorkspace ws;
