@@ -174,8 +174,10 @@ void run_cold_start(int M, int N, int reps,
   bench::BenchRecord mapped("store_cold_start", M, N, "snapshot_load", threads,
                             load_ms, reps);
   std::ostringstream note;
+  const auto state_bytes = std::filesystem::file_size(dir / (id + ".spms"));
   note << "speedup_vs_rebuild=" << speedup << " snapshot_bytes="
-       << std::filesystem::file_size(dir / (id + ".spms"));
+       << state_bytes + std::filesystem::file_size(dir / (id + ".spmg"))
+       << " state_bytes=" << state_bytes;
   mapped.note = note.str();
   records.push_back(mapped);
   std::cout << "N=" << N << " cold start: rebuild_ms=" << rebuild_ms

@@ -10,12 +10,14 @@
 // graph or reallocates the matrix.
 //
 // With a store configured (SPECMATCH_STORE_DIR), eviction under the byte
-// budget writes the entry's complete state — CSR adjacency, prices, masks,
-// carried matching, stats — as a checksummed snapshot instead of discarding
-// it; a later request for the id faults it back by mmap (the CSR graphs
-// read the mapped pages in place), evicting others as needed. Entries
-// restored this way warm-serve immediately: the carried matching and dirty
-// set come back with them. See docs/PERSISTENCE.md.
+// budget spills the entry instead of discarding it, as a checksummed pair:
+// a graph file (scenario and adjacency, which never change after create)
+// written at the market's first spill only, and a state file (prices,
+// masks, carried matching, stats) written on every spill. A later request
+// for the id faults it back by mmap (the CSR graphs read the mapped graph
+// file in place), evicting others as needed. Entries restored this way
+// warm-serve immediately: the carried matching and dirty set come back with
+// them. See docs/PERSISTENCE.md.
 //
 // The registry is NOT internally synchronised: the MatchServer serialises
 // structural operations (create/evict/fault-in) behind its admission
@@ -57,10 +59,10 @@ struct MarketEntry {
   /// The creating scenario, retained so eviction can spill it with the
   /// entry (and re-serves of the snapshot can validate against it).
   std::shared_ptr<const market::Scenario> scenario;
-  /// The mmap backing the market's view-backed CSR graphs when this entry
-  /// was faulted in from a snapshot; null for freshly built markets and for
-  /// faulted-in markets whose channels are all dense (their rows were
-  /// copied out).
+  /// The mapped graph file backing the market's view-backed CSR graphs when
+  /// this entry was faulted in from a snapshot; null for freshly built
+  /// markets and for faulted-in markets whose channels are all dense (their
+  /// rows were copied out).
   std::shared_ptr<store::MappedSnapshot> backing;
 
   /// Buyers whose assignment or opportunities a mutation may have changed
@@ -163,7 +165,7 @@ class MarketRegistry {
                         std::vector<std::string>* evicted);
 
   /// Writes a snapshot of a resident market without evicting it (the
-  /// `snapshot` verb). Returns the bytes written; throws
+  /// `snapshot` verb). Returns the snapshot pair's bytes on disk; throws
   /// store::SnapshotError on I/O failure. Safe from a drain lane that owns
   /// the market's batch.
   std::uint64_t snapshot_resident(const std::string& id);

@@ -28,13 +28,56 @@ bool safe_id_char(char c) {
 }
 
 constexpr char kHexDigits[] = "0123456789ABCDEF";
-constexpr const char* kExtension = ".spms";
+constexpr const char* kExtension = ".spms";       ///< state file
+constexpr const char* kGraphExtension = ".spmg";  ///< graph file
 
 int hex_value(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   return -1;
+}
+
+/// Accumulates a graph identity: one checksum64 per array, then one over
+/// the list, so array boundaries count.
+class DigestBuilder {
+ public:
+  void add_bytes(const void* data, std::size_t bytes) {
+    parts_.push_back(checksum64(data, bytes));
+  }
+  template <typename T>
+  void add(std::span<const T> values) {
+    add_bytes(values.data(), values.size_bytes());
+  }
+  void add_word(std::uint64_t word) { parts_.push_back(word); }
+  std::uint64_t finish() const {
+    return checksum64(parts_.data(), parts_.size() * sizeof(std::uint64_t));
+  }
+
+ private:
+  std::vector<std::uint64_t> parts_;
+};
+
+static_assert(sizeof(int) == sizeof(std::int32_t),
+              "scenario counts are written and digested as int32");
+
+/// The section of `kind`, which must hold `count` elements.
+const SectionEntry& require_count(const MappedSnapshot& snap, SectionKind kind,
+                                  std::size_t count) {
+  const SectionEntry& entry = snap.require(kind);
+  if (entry.count != count)
+    throw SnapshotError("snapshot " + snap.path() + ": section kind " +
+                        std::to_string(static_cast<std::uint32_t>(kind)) +
+                        " holds " + std::to_string(entry.count) +
+                        " elements, expected " + std::to_string(count));
+  return entry;
+}
+
+std::string hex64(std::uint64_t value) {
+  std::string out = "0x";
+  for (int shift = 60; shift >= 0; shift -= 4)
+    out.push_back(kHexDigits[(value >> shift) & 0xF]);
+  return out;
 }
 
 /// Rebuilds one channel graph from its snapshot sections, under the
@@ -204,9 +247,40 @@ std::string decode_market_id(const std::string& stem) {
   return out;
 }
 
-SnapshotImage build_snapshot_image(const MarketStateView& state) {
+std::uint64_t graph_digest(const MarketStateView& state) {
   SPECMATCH_CHECK_MSG(state.market != nullptr && state.scenario != nullptr,
                       "snapshot needs a market and its scenario");
+  const market::Scenario& scenario = *state.scenario;
+  DigestBuilder digest;
+  digest.add(std::span<const int>(scenario.seller_channel_counts));
+  digest.add(std::span<const int>(scenario.buyer_demands));
+  digest.add_bytes(scenario.buyer_locations.data(),
+                   scenario.buyer_locations.size() * sizeof(graph::Point));
+  digest.add(std::span<const double>(scenario.channel_ranges));
+  digest.add(std::span<const double>(scenario.utilities));
+  digest.add(std::span<const double>(scenario.channel_reserves));
+  for (ChannelId i = 0; i < state.market->num_channels(); ++i) {
+    const graph::InterferenceGraph& g = state.market->graph(i);
+    digest.add_word(static_cast<std::uint32_t>(g.representation()));
+    digest.add_word(g.num_edges());
+  }
+  return digest.finish();
+}
+
+namespace {
+
+SnapshotHeader header_of(FileKind kind, const market::SpectrumMarket& market,
+                         std::uint64_t digest) {
+  SnapshotHeader header;
+  header.kind = static_cast<std::uint32_t>(kind);
+  header.num_channels = static_cast<std::uint32_t>(market.num_channels());
+  header.num_buyers = static_cast<std::uint32_t>(market.num_buyers());
+  header.graph_digest = digest;
+  return header;
+}
+
+SnapshotImage build_state_image(const MarketStateView& state,
+                                std::uint64_t digest) {
   const market::SpectrumMarket& market = *state.market;
   const auto m = static_cast<std::size_t>(market.num_channels());
   const auto n = static_cast<std::size_t>(market.num_buyers());
@@ -215,12 +289,32 @@ SnapshotImage build_snapshot_image(const MarketStateView& state) {
   SPECMATCH_CHECK(state.dirty.size() == n);
   SPECMATCH_CHECK(state.matching.size() == n);
 
-  // Every section borrows its payload: the resident arrays themselves, or
-  // the small gathered arrays below, which outlive finish().
+  // Every section borrows its payload: the resident arrays themselves.
   SnapshotBuilder builder;
   builder.add_array<double>(SectionKind::kPrices, market.prices());
   builder.add_array<double>(SectionKind::kBasePrices, state.base_prices);
+  builder.add_array<std::uint8_t>(SectionKind::kActive, state.active);
+  builder.add_array<std::uint8_t>(SectionKind::kDirty, state.dirty);
+  builder.add_array<std::int32_t>(SectionKind::kMatching, state.matching);
+  builder.add_section(SectionKind::kCounters, state.counters.data(),
+                      state.counters.size() * sizeof(std::int64_t),
+                      state.counters.size());
 
+  SnapshotHeader header = header_of(FileKind::kState, market, digest);
+  if (state.has_matching) header.flags |= kFlagHasMatching;
+  if (state.dirty_valid) header.flags |= kFlagDirtyValid;
+  return builder.finish(header);
+}
+
+SnapshotImage build_graph_image(const MarketStateView& state,
+                                std::uint64_t digest) {
+  const market::SpectrumMarket& market = *state.market;
+  const auto m = static_cast<std::size_t>(market.num_channels());
+  const auto n = static_cast<std::size_t>(market.num_buyers());
+
+  // Every section borrows its payload: the resident arrays themselves, or
+  // the small gathered arrays below, which outlive finish().
+  SnapshotBuilder builder;
   std::vector<double> reserves(m);
   for (ChannelId i = 0; i < market.num_channels(); ++i)
     reserves[static_cast<std::size_t>(i)] = market.reserve(i);
@@ -235,25 +329,11 @@ SnapshotImage build_snapshot_image(const MarketStateView& state) {
     seller_parents[static_cast<std::size_t>(i)] = market.seller_parent(i);
   builder.add_array<std::int32_t>(SectionKind::kSellerParents, seller_parents);
 
-  builder.add_array<std::uint8_t>(SectionKind::kActive, state.active);
-  builder.add_array<std::uint8_t>(SectionKind::kDirty, state.dirty);
-  builder.add_array<std::int32_t>(SectionKind::kMatching, state.matching);
-  builder.add_section(SectionKind::kCounters, state.counters.data(),
-                      state.counters.size() * sizeof(std::int64_t),
-                      state.counters.size());
-
   const market::Scenario& scenario = *state.scenario;
-  builder.add_array<std::int32_t>(
-      SectionKind::kScenarioSellerCounts,
-      std::span<const std::int32_t>(
-          reinterpret_cast<const std::int32_t*>(
-              scenario.seller_channel_counts.data()),
-          scenario.seller_channel_counts.size()));
-  builder.add_array<std::int32_t>(
-      SectionKind::kScenarioBuyerDemands,
-      std::span<const std::int32_t>(
-          reinterpret_cast<const std::int32_t*>(scenario.buyer_demands.data()),
-          scenario.buyer_demands.size()));
+  builder.add_array<int>(SectionKind::kScenarioSellerCounts,
+                         std::span<const int>(scenario.seller_channel_counts));
+  builder.add_array<int>(SectionKind::kScenarioBuyerDemands,
+                         std::span<const int>(scenario.buyer_demands));
   static_assert(sizeof(graph::Point) == 2 * sizeof(double),
                 "locations are written as flat (x, y) pairs");
   builder.add_section(SectionKind::kScenarioLocations,
@@ -321,131 +401,181 @@ SnapshotImage build_snapshot_image(const MarketStateView& state) {
       if (v == 0) meta[static_cast<std::size_t>(i)].rows_off = at;
     }
   }
-
-  std::uint32_t flags = 0;
-  if (state.has_matching) flags |= kFlagHasMatching;
-  if (state.dirty_valid) flags |= kFlagDirtyValid;
-  return builder.finish(static_cast<std::uint32_t>(m),
-                        static_cast<std::uint32_t>(n), flags);
+  return builder.finish(header_of(FileKind::kGraph, market, digest));
 }
 
-LoadedMarket load_market(std::shared_ptr<MappedSnapshot> snapshot) {
-  const MappedSnapshot& snap = *snapshot;
+/// The graph-file half of a load: scenario, parents, reserves and graphs,
+/// with the digest in the header checked against the contents.
+struct LoadedGraphs {
+  std::shared_ptr<const market::Scenario> scenario;
+  std::vector<graph::InterferenceGraph> graphs;
+  std::vector<int> buyer_parents;
+  std::vector<int> seller_parents;
+  std::vector<double> reserves;
+  bool reads_through_map = false;
+};
+
+LoadedGraphs load_graph_file(const MappedSnapshot& snap) {
   const auto fail = [&](const std::string& what) {
     throw SnapshotError("snapshot " + snap.path() + ": " + what);
   };
   const SnapshotHeader& header = snap.header();
   const auto m = static_cast<std::size_t>(header.num_channels);
   const auto n = static_cast<std::size_t>(header.num_buyers);
-  if (m == 0 || n == 0) fail("empty market dimensions");
+  LoadedGraphs out;
 
-  const auto require_count = [&](SectionKind kind, std::size_t count) {
-    const SectionEntry& entry = snap.require(kind);
-    if (entry.count != count)
-      fail("section kind " +
-           std::to_string(static_cast<std::uint32_t>(kind)) + " holds " +
-           std::to_string(entry.count) + " elements, expected " +
-           std::to_string(count));
-    return entry;
+  const auto reserves =
+      snap.array<double>(require_count(snap, SectionKind::kReserves, m));
+  const auto buyer_parents = snap.array<std::int32_t>(
+      require_count(snap, SectionKind::kBuyerParents, n));
+  const auto seller_parents = snap.array<std::int32_t>(
+      require_count(snap, SectionKind::kSellerParents, m));
+  out.reserves.assign(reserves.begin(), reserves.end());
+  out.buyer_parents.assign(buyer_parents.begin(), buyer_parents.end());
+  out.seller_parents.assign(seller_parents.begin(), seller_parents.end());
+
+  // Scenario (owned copies: its vectors are std:: containers either way).
+  const auto counts = snap.array<std::int32_t>(
+      snap.require(SectionKind::kScenarioSellerCounts));
+  const auto demands = snap.array<std::int32_t>(
+      snap.require(SectionKind::kScenarioBuyerDemands));
+  const auto locations =
+      snap.array<double>(snap.require(SectionKind::kScenarioLocations));
+  const auto ranges =
+      snap.array<double>(require_count(snap, SectionKind::kScenarioRanges, m));
+  const auto utilities = snap.array<double>(
+      require_count(snap, SectionKind::kScenarioUtilities, m * n));
+  const auto scen_reserves =
+      snap.array<double>(snap.require(SectionKind::kScenarioReserves));
+  if (locations.size() != 2 * demands.size())
+    fail("scenario locations disagree with the parent-buyer count");
+  auto scenario = std::make_shared<market::Scenario>();
+  scenario->seller_channel_counts.assign(counts.begin(), counts.end());
+  scenario->buyer_demands.assign(demands.begin(), demands.end());
+  scenario->buyer_locations.resize(demands.size());
+  for (std::size_t b = 0; b < demands.size(); ++b)
+    scenario->buyer_locations[b] =
+        graph::Point{locations[2 * b], locations[2 * b + 1]};
+  scenario->channel_ranges.assign(ranges.begin(), ranges.end());
+  scenario->utilities.assign(utilities.begin(), utilities.end());
+  scenario->channel_reserves.assign(scen_reserves.begin(),
+                                    scen_reserves.end());
+  try {
+    scenario->validate();
+    if (scenario->num_channels() != static_cast<int>(m) ||
+        scenario->num_virtual_buyers() != static_cast<int>(n))
+      fail("scenario dimensions disagree with the header");
+  } catch (const CheckError& e) {
+    fail(std::string("inconsistent scenario: ") + e.what());
+  }
+  out.scenario = std::move(scenario);
+
+  const auto meta = snap.array<GraphMetaRecord>(
+      require_count(snap, SectionKind::kGraphMeta, m));
+  out.graphs.reserve(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    out.graphs.push_back(
+        load_graph(snap, meta[i], n, static_cast<ChannelId>(i)));
+    out.reads_through_map |= out.graphs.back().csr_view_backed();
+  }
+
+  // The header's digest is outside the checksum: recompute it from the
+  // contents, so a graph file only ever answers to its own identity.
+  DigestBuilder digest;
+  digest.add(counts);
+  digest.add(demands);
+  digest.add(locations);
+  digest.add(ranges);
+  digest.add(utilities);
+  digest.add(scen_reserves);
+  for (const GraphMetaRecord& record : meta) {
+    digest.add_word(record.rep);
+    digest.add_word(record.num_edges);
+  }
+  if (digest.finish() != header.graph_digest)
+    fail("graph digest " + hex64(header.graph_digest) +
+         " in the header disagrees with the contents (" +
+         hex64(digest.finish()) + ")");
+  return out;
+}
+
+}  // namespace
+
+SnapshotImage build_snapshot_image(const MarketStateView& state) {
+  return build_state_image(state, graph_digest(state));
+}
+
+SnapshotImage build_graph_image(const MarketStateView& state) {
+  return build_graph_image(state, graph_digest(state));
+}
+
+LoadedMarket load_market(std::shared_ptr<MappedSnapshot> state,
+                         std::shared_ptr<MappedSnapshot> graphs) {
+  const MappedSnapshot& snap = *state;
+  const SnapshotHeader& header = snap.header();
+  const SnapshotHeader& graph_header = graphs->header();
+  const auto fail_pair = [&](const std::string& what) {
+    throw SnapshotError("snapshot pair (state " + snap.path() + ", graph " +
+                        graphs->path() + "): " + what);
   };
+  if (header.kind != static_cast<std::uint32_t>(FileKind::kState))
+    fail_pair(snap.path() + " is a graph file, not a state file");
+  if (graph_header.kind != static_cast<std::uint32_t>(FileKind::kGraph))
+    fail_pair(graphs->path() + " is a state file, not a graph file");
+  if (header.graph_digest != graph_header.graph_digest)
+    fail_pair("the state file names graph " + hex64(header.graph_digest) +
+              " but the graph file is " + hex64(graph_header.graph_digest) +
+              ": they belong to different markets or spills");
+  if (header.num_channels != graph_header.num_channels ||
+      header.num_buyers != graph_header.num_buyers)
+    fail_pair("the files disagree on the market dimensions");
+  const auto m = static_cast<std::size_t>(header.num_channels);
+  const auto n = static_cast<std::size_t>(header.num_buyers);
+  if (m == 0 || n == 0) fail_pair("empty market dimensions");
 
+  LoadedGraphs loaded = load_graph_file(*graphs);
+
+  const auto fail = [&](const std::string& what) {
+    throw SnapshotError("snapshot " + snap.path() + ": " + what);
+  };
   LoadedMarket out;
   out.has_matching = (header.flags & kFlagHasMatching) != 0;
   out.dirty_valid = (header.flags & kFlagDirtyValid) != 0;
-
   const auto prices =
-      snap.array<double>(require_count(SectionKind::kPrices, m * n));
+      snap.array<double>(require_count(snap, SectionKind::kPrices, m * n));
   const auto base =
-      snap.array<double>(require_count(SectionKind::kBasePrices, m * n));
-  const auto reserves =
-      snap.array<double>(require_count(SectionKind::kReserves, m));
-  const auto buyer_parents =
-      snap.array<std::int32_t>(require_count(SectionKind::kBuyerParents, n));
-  const auto seller_parents =
-      snap.array<std::int32_t>(require_count(SectionKind::kSellerParents, m));
+      snap.array<double>(require_count(snap, SectionKind::kBasePrices, m * n));
   const auto active =
-      snap.array<std::uint8_t>(require_count(SectionKind::kActive, n));
+      snap.array<std::uint8_t>(require_count(snap, SectionKind::kActive, n));
   const auto dirty =
-      snap.array<std::uint8_t>(require_count(SectionKind::kDirty, n));
-  const auto matching =
-      snap.array<std::int32_t>(require_count(SectionKind::kMatching, n));
+      snap.array<std::uint8_t>(require_count(snap, SectionKind::kDirty, n));
+  const auto matching = snap.array<std::int32_t>(
+      require_count(snap, SectionKind::kMatching, n));
   const auto counters = snap.array<std::int64_t>(
-      require_count(SectionKind::kCounters, kNumCounters));
-
+      require_count(snap, SectionKind::kCounters, kNumCounters));
   for (std::size_t j = 0; j < n; ++j)
     if (matching[j] < -1 || matching[j] >= static_cast<std::int32_t>(m))
       fail("matching assigns buyer " + std::to_string(j) +
            " to out-of-range seller " + std::to_string(matching[j]));
 
-  // Scenario (owned copies: its vectors are std:: containers either way).
-  auto scenario = std::make_shared<market::Scenario>();
-  {
-    const auto counts =
-        snap.array<std::int32_t>(snap.require(SectionKind::kScenarioSellerCounts));
-    const auto demands =
-        snap.array<std::int32_t>(snap.require(SectionKind::kScenarioBuyerDemands));
-    const auto locations =
-        snap.array<double>(snap.require(SectionKind::kScenarioLocations));
-    const auto ranges =
-        snap.array<double>(require_count(SectionKind::kScenarioRanges, m));
-    const auto utilities = snap.array<double>(
-        require_count(SectionKind::kScenarioUtilities, m * n));
-    const SectionEntry& scen_reserves =
-        snap.require(SectionKind::kScenarioReserves);
-    if (locations.size() != 2 * demands.size())
-      fail("scenario locations disagree with the parent-buyer count");
-    scenario->seller_channel_counts.assign(counts.begin(), counts.end());
-    scenario->buyer_demands.assign(demands.begin(), demands.end());
-    scenario->buyer_locations.resize(demands.size());
-    for (std::size_t b = 0; b < demands.size(); ++b)
-      scenario->buyer_locations[b] =
-          graph::Point{locations[2 * b], locations[2 * b + 1]};
-    scenario->channel_ranges.assign(ranges.begin(), ranges.end());
-    scenario->utilities.assign(utilities.begin(), utilities.end());
-    const auto scen_reserve_vals = snap.array<double>(scen_reserves);
-    scenario->channel_reserves.assign(scen_reserve_vals.begin(),
-                                      scen_reserve_vals.end());
-    try {
-      scenario->validate();
-      if (scenario->num_channels() != static_cast<int>(m) ||
-          scenario->num_virtual_buyers() != static_cast<int>(n))
-        fail("scenario dimensions disagree with the header");
-    } catch (const CheckError& e) {
-      fail(std::string("inconsistent scenario: ") + e.what());
-    }
-  }
-  out.scenario = std::move(scenario);
-
-  const auto meta = snap.array<GraphMetaRecord>(
-      require_count(SectionKind::kGraphMeta, m));
-  std::vector<graph::InterferenceGraph> graphs;
-  graphs.reserve(m);
-  bool reads_through_map = false;
-  for (std::size_t i = 0; i < m; ++i) {
-    graphs.push_back(
-        load_graph(snap, meta[i], n, static_cast<ChannelId>(i)));
-    reads_through_map |= graphs.back().csr_view_backed();
-  }
-
   try {
     out.market = std::make_unique<market::SpectrumMarket>(
         static_cast<int>(m), static_cast<int>(n),
-        std::vector<double>(prices.begin(), prices.end()), std::move(graphs),
-        std::vector<int>(buyer_parents.begin(), buyer_parents.end()),
-        std::vector<int>(seller_parents.begin(), seller_parents.end()),
-        std::vector<double>(reserves.begin(), reserves.end()));
+        std::vector<double>(prices.begin(), prices.end()),
+        std::move(loaded.graphs), std::move(loaded.buyer_parents),
+        std::move(loaded.seller_parents), std::move(loaded.reserves));
   } catch (const CheckError& e) {
-    fail(std::string("inconsistent market sections: ") + e.what());
+    fail_pair(std::string("inconsistent market sections: ") + e.what());
   }
-
+  out.scenario = std::move(loaded.scenario);
   out.base_prices.assign(base.begin(), base.end());
   out.active.assign(active.begin(), active.end());
   out.dirty.assign(dirty.begin(), dirty.end());
   out.matching.assign(matching.begin(), matching.end());
   std::copy(counters.begin(), counters.end(), out.counters.begin());
-  // Dense rows and every other section were copied out: keep the mapping
-  // only when a CSR graph still reads through it.
-  if (reads_through_map) out.backing = std::move(snapshot);
+  // Dense rows and every other section were copied out: keep the graph
+  // file's mapping only when a CSR graph still reads through it.
+  if (loaded.reads_through_map) out.backing = std::move(graphs);
   return out;
 }
 
@@ -456,12 +586,20 @@ MarketStore::MarketStore(StoreConfig config) : config_(std::move(config)) {
   if (ec)
     throw SnapshotError("store directory " + config_.dir +
                         ": cannot create: " + ec.message());
+  // Markets are listed by state file; a graph file alone is the residue of
+  // a spill cut between its two renames, and the id's next write replaces
+  // it. Graph digests start unknown, so that write does not trust it.
   for (const auto& entry : fs::directory_iterator(config_.dir, ec)) {
     if (!entry.is_regular_file()) continue;
     const fs::path& p = entry.path();
     if (p.extension() != kExtension) continue;
-    sizes_[decode_market_id(p.stem().string())] =
-        static_cast<std::uint64_t>(entry.file_size());
+    const std::string id = decode_market_id(p.stem().string());
+    OnDisk& on_disk = index_[id];
+    on_disk.has_state = true;
+    on_disk.state_bytes = static_cast<std::uint64_t>(entry.file_size());
+    std::error_code graph_ec;
+    const auto graph_bytes = fs::file_size(graph_path_for(id), graph_ec);
+    if (!graph_ec) on_disk.graph_bytes = static_cast<std::uint64_t>(graph_bytes);
   }
   if (ec)
     throw SnapshotError("store directory " + config_.dir +
@@ -471,14 +609,15 @@ MarketStore::MarketStore(StoreConfig config) : config_(std::move(config)) {
 std::vector<std::string> MarketStore::ids() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  out.reserve(sizes_.size());
-  for (const auto& [id, bytes] : sizes_) out.push_back(id);
+  for (const auto& [id, on_disk] : index_)
+    if (on_disk.has_state) out.push_back(id);
   return out;
 }
 
 bool MarketStore::contains(const std::string& id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return sizes_.count(id) != 0;
+  const auto it = index_.find(id);
+  return it != index_.end() && it->second.has_state;
 }
 
 std::string MarketStore::path_for(const std::string& id) const {
@@ -486,43 +625,91 @@ std::string MarketStore::path_for(const std::string& id) const {
       .string();
 }
 
+std::string MarketStore::graph_path_for(const std::string& id) const {
+  return (fs::path(config_.dir) / (encode_market_id(id) + kGraphExtension))
+      .string();
+}
+
 std::uint64_t MarketStore::write(const std::string& id,
                                  const MarketStateView& state) {
   SPECMATCH_CHECK_MSG(enabled(), "market store has no directory configured");
-  const SnapshotImage image = build_snapshot_image(state);
-  const std::uint64_t bytes =
-      write_snapshot_file(path_for(id), image, config_.sync);
+  const std::uint64_t digest = graph_digest(state);
+  bool graphs_on_disk = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(id);
+    graphs_on_disk = it != index_.end() && it->second.graph_digest == digest;
+  }
+  // Graph file first: a state file is never on disk before the graph file
+  // it names.
+  if (!graphs_on_disk) {
+    const std::uint64_t bytes = write_snapshot_file(
+        graph_path_for(id), build_graph_image(state, digest), config_.sync);
+    std::lock_guard<std::mutex> lock(mutex_);
+    OnDisk& on_disk = index_[id];
+    on_disk.graph_bytes = bytes;
+    on_disk.graph_digest = digest;
+  }
+  const std::uint64_t bytes = write_snapshot_file(
+      path_for(id), build_state_image(state, digest), config_.sync);
   std::lock_guard<std::mutex> lock(mutex_);
-  sizes_[id] = bytes;
-  return bytes;
+  OnDisk& on_disk = index_[id];
+  on_disk.has_state = true;
+  on_disk.state_bytes = bytes;
+  return on_disk.state_bytes + on_disk.graph_bytes;
 }
 
 LoadedMarket MarketStore::load(const std::string& id) const {
   SPECMATCH_CHECK_MSG(enabled(), "market store has no directory configured");
-  return load_market(std::make_shared<MappedSnapshot>(path_for(id)));
+  try {
+    auto graphs = std::make_shared<MappedSnapshot>(graph_path_for(id));
+    const std::uint64_t digest = graphs->header().graph_digest;
+    LoadedMarket out = load_market(
+        std::make_shared<MappedSnapshot>(path_for(id)), std::move(graphs));
+    // The pair verified: the graph file on disk is this market's own, so the
+    // next spill of the unchanged market can skip it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = index_.find(id); it != index_.end())
+      it->second.graph_digest = digest;
+    return out;
+  } catch (const SnapshotError&) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = index_.find(id); it != index_.end())
+      it->second.graph_digest.reset();
+    throw;
+  }
 }
 
 bool MarketStore::remove(const std::string& id) {
+  bool listed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (sizes_.erase(id) == 0) return false;
+    const auto it = index_.find(id);
+    if (it != index_.end()) {
+      listed = it->second.has_state;
+      index_.erase(it);
+    }
   }
   std::error_code ec;
   fs::remove(path_for(id), ec);
-  return true;
+  fs::remove(graph_path_for(id), ec);
+  return listed;
 }
 
 std::uint64_t MarketStore::disk_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
-  for (const auto& [id, bytes] : sizes_) total += bytes;
+  for (const auto& [id, on_disk] : index_)
+    if (on_disk.has_state) total += on_disk.state_bytes + on_disk.graph_bytes;
   return total;
 }
 
 std::uint64_t MarketStore::bytes_for(const std::string& id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = sizes_.find(id);
-  return it == sizes_.end() ? 0 : it->second;
+  const auto it = index_.find(id);
+  return it == index_.end() || !it->second.has_state
+             ? 0
+             : it->second.state_bytes + it->second.graph_bytes;
 }
 
 }  // namespace specmatch::store

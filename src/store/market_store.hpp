@@ -1,21 +1,29 @@
-// MarketStore: a directory of market snapshots, one file per market id.
+// MarketStore: a directory of market snapshots, two files per market id.
 //
 // This is the spill tier under the serving registry's byte budget: instead
 // of discarding an evicted market (and paying a full scenario rebuild on
-// re-admission), the registry writes its complete resident state through
-// write() and faults it back through load(). Both directions keep each
-// channel's resident representation: write() stores dense channels as their
-// bitset rows and CSR channels as their finalized arrays, and load() copies
-// dense rows back word for word and POINTS CSR graphs at the mapped pages
-// (graph::InterferenceGraph::from_csr_view). Fault-in cost is page-in plus
-// flat copies, not a rebuild, and the carried matching comes back with the
-// market so it warm-serves immediately.
+// re-admission), the registry writes its state through write() and faults
+// it back through load(). A market's graphs are fixed by its scenario, so
+// the snapshot is split (store/snapshot.hpp): a GRAPH file — scenario,
+// parents, reserves, adjacency — written at the market's first spill and
+// never rewritten, and a small STATE file — prices, masks, carried matching,
+// counters — rewritten on every spill. write() skips the graph file when its
+// own index says the id's graph file on disk carries the digest of the
+// view's graphs. Both directions keep each channel's resident
+// representation: dense channels as their bitset rows, CSR channels as their
+// finalized arrays; load() copies dense rows back word for word and POINTS
+// CSR graphs at the mapped graph file (InterferenceGraph::from_csr_view).
+// Fault-in cost is page-in plus flat copies, not a rebuild, and the carried
+// matching comes back with the market so it warm-serves immediately.
 //
 // File naming: the market id, percent-encoded (every byte outside
-// [A-Za-z0-9._-] becomes %XX), with a ".spms" extension. Writes go through a
-// temp file + rename, so a crash mid-spill leaves the previous snapshot (or
-// nothing) — never a torn file; torn bytes from any other cause are caught
-// by the checksum at load and reported as SnapshotError.
+// [A-Za-z0-9._-] becomes %XX), with ".spms" for the state file and ".spmg"
+// for the graph file. The state file names the market: the cold-boot scan
+// lists ids by state file only. Writes go graph file first, then state file,
+// each through a temp file + rename, so a crash mid-spill leaves the previous
+// pair, or a new graph file beside a state file that names the old one (a
+// loud SnapshotError at load), never a torn file; torn bytes from any other
+// cause are caught by the checksums at load and reported as SnapshotError.
 #pragma once
 
 #include <array>
@@ -23,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,11 +56,11 @@ struct MarketStateView {
   std::array<std::int64_t, kNumCounters> counters{};
 };
 
-/// A market reconstructed from a snapshot. `market`'s CSR graphs may read
-/// through `backing`'s mapped pages — whoever adopts the market must keep
-/// `backing` alive as long as the graphs (the registry stores it in the
-/// entry). `backing` is null when no graph reads through the mapping (every
-/// channel loaded dense), so the mapping is released at once.
+/// A market reconstructed from a snapshot pair. `market`'s CSR graphs may
+/// read through `backing`, the mapped graph file — whoever adopts the market
+/// must keep `backing` alive as long as the graphs (the registry stores it in
+/// the entry). `backing` is null when no graph reads through the mapping
+/// (every channel loaded dense), so the mapping is released at once.
 struct LoadedMarket {
   std::shared_ptr<const market::Scenario> scenario;
   std::unique_ptr<market::SpectrumMarket> market;
@@ -76,57 +85,87 @@ struct StoreConfig {
   static StoreConfig from_env();
 };
 
-/// Serializes one MarketStateView into a complete snapshot file image
-/// (exposed for tests that corrupt images deliberately).
+/// The graph identity of `state`: a digest of its scenario (the graphs' only
+/// input) and of each channel's representation and edge count. A graph file
+/// carries it in its header, and the state file names its graph file by it.
+std::uint64_t graph_digest(const MarketStateView& state);
+
+/// Serializes one MarketStateView's per-spill state into a complete state
+/// file image (exposed for tests that corrupt images deliberately).
 SnapshotImage build_snapshot_image(const MarketStateView& state);
 
-/// Reconstructs a market from a verified mapping. Validates every section's
-/// shape and each channel's adjacency — CSR: monotone offsets, in-range
-/// neighbour ids; dense: no padding or diagonal bit, degrees equal row
-/// popcounts — before handing out graphs; throws SnapshotError on anything
-/// inconsistent.
-LoadedMarket load_market(std::shared_ptr<MappedSnapshot> snapshot);
+/// Serializes one MarketStateView's scenario, parents, reserves and
+/// adjacency into a complete graph file image.
+SnapshotImage build_graph_image(const MarketStateView& state);
+
+/// Reconstructs a market from a verified state file and graph file. Checks
+/// that each is the kind it is handed in as and that the state file names
+/// this graph file (errors name both files); checks the graph file's digest
+/// against its contents; validates every section's shape and each channel's
+/// adjacency — CSR: monotone offsets, in-range neighbour ids; dense: no
+/// padding or diagonal bit, degrees equal row popcounts — before handing out
+/// graphs. Throws SnapshotError on anything inconsistent.
+LoadedMarket load_market(std::shared_ptr<MappedSnapshot> state,
+                         std::shared_ptr<MappedSnapshot> graphs);
 
 class MarketStore {
  public:
-  /// Creates the directory if missing and scans it for existing snapshots
-  /// (the cold-boot inventory). A default-constructed config disables the
+  /// Creates the directory if missing and scans it for existing state files
+  /// (the cold-boot inventory; a graph file without a state file is not a
+  /// market and is ignored). A default-constructed config disables the
   /// store: every write/load call then fails loudly.
   explicit MarketStore(StoreConfig config);
 
   bool enabled() const { return config_.enabled(); }
   const StoreConfig& config() const { return config_; }
 
-  /// Market ids with a snapshot on disk, sorted (scanned at construction and
-  /// maintained by write/remove).
+  /// Market ids with a state file on disk, sorted (scanned at construction
+  /// and maintained by write/remove).
   std::vector<std::string> ids() const;
 
   bool contains(const std::string& id) const;
 
-  /// Snapshot file path for `id` (whether or not one exists yet).
+  /// State file path for `id` (whether or not one exists yet).
   std::string path_for(const std::string& id) const;
 
-  /// Serializes `state` and atomically replaces `id`'s snapshot. Returns the
-  /// bytes written. Throws SnapshotError on I/O failure.
+  /// Graph file path for `id` (whether or not one exists yet).
+  std::string graph_path_for(const std::string& id) const;
+
+  /// Atomically writes `id`'s graph file, unless the index says the one on
+  /// disk already carries graph_digest(state), then atomically replaces its
+  /// state file. Returns the bytes of the pair on disk. Throws SnapshotError
+  /// on I/O failure.
   std::uint64_t write(const std::string& id, const MarketStateView& state);
 
-  /// Maps and reconstructs `id`'s snapshot. Throws SnapshotError when the
-  /// snapshot is missing, corrupt, or from an incompatible writer.
+  /// Maps and reconstructs `id`'s snapshot pair. Throws SnapshotError when
+  /// either file is missing, corrupt, of the wrong kind or from an
+  /// incompatible writer, or when the state file names another graph file.
   LoadedMarket load(const std::string& id) const;
 
-  /// Deletes `id`'s snapshot; false when none existed.
+  /// Deletes `id`'s state and graph files; false when no state file existed.
   bool remove(const std::string& id);
 
-  /// Total snapshot bytes on disk.
+  /// Total bytes of every listed market's state and graph files.
   std::uint64_t disk_bytes() const;
 
-  /// Bytes of `id`'s snapshot on disk; 0 when absent.
+  /// Bytes of `id`'s state and graph files; 0 when it has no state file.
   std::uint64_t bytes_for(const std::string& id) const;
 
  private:
+  /// What the store knows of one id's files.
+  struct OnDisk {
+    bool has_state = false;  ///< a state file exists: the id is listed
+    std::uint64_t state_bytes = 0;
+    std::uint64_t graph_bytes = 0;
+    /// The digest of the graph file on disk, when this store wrote it or a
+    /// load verified it; empty when unknown, which makes the next write
+    /// rewrite the graph file.
+    std::optional<std::uint64_t> graph_digest;
+  };
+
   StoreConfig config_;
-  mutable std::mutex mutex_;  ///< guards sizes_ (writes can come from lanes)
-  std::map<std::string, std::uint64_t> sizes_;  ///< id -> snapshot bytes
+  mutable std::mutex mutex_;  ///< guards index_ (writes can come from lanes)
+  mutable std::map<std::string, OnDisk> index_;  ///< load() records digests
 };
 
 /// Percent-encodes a market id into a filesystem-safe file stem (and back).

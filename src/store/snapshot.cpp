@@ -73,9 +73,7 @@ std::uint64_t SnapshotBuilder::add_piece(const void* data, std::size_t bytes,
   return at;
 }
 
-SnapshotImage SnapshotBuilder::finish(std::uint32_t num_channels,
-                                      std::uint32_t num_buyers,
-                                      std::uint32_t flags) const {
+SnapshotImage SnapshotBuilder::finish(SnapshotHeader header) const {
   const auto align_up = [](std::size_t n) {
     return (n + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
   };
@@ -113,12 +111,8 @@ SnapshotImage SnapshotBuilder::finish(std::uint32_t num_channels,
   }
   std::memset(out + written, 0, image.size() - written);
 
-  SnapshotHeader header;
   header.file_bytes = image.size();
   header.section_count = static_cast<std::uint32_t>(sections_.size());
-  header.num_channels = num_channels;
-  header.num_buyers = num_buyers;
-  header.flags = flags;
   header.checksum = checksum64(out + sizeof(SnapshotHeader),
                                image.size() - sizeof(SnapshotHeader));
   std::memcpy(out, &header, sizeof(header));
@@ -211,6 +205,10 @@ void MappedSnapshot::verify() const {
          << "); snapshots do not migrate across byte orders";
     fail(what.str());
   }
+  if (h.kind != static_cast<std::uint32_t>(FileKind::kState) &&
+      h.kind != static_cast<std::uint32_t>(FileKind::kGraph))
+    fail("unknown file kind " + std::to_string(h.kind) +
+         " (a snapshot is a state file or a graph file)");
   if (h.file_bytes != size_)
     fail("truncated or overlong: header declares " +
          std::to_string(h.file_bytes) + " bytes, the file has " +

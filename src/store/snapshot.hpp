@@ -1,15 +1,23 @@
 // Versioned binary market snapshots: the on-disk format, a one-copy image
 // writer, and an mmap-backed reader.
 //
-// A snapshot is one file: a 64-byte header (magic, version, endianness stamp,
-// byte count, checksum), a section table, then flat payload sections each
-// padded to a 64-byte boundary. The payloads are the exact arrays the
-// resident MarketEntry works over — finalized CSR adjacency or dense bitset
-// rows, price matrices, activity/dirty masks, the carried matching,
-// scenario — so writing is one copy per byte and loading is page-in plus
-// flat copies, never a representation change: the reader hands mapped CSR
-// pages straight to graph::InterferenceGraph::from_csr_view and copies dense
-// rows word for word through from_dense_rows.
+// A market's snapshot is a pair of files of one format, told apart by the
+// header's file kind. The GRAPH file holds everything a market never changes
+// after create — scenario, buyer and seller parents, reserves, and every
+// channel's adjacency (finalized CSR arrays or dense bitset rows) — and is
+// written once. The STATE file holds what serving changes — live and base
+// prices, activity/dirty masks, the carried matching, counters and flags —
+// and is rewritten on every spill. Both headers carry the graph identity
+// digest, so a state file names the graph file it belongs to.
+//
+// Each file is a 64-byte header (magic, version, endianness stamp, byte
+// count, checksum, file kind, graph digest), a section table, then flat
+// payload sections each padded to a 64-byte boundary. The payloads are the
+// exact arrays the resident MarketEntry works over, so writing is one copy
+// per byte and loading is page-in plus flat copies, never a representation
+// change: the reader hands mapped CSR pages straight to
+// graph::InterferenceGraph::from_csr_view and copies dense rows word for
+// word through from_dense_rows.
 //
 // Integrity is fail-loud: every load verifies magic, version, endianness
 // stamp, declared length against the real file size, and a word-wide
@@ -41,12 +49,19 @@ class SnapshotError : public std::runtime_error {
 };
 
 inline constexpr std::uint64_t kSnapshotMagic = 0x3150414E534D5053ull;  // "SPMSNAP1" LE
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::uint32_t kEndianStamp = 0x01020304;
 inline constexpr std::size_t kSectionAlign = 64;
 
+/// What a snapshot file holds. Values are part of the on-disk format.
+enum class FileKind : std::uint32_t {
+  kState = 1,  ///< rewritten every spill: prices, masks, matching, counters
+  kGraph = 2,  ///< written once: scenario, parents, reserves, adjacency
+};
+
 /// Section payload identifiers. Values are part of the on-disk format:
-/// append new kinds, never renumber.
+/// append new kinds, never renumber. Kinds 1, 2 and 6-9 live in the state
+/// file; the rest in the graph file.
 enum class SectionKind : std::uint32_t {
   kPrices = 1,        ///< live (masked) price matrix, double, M*N channel-major
   kBasePrices = 2,    ///< un-masked price matrix, double, M*N
@@ -72,7 +87,7 @@ enum class SectionKind : std::uint32_t {
 
 inline constexpr std::size_t kNumCounters = 6;
 
-/// Header flag bits.
+/// Header flag bits (state files).
 inline constexpr std::uint32_t kFlagHasMatching = 1u << 0;
 inline constexpr std::uint32_t kFlagDirtyValid = 1u << 1;
 
@@ -86,7 +101,11 @@ struct SnapshotHeader {
   std::uint32_t num_channels = 0;  ///< M
   std::uint32_t num_buyers = 0;    ///< N
   std::uint32_t flags = 0;
-  std::uint8_t reserved[16] = {};
+  std::uint32_t kind = 0;          ///< FileKind
+  std::uint32_t reserved = 0;
+  /// The graph identity: in a graph file, the digest of what it holds; in a
+  /// state file, the digest of the graph file it belongs to.
+  std::uint64_t graph_digest = 0;
 };
 static_assert(sizeof(SnapshotHeader) == 64);
 
@@ -177,8 +196,9 @@ class SnapshotBuilder {
   std::uint64_t add_piece(const void* data, std::size_t bytes,
                           std::size_t align = kSectionAlign);
 
-  SnapshotImage finish(std::uint32_t num_channels, std::uint32_t num_buyers,
-                       std::uint32_t flags) const;
+  /// Stamps `header` (its kind, dimensions, flags and graph digest are the
+  /// caller's; length, section count and checksum are filled in here).
+  SnapshotImage finish(SnapshotHeader header) const;
 
  private:
   struct Piece {
@@ -205,9 +225,9 @@ std::uint64_t write_snapshot_file(const std::string& path,
                                   bool sync);
 
 /// A read-only mmap of one snapshot file, fully verified at construction
-/// (magic, version, endianness, length, checksum, section table bounds and
-/// alignment). The mapping lives as long as the object; a MarketEntry
-/// holding view-backed graphs keeps a shared_ptr to it.
+/// (magic, version, endianness, file kind, length, checksum, section table
+/// bounds and alignment). The mapping lives as long as the object; a
+/// MarketEntry holding view-backed graphs keeps a shared_ptr to it.
 class MappedSnapshot {
  public:
   explicit MappedSnapshot(std::string path);

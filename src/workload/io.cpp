@@ -1,11 +1,15 @@
 #include "workload/io.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/check.hpp"
 
@@ -14,6 +18,37 @@ namespace specmatch::workload {
 namespace {
 
 constexpr const char* kMagic = "specmatch-scenario v1";
+
+/// The stream's own verdict, for the rare tokens from_chars calls out of
+/// range: the stream fails on overflow but rounds a double's underflow.
+template <typename T>
+bool stream_parse(std::string_view token, T& out) {
+  std::istringstream ss{std::string(token)};
+  ss >> out;
+  return !ss.fail() && ss.eof();
+}
+
+template <typename T>
+bool parse_number(std::string_view token, T& out) {
+  // The stream takes one leading '+'; from_chars takes none.
+  std::string_view digits = token;
+  if (!digits.empty() && digits.front() == '+') {
+    digits.remove_prefix(1);
+    if (!digits.empty() && (digits.front() == '+' || digits.front() == '-'))
+      return false;
+  }
+  T value{};
+  const char* const end = digits.data() + digits.size();
+  const auto [stop, error] = std::from_chars(digits.data(), end, value);
+  if (error == std::errc::result_out_of_range)
+    return stream_parse(token, out);
+  if (error != std::errc() || stop != end) return false;
+  // from_chars reads inf and nan; the stream reads neither.
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(value)) return false;
+  out = value;
+  return true;
+}
 
 /// Line-tracking tokenizer over the input stream. Values may be laid out
 /// with any whitespace (the writer packs a section per line, hand-written
@@ -50,27 +85,26 @@ class TokenReader {
     return true;
   }
 
-  /// Next whitespace-delimited token, reading further lines as needed.
-  bool next_token(std::string& out) {
+  /// Next whitespace-delimited token, reading further lines as needed. The
+  /// view points into the current line: valid until the next read.
+  bool next_token(std::string_view& out) {
     while (!line_has_more())
       if (!next_line()) return false;
     const std::size_t start = pos_;
     while (pos_ < current_.size() &&
            !std::isspace(static_cast<unsigned char>(current_[pos_])))
       ++pos_;
-    out = current_.substr(start, pos_ - start);
+    out = std::string_view(current_).substr(start, pos_ - start);
     return true;
   }
 
   /// Next token parsed as T; the whole token must convert.
   template <typename T>
   void next_value(T& out, const std::string& what) {
-    std::string token;
+    std::string_view token;
     if (!next_token(token)) fail("truncated " + what);
-    std::istringstream ss(token);
-    ss >> out;
-    if (ss.fail() || !ss.eof())
-      fail("malformed value '" + token + "' in " + what);
+    if (!parse_token(token, out))
+      fail("malformed value '" + std::string(token) + "' in " + what);
   }
 
   /// Reads `count` values into `out`. Storage grows with the values actually
@@ -110,9 +144,7 @@ class TokenReader {
       fail("expected '" + keyword + " <positive count>', got '" + tokens[0] +
            "'");
     int count = 0;
-    std::istringstream ss(tokens[1]);
-    ss >> count;
-    if (ss.fail() || !ss.eof() || count <= 0)
+    if (!parse_token(tokens[1], count) || count <= 0)
       fail("expected '" + keyword + " <positive count>', got count '" +
            tokens[1] + "'");
     return count;
@@ -126,6 +158,14 @@ class TokenReader {
 };
 
 }  // namespace
+
+bool parse_token(std::string_view token, int& out) {
+  return parse_number(token, out);
+}
+
+bool parse_token(std::string_view token, double& out) {
+  return parse_number(token, out);
+}
 
 void save_scenario(std::ostream& os, const market::Scenario& scenario) {
   scenario.validate();
@@ -179,10 +219,11 @@ market::Scenario load_scenario(std::istream& is, int line_offset,
     reader.fail(std::string("missing header '") + kMagic + "'");
   {
     std::string magic;
-    std::string token;
+    std::string_view token;
     while (reader.line_has_more()) {
       reader.next_token(token);
-      magic += magic.empty() ? token : " " + token;
+      if (!magic.empty()) magic += ' ';
+      magic += token;
     }
     if (magic != kMagic)
       reader.fail(std::string("missing header '") + kMagic + "'");

@@ -15,6 +15,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "market/scenario.hpp"
 
@@ -45,6 +46,15 @@ market::Scenario load_scenario(std::istream& is);
 /// (when non-null) receives the number of lines the scenario occupied.
 market::Scenario load_scenario(std::istream& is, int line_offset,
                                int* lines_consumed);
+
+/// Parses one whole scenario token in place. Accepts exactly the tokens
+/// `std::istringstream(token) >> out` accepts to the end (classic locale),
+/// with the same value: an optional '+' or '-', decimal digits, and for
+/// doubles a fraction and exponent; no hex, inf or nan, and nothing out of
+/// range (a double that underflows is accepted as the stream rounds it).
+/// Returns false and leaves `out` unspecified otherwise.
+bool parse_token(std::string_view token, int& out);
+bool parse_token(std::string_view token, double& out);
 
 /// Convenience file wrappers (throw on I/O failure).
 void save_scenario_file(const std::string& path,

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -276,6 +279,58 @@ TEST(ScenarioIoTest, InflatedCountsFailWithoutAllocatingThem) {
        }) {
     const ScenarioParseError error = expect_parse_error(input);
     EXPECT_GT(error.line(), 0) << input;
+  }
+}
+
+/// The token parser against `std::istringstream >>`, the reader it
+/// replaced: the same accept/reject verdict and, on accept, the same bits.
+template <typename T>
+void expect_parses_like_a_stream(const std::string& token) {
+  T streamed{};
+  std::istringstream ss(token);
+  ss >> streamed;
+  const bool stream_accepts = !ss.fail() && ss.eof();
+  T parsed{};
+  const bool accepts = parse_token(token, parsed);
+  EXPECT_EQ(accepts, stream_accepts) << "token '" << token << "'";
+  if (accepts && stream_accepts) {
+    EXPECT_EQ(std::memcmp(&parsed, &streamed, sizeof(T)), 0)
+        << "token '" << token << "': " << parsed << " vs " << streamed;
+  }
+}
+
+TEST(ScenarioIoTest, TokenParserMatchesTheStreamReader) {
+  const std::vector<std::string> tokens = {
+      // Signs, zeros and plain values.
+      "5", "+5", "-5", "-0", "+0", "0", "007", "+-5", "-+5", "++5", "--5",
+      "+", "-", "",
+      // Fractions and exponents; an int stops at the '.' or 'e'.
+      "5.0", "5.", ".5", "-.5", "+.5", ".", "1e5", "1E5", "1e+5", "1e-5",
+      "1e", "1e+", "2.5e3", "0.1", "0.30000000000000004",
+      "0.12345678901234567890123456789",
+      // Spellings the stream never reads.
+      "inf", "-inf", "+inf", "infinity", "nan", "-nan", "nan(1)", "0x1p3",
+      "0x10", "1,5", "1_000", "1.5x", "x1.5", "5 ",
+      // Range edges: int overflow, double overflow, underflow, denormals.
+      "2147483647", "2147483648", "-2147483648", "-2147483649",
+      "99999999999999999999", "1e308", "1.7976931348623157e308", "1e309",
+      "1e400", "-1e400", "2.2250738585072014e-308", "4.9406564584124654e-324",
+      "5e-324", "3e-324", "2e-324", "1e-320", "1e-400", "-1e-400"};
+  for (const std::string& token : tokens) {
+    expect_parses_like_a_stream<int>(token);
+    expect_parses_like_a_stream<double>(token);
+  }
+  // Every double the writer emits reads back bit for bit.
+  for (const double value : {0.1, 1.0 / 3.0, 4.25, 1e-310,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::denorm_min()}) {
+    std::ostringstream out;
+    out << std::setprecision(std::numeric_limits<double>::max_digits10)
+        << value;
+    expect_parses_like_a_stream<double>(out.str());
+    double parsed = 0.0;
+    ASSERT_TRUE(parse_token(out.str(), parsed)) << out.str();
+    EXPECT_EQ(parsed, value);
   }
 }
 

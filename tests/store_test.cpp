@@ -15,9 +15,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -95,10 +97,22 @@ struct FreshState {
   std::vector<std::int32_t> matching;
 };
 
-/// A complete snapshot image of a freshly built market.
-SnapshotImage sample_image(std::shared_ptr<const market::Scenario> scenario) {
-  const market::SpectrumMarket market = market::build_market(*scenario);
-  return build_snapshot_image(FreshState(market).view(market, *scenario));
+/// The snapshot pair of one market: its state and graph file images.
+struct Images {
+  SnapshotImage state;
+  SnapshotImage graph;
+};
+
+Images images_of(const market::SpectrumMarket& market,
+                 const market::Scenario& scenario) {
+  const FreshState fresh(market);
+  const MarketStateView view = fresh.view(market, scenario);
+  return {build_snapshot_image(view), build_graph_image(view)};
+}
+
+/// The snapshot pair of a freshly built market.
+Images sample_images(std::shared_ptr<const market::Scenario> scenario) {
+  return images_of(market::build_market(*scenario), *scenario);
 }
 
 /// `market` rebuilt with channel i's graph under rep_of(i).
@@ -121,16 +135,50 @@ void write_raw(const fs::path& path, std::span<const std::byte> bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Expects MappedSnapshot construction (or load) to throw a SnapshotError
-/// whose message contains `needle`.
-void expect_load_error(const fs::path& path, const std::string& needle) {
+/// Maps and loads the pair at `state` and `graph`.
+LoadedMarket load_pair(const fs::path& state, const fs::path& graph) {
+  auto graphs = std::make_shared<MappedSnapshot>(graph.string());
+  return load_market(std::make_shared<MappedSnapshot>(state.string()),
+                     std::move(graphs));
+}
+
+/// Expects loading the pair to throw a SnapshotError whose message contains
+/// every one of `needles`.
+void expect_load_error(const fs::path& state, const fs::path& graph,
+                       std::initializer_list<std::string> needles) {
   try {
-    LoadedMarket loaded = load_market(std::make_shared<MappedSnapshot>(
-        path.string()));
-    FAIL() << "load of " << path << " unexpectedly succeeded";
+    LoadedMarket loaded = load_pair(state, graph);
+    FAIL() << "load of " << state << " + " << graph
+           << " unexpectedly succeeded";
   } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "message '" << e.what() << "' lacks '" << needle << "'";
+    for (const std::string& needle : needles)
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "message '" << e.what() << "' lacks '" << needle << "'";
+  }
+}
+
+/// Writes `images` as `<stem>.spms` + `<stem>.spmg` under `dir`.
+std::pair<fs::path, fs::path> write_pair(const fs::path& dir,
+                                         const std::string& stem,
+                                         const Images& images) {
+  const fs::path state = dir / (stem + ".spms");
+  const fs::path graph = dir / (stem + ".spmg");
+  write_raw(state, images.state);
+  write_raw(graph, images.graph);
+  return {state, graph};
+}
+
+/// Runs `check(state, graph)` twice: with `corrupt` applied to the state
+/// image and a pristine graph image, then the other way round.
+template <typename Corrupt, typename Check>
+void for_each_file(const fs::path& dir, const Images& pristine,
+                   Corrupt corrupt, Check check) {
+  for (const bool state_side : {true, false}) {
+    SCOPED_TRACE(state_side ? "state file" : "graph file");
+    Images images = pristine;
+    corrupt(state_side ? images.state : images.graph);
+    const auto [state, graph] = write_pair(dir, "m", images);
+    check(state, graph);
   }
 }
 
@@ -138,56 +186,85 @@ void expect_load_error(const fs::path& path, const std::string& needle) {
 
 TEST(SnapshotIntegrityTest, TruncatedFileFailsLoudly) {
   const fs::path dir = scratch_dir("store_truncated");
-  const auto image = sample_image(random_scenario(11, 3, 8));
-
+  const Images pristine = sample_images(random_scenario(11, 3, 8));
   // Shorter than the header alone.
-  write_raw(dir / "tiny.spms", std::span(image).subspan(0, 40));
-  expect_load_error(dir / "tiny.spms", "truncated");
-
+  for_each_file(
+      dir, pristine, [](SnapshotImage& image) { image.resize(40); },
+      [](const fs::path& state, const fs::path& graph) {
+        expect_load_error(state, graph, {"truncated"});
+      });
   // Header intact, payload cut off.
-  write_raw(dir / "cut.spms", std::span(image).subspan(0, image.size() - 64));
-  expect_load_error(dir / "cut.spms", "truncated");
+  for_each_file(
+      dir, pristine,
+      [](SnapshotImage& image) { image.resize(image.size() - 64); },
+      [](const fs::path& state, const fs::path& graph) {
+        expect_load_error(state, graph, {"truncated"});
+      });
 }
 
 TEST(SnapshotIntegrityTest, BitFlipFailsChecksum) {
   const fs::path dir = scratch_dir("store_bitflip");
-  auto image = sample_image(random_scenario(12, 3, 8));
   // Flip one payload bit past the header; the checksum must catch it.
-  image[image.size() - 7] ^= std::byte{0x10};
-  write_raw(dir / "flip.spms", image);
-  expect_load_error(dir / "flip.spms", "checksum mismatch");
+  for_each_file(
+      dir, sample_images(random_scenario(12, 3, 8)),
+      [](SnapshotImage& image) { image[image.size() - 7] ^= std::byte{0x10}; },
+      [](const fs::path& state, const fs::path& graph) {
+        expect_load_error(state, graph, {"checksum mismatch"});
+      });
+}
+
+/// Overwrites the header field at `offset` with `value`.
+template <typename T>
+void patch(SnapshotImage& image, std::size_t offset, T value) {
+  std::memcpy(image.data() + offset, &value, sizeof(value));
 }
 
 TEST(SnapshotIntegrityTest, WrongMagicVersionAndEndiannessFailLoudly) {
   const fs::path dir = scratch_dir("store_header");
-  const auto image = sample_image(random_scenario(13, 3, 8));
+  const Images pristine = sample_images(random_scenario(13, 3, 8));
 
   // None of these header fields are covered by the checksum (it spans
   // [64, file_bytes)), so patching them isolates each check.
-  auto patched = image;
-  std::memcpy(patched.data(), "NOTSPMS!", 8);
-  write_raw(dir / "magic.spms", patched);
-  expect_load_error(dir / "magic.spms", "not a specmatch snapshot");
-
-  patched = image;
-  const std::uint32_t future_version = 99;
-  std::memcpy(patched.data() + 8, &future_version, sizeof(future_version));
-  write_raw(dir / "version.spms", patched);
-  expect_load_error(dir / "version.spms", "unsupported snapshot version");
-
-  patched = image;
-  const std::uint32_t swapped_stamp = 0x04030201;  // byte-swapped kEndianStamp
-  std::memcpy(patched.data() + 12, &swapped_stamp, sizeof(swapped_stamp));
-  write_raw(dir / "endian.spms", patched);
-  expect_load_error(dir / "endian.spms", "endianness");
+  const auto expect = [](const char* needle) {
+    return [needle](const fs::path& state, const fs::path& graph) {
+      expect_load_error(state, graph, {needle});
+    };
+  };
+  for_each_file(
+      dir, pristine,
+      [](SnapshotImage& image) { std::memcpy(image.data(), "NOTSPMS!", 8); },
+      expect("not a specmatch snapshot"));
+  for_each_file(
+      dir, pristine,
+      [](SnapshotImage& image) {
+        patch<std::uint32_t>(image, offsetof(SnapshotHeader, version), 99);
+      },
+      expect("unsupported snapshot version"));
+  for_each_file(
+      dir, pristine,
+      [](SnapshotImage& image) {
+        // byte-swapped kEndianStamp
+        patch<std::uint32_t>(image, offsetof(SnapshotHeader, endian),
+                             0x04030201);
+      },
+      expect("endianness"));
+  for_each_file(
+      dir, pristine,
+      [](SnapshotImage& image) {
+        patch<std::uint32_t>(image, offsetof(SnapshotHeader, kind), 7);
+      },
+      expect("unknown file kind 7"));
 }
 
 TEST(SnapshotIntegrityTest, OverlongFileFailsLoudly) {
   const fs::path dir = scratch_dir("store_overlong");
-  auto image = sample_image(random_scenario(14, 3, 8));
-  image.resize(image.size() + 128);  // trailing garbage past file_bytes
-  write_raw(dir / "long.spms", image);
-  expect_load_error(dir / "long.spms", "truncated or overlong");
+  // Trailing garbage past file_bytes.
+  for_each_file(
+      dir, sample_images(random_scenario(14, 3, 8)),
+      [](SnapshotImage& image) { image.resize(image.size() + 128); },
+      [](const fs::path& state, const fs::path& graph) {
+        expect_load_error(state, graph, {"truncated or overlong"});
+      });
 }
 
 TEST(SnapshotIntegrityTest, Checksum64KnownAnswers) {
@@ -207,14 +284,96 @@ TEST(SnapshotIntegrityTest, Checksum64KnownAnswers) {
     EXPECT_EQ(checksum64(bytes.data(), length), want) << "length " << length;
 }
 
+/// Files of an older format version fail at the header, whichever file of
+/// the pair carries it; there is no migration.
+void expect_old_version_fails(const char* name, std::uint32_t version) {
+  const fs::path dir = scratch_dir(name);
+  for_each_file(
+      dir, sample_images(random_scenario(15, 3, 8)),
+      [version](SnapshotImage& image) {
+        patch(image, offsetof(SnapshotHeader, version), version);
+      },
+      [version](const fs::path& state, const fs::path& graph) {
+        expect_load_error(
+            state, graph,
+            {"unsupported snapshot version " + std::to_string(version)});
+      });
+}
+
 TEST(SnapshotIntegrityTest, Version1ImageFailsLoudly) {
-  const fs::path dir = scratch_dir("store_v1");
-  auto image = sample_image(random_scenario(15, 3, 8));
-  const std::uint32_t v1 = 1;
-  std::memcpy(image.data() + offsetof(SnapshotHeader, version), &v1,
-              sizeof(v1));
-  write_raw(dir / "v1.spms", image);
-  expect_load_error(dir / "v1.spms", "unsupported snapshot version 1");
+  expect_old_version_fails("store_v1", 1);
+}
+
+TEST(SnapshotIntegrityTest, Version2ImageFailsLoudly) {
+  expect_old_version_fails("store_v2", 2);
+}
+
+// --- the pair: kinds and identities -----------------------------------------
+
+TEST(SnapshotPairTest, StateFileNamingAnotherMarketsGraphFileFailsLoudly) {
+  const fs::path dir = scratch_dir("store_pair_other");
+  const auto [a_state, a_graph] =
+      write_pair(dir, "a", sample_images(random_scenario(16, 3, 8)));
+  const auto [b_state, b_graph] =
+      write_pair(dir, "b", sample_images(random_scenario(17, 3, 8)));
+  ASSERT_NO_THROW(load_pair(a_state, a_graph));
+  ASSERT_NO_THROW(load_pair(b_state, b_graph));
+  // The error names both files of the pair.
+  expect_load_error(a_state, b_graph,
+                    {"belong to different markets", a_state.string(),
+                     b_graph.string()});
+  expect_load_error(b_state, a_graph, {"belong to different markets"});
+}
+
+TEST(SnapshotPairTest, StaleGraphFileFailsLoudly) {
+  // The graph file of an earlier create of the id beside the state file of a
+  // later one: the store wrote the pair in order, then an old graph file was
+  // put back.
+  const fs::path dir = scratch_dir("store_pair_stale");
+  MarketStore store(dir_config(dir));
+  const auto first = random_scenario(18, 3, 8);
+  const market::SpectrumMarket first_market = market::build_market(*first);
+  store.write("m", FreshState(first_market).view(first_market, *first));
+  const fs::path graph = store.graph_path_for("m");
+  fs::copy_file(graph, dir / "old.spmg");
+
+  const auto second = random_scenario(19, 3, 8);
+  const market::SpectrumMarket second_market = market::build_market(*second);
+  store.write("m", FreshState(second_market).view(second_market, *second));
+  ASSERT_NO_THROW(store.load("m"));
+  fs::copy_file(dir / "old.spmg", graph, fs::copy_options::overwrite_existing);
+  try {
+    (void)store.load("m");
+    FAIL() << "a stale graph file loaded";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("belong to different markets"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(store.path_for("m")), std::string::npos) << what;
+    EXPECT_NE(what.find(graph.string()), std::string::npos) << what;
+  }
+}
+
+TEST(SnapshotPairTest, FilesOfTheWrongKindFailLoudly) {
+  const fs::path dir = scratch_dir("store_pair_kind");
+  const auto [state, graph] =
+      write_pair(dir, "m", sample_images(random_scenario(20, 3, 8)));
+  expect_load_error(graph, state,
+                    {graph.string() + " is a graph file, not a state file"});
+  expect_load_error(state, state,
+                    {state.string() + " is a state file, not a graph file"});
+  expect_load_error(graph, graph, {"is a graph file, not a state file"});
+}
+
+TEST(SnapshotPairTest, GraphDigestIsCheckedAgainstTheContents) {
+  // The digest sits in the header, outside the checksum. Patched in both
+  // files alike, the pair agrees, but the graph file's contents do not.
+  const fs::path dir = scratch_dir("store_pair_digest");
+  Images images = sample_images(random_scenario(21, 3, 8));
+  for (SnapshotImage* image : {&images.state, &images.graph})
+    (*image)[offsetof(SnapshotHeader, graph_digest)] ^= std::byte{0x01};
+  const auto [state, graph] = write_pair(dir, "m", images);
+  expect_load_error(state, graph, {graph.string(), "disagrees with the contents"});
 }
 
 // --- mutation fuzzing of the section parsers --------------------------------
@@ -243,14 +402,13 @@ void restamp(SnapshotImage& image) {
               sizeof(sum));
 }
 
-/// Writes `image` and loads it. Returns true on success and false on a
+/// Writes `images` and loads them. Returns true on success and false on a
 /// SnapshotError; any other exception escapes and fails the test. A loaded
 /// market is walked end to end so a bad value that slipped through shows.
-bool load_image(const fs::path& path, const SnapshotImage& image) {
-  write_raw(path, image);
+bool load_images(const fs::path& dir, const Images& images) {
+  const auto [state, graph] = write_pair(dir, "mutant", images);
   try {
-    const LoadedMarket loaded =
-        load_market(std::make_shared<MappedSnapshot>(path.string()));
+    const LoadedMarket loaded = load_pair(state, graph);
     for (ChannelId i = 0; i < loaded.market->num_channels(); ++i) {
       const graph::InterferenceGraph& g = loaded.market->graph(i);
       std::size_t visits = 0;
@@ -262,18 +420,62 @@ bool load_image(const fs::path& path, const SnapshotImage& image) {
       EXPECT_EQ(visits, 2 * g.num_edges());
       (void)g.components();
     }
+    for (const std::int32_t seller : loaded.matching)
+      EXPECT_LT(seller, loaded.market->num_channels());
     return true;
   } catch (const SnapshotError&) {
     return false;
   }
 }
 
-/// The image of a small market with every channel stored under `rep`.
-SnapshotImage image_as(std::uint64_t seed, graph::GraphRep rep) {
+/// The pair of a small market with every channel stored under `rep`.
+Images images_as(std::uint64_t seed, graph::GraphRep rep) {
   const auto scenario = random_scenario(seed, 3, 40);
-  const market::SpectrumMarket market = regraphed(
-      market::build_market(*scenario), [rep](ChannelId) { return rep; });
-  return build_snapshot_image(FreshState(market).view(market, *scenario));
+  return images_of(regraphed(market::build_market(*scenario),
+                             [rep](ChannelId) { return rep; }),
+                   *scenario);
+}
+
+/// The section table and each listed section of `image`, as byte ranges.
+std::vector<std::pair<std::size_t, std::size_t>> regions_of(
+    const SnapshotImage& image, std::initializer_list<SectionKind> kinds) {
+  std::vector<std::pair<std::size_t, std::size_t>> regions;
+  SnapshotHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  regions.emplace_back(sizeof(SnapshotHeader),
+                       header.section_count * sizeof(SectionEntry));
+  for (const SectionKind kind : kinds) {
+    const SectionEntry entry = section_of(image, kind);
+    if (entry.bytes > 0) regions.emplace_back(entry.offset, entry.bytes);
+  }
+  return regions;
+}
+
+/// Applies 300 random 1-3 byte mutations, spread over `regions` of one file
+/// of the pair (the other file stays pristine), re-stamps the checksum and
+/// loads. Returns how many were rejected; every mutant must load or fail
+/// with a SnapshotError.
+int fuzz_file(const fs::path& dir, const Images& pristine, bool state_side,
+              const std::vector<std::pair<std::size_t, std::size_t>>& regions,
+              Rng& rng) {
+  int loaded = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Images images = pristine;
+    SnapshotImage& image = state_side ? images.state : images.graph;
+    const auto& [begin, length] =
+        regions[static_cast<std::size_t>(trial) % regions.size()];
+    const int flips = static_cast<int>(rng.uniform_int(1, 3));
+    for (int f = 0; f < flips; ++f) {
+      const auto at = begin + static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(length) - 1));
+      image[at] ^= static_cast<std::byte>(rng.uniform_int(1, 255));
+    }
+    restamp(image);
+    (load_images(dir, images) ? loaded : rejected) += 1;
+  }
+  EXPECT_EQ(loaded + rejected, 300);
+  return rejected;
 }
 
 TEST(SnapshotFuzzTest, MutatedSectionsLoadOrFailWithSnapshotError) {
@@ -281,52 +483,38 @@ TEST(SnapshotFuzzTest, MutatedSectionsLoadOrFailWithSnapshotError) {
   Rng rng(2024);
   for (const graph::GraphRep rep :
        {graph::GraphRep::kDense, graph::GraphRep::kCsr}) {
-    const SnapshotImage pristine = image_as(81, rep);
-    ASSERT_TRUE(load_image(dir / "pristine.spms", pristine));
+    const Images pristine = images_as(81, rep);
+    ASSERT_TRUE(load_images(dir, pristine));
 
-    // Byte ranges to mutate: the section table and each adjacency section.
-    std::vector<std::pair<std::size_t, std::size_t>> regions;
-    SnapshotHeader header;
-    std::memcpy(&header, pristine.data(), sizeof(header));
-    regions.emplace_back(sizeof(SnapshotHeader),
-                         header.section_count * sizeof(SectionEntry));
-    for (const SectionKind kind :
-         {SectionKind::kGraphMeta, SectionKind::kGraphDegrees,
-          SectionKind::kGraphOffsets, SectionKind::kGraphIds,
-          SectionKind::kGraphRows}) {
-      const SectionEntry entry = section_of(pristine, kind);
-      if (entry.bytes > 0) regions.emplace_back(entry.offset, entry.bytes);
-    }
+    // The graph file: its section table and each adjacency section.
+    const auto graph_regions = regions_of(
+        pristine.graph,
+        {SectionKind::kGraphMeta, SectionKind::kGraphDegrees,
+         SectionKind::kGraphOffsets, SectionKind::kGraphIds,
+         SectionKind::kGraphRows});
     // The table, meta and degrees, plus rows (dense) or offsets and ids.
-    ASSERT_EQ(regions.size(), rep == graph::GraphRep::kDense ? 4u : 5u);
-
-    int loaded = 0;
-    int rejected = 0;
-    for (int trial = 0; trial < 300; ++trial) {
-      SnapshotImage image = pristine;
-      const auto& [begin, length] =
-          regions[static_cast<std::size_t>(trial) % regions.size()];
-      const int flips = static_cast<int>(rng.uniform_int(1, 3));
-      for (int f = 0; f < flips; ++f) {
-        const auto at = begin + static_cast<std::size_t>(rng.uniform_int(
-                                    0, static_cast<std::int64_t>(length) - 1));
-        image[at] ^= static_cast<std::byte>(rng.uniform_int(1, 255));
-      }
-      restamp(image);
-      (load_image(dir / "mutant.spms", image) ? loaded : rejected) += 1;
-    }
+    ASSERT_EQ(graph_regions.size(), rep == graph::GraphRep::kDense ? 4u : 5u);
     // Mutations must reach the parsers and be caught there, not by the
     // checksum. The few that load hit bytes no parser reads: alignment
     // padding, a table entry's pad field, another representation's offsets.
-    EXPECT_GT(rejected, 250) << "rep " << static_cast<int>(rep);
-    EXPECT_EQ(loaded + rejected, 300);
+    EXPECT_GT(fuzz_file(dir, pristine, false, graph_regions, rng), 250)
+        << "graph file, rep " << static_cast<int>(rep);
+
+    // The state file: its section table and the matching, the sections a
+    // parser checks (prices, masks and counters take any value).
+    const auto state_regions =
+        regions_of(pristine.state, {SectionKind::kMatching});
+    ASSERT_EQ(state_regions.size(), 2u);
+    EXPECT_GT(fuzz_file(dir, pristine, true, state_regions, rng), 250)
+        << "state file, rep " << static_cast<int>(rep);
   }
 }
 
-/// Image of a dense market with one bit of channel 0's row `v` toggled, the
-/// checksum re-stamped.
-SnapshotImage with_row_bit_toggled(std::size_t v, std::size_t bit) {
-  SnapshotImage image = image_as(82, graph::GraphRep::kDense);
+/// Graph image of a dense market with one bit of channel 0's row `v`
+/// toggled, the checksum re-stamped.
+Images with_row_bit_toggled(std::size_t v, std::size_t bit) {
+  Images images = images_as(82, graph::GraphRep::kDense);
+  SnapshotImage& image = images.graph;
   SnapshotHeader header;
   std::memcpy(&header, image.data(), sizeof(header));
   const std::size_t words_per_row = (header.num_buyers + 63) / 64;
@@ -339,40 +527,40 @@ SnapshotImage with_row_bit_toggled(std::size_t v, std::size_t bit) {
                          (bit % 64) / 8;
   image[at] ^= static_cast<std::byte>(1u << (bit % 8));
   restamp(image);
-  return image;
+  return images;
 }
 
 TEST(SnapshotFuzzTest, DenseRowDefectsFailWithTheirOwnMessage) {
   const fs::path dir = scratch_dir("store_rows");
-  const SnapshotImage pristine = image_as(82, graph::GraphRep::kDense);
+  const Images pristine = images_as(82, graph::GraphRep::kDense);
   SnapshotHeader header;
-  std::memcpy(&header, pristine.data(), sizeof(header));
+  std::memcpy(&header, pristine.graph.data(), sizeof(header));
   const std::size_t n = header.num_buyers;
   ASSERT_NE(n % 64, 0u) << "the padding case needs a partial last word";
 
-  write_raw(dir / "padding.spms", with_row_bit_toggled(3, n));
-  expect_load_error(dir / "padding.spms", "sets a padding bit");
-
-  write_raw(dir / "diagonal.spms", with_row_bit_toggled(5, 5));
-  expect_load_error(dir / "diagonal.spms", "sets its own diagonal bit");
-
+  const auto expect = [&](const Images& images, const char* needle) {
+    const auto [state, graph] = write_pair(dir, "rows", images);
+    expect_load_error(state, graph, {needle});
+  };
+  expect(with_row_bit_toggled(3, n), "sets a padding bit");
+  expect(with_row_bit_toggled(5, 5), "sets its own diagonal bit");
   // Toggling an off-diagonal bit keeps every structural rule but one: the
   // row's popcount no longer matches its cached degree.
-  write_raw(dir / "degree.spms", with_row_bit_toggled(7, 9));
-  expect_load_error(dir / "degree.spms", "disagrees with its row popcount");
+  expect(with_row_bit_toggled(7, 9), "disagrees with its row popcount");
 }
 
 TEST(SnapshotFuzzTest, WrappingEdgeCountFailsLoudly) {
   // num_edges + 2^63 doubles to the true 2 * num_edges modulo 2^64, so every
   // check on 2 * num_edges would pass; the count must be bounded first.
   const fs::path dir = scratch_dir("store_edges");
-  SnapshotImage image = image_as(83, graph::GraphRep::kCsr);
-  const std::size_t at = section_of(image, SectionKind::kGraphMeta).offset +
-                         offsetof(GraphMetaRecord, num_edges) + 7;
-  image[at] ^= std::byte{0x80};
-  restamp(image);
-  write_raw(dir / "edges.spms", image);
-  expect_load_error(dir / "edges.spms", "edge count exceeds");
+  Images images = images_as(83, graph::GraphRep::kCsr);
+  const std::size_t at =
+      section_of(images.graph, SectionKind::kGraphMeta).offset +
+      offsetof(GraphMetaRecord, num_edges) + 7;
+  images.graph[at] ^= std::byte{0x80};
+  restamp(images.graph);
+  const auto [state, graph] = write_pair(dir, "edges", images);
+  expect_load_error(state, graph, {"edge count exceeds"});
 }
 
 // --- load fidelity ---------------------------------------------------------
@@ -511,6 +699,161 @@ TEST(SnapshotRoundTripTest, CarriedStateSurvives) {
   EXPECT_EQ(faulted.bytes, entry.bytes);
   EXPECT_EQ(faulted.solves_cold, 3);
   EXPECT_FALSE(faulted.active[1]);
+}
+
+// --- store lifecycle --------------------------------------------------------
+
+/// A freshly built market with its scenario and per-buyer state, owned so a
+/// view can borrow it.
+struct Sample {
+  explicit Sample(std::uint64_t seed)
+      : scenario(random_scenario(seed, 3, 12)),
+        market(market::build_market(*scenario)),
+        state(market) {}
+  MarketStateView view() const { return state.view(market, *scenario); }
+
+  std::shared_ptr<const market::Scenario> scenario;
+  market::SpectrumMarket market;
+  FreshState state;
+};
+
+/// Flips one byte of the file at `path`, past its header.
+void damage(const std::string& path) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(100);
+  f.put('\x7f');
+}
+
+std::uint64_t size_of(const std::string& path) {
+  return static_cast<std::uint64_t>(fs::file_size(path));
+}
+
+TEST(MarketStoreLifecycleTest, WriteReturnsAndCountsBothFiles) {
+  const fs::path dir = scratch_dir("store_bytes");
+  const Sample a(90);
+  const Sample b(91);
+  MarketStore store(dir_config(dir));
+  const std::uint64_t a_bytes = store.write("a", a.view());
+  store.write("b", b.view());
+  const std::uint64_t a_pair =
+      size_of(store.path_for("a")) + size_of(store.graph_path_for("a"));
+  const std::uint64_t b_pair =
+      size_of(store.path_for("b")) + size_of(store.graph_path_for("b"));
+  EXPECT_EQ(a_bytes, a_pair);
+  EXPECT_EQ(store.bytes_for("a"), a_pair);
+  EXPECT_EQ(store.disk_bytes(), a_pair + b_pair);
+  // A second spill skips the graph file but still reports the pair.
+  EXPECT_EQ(store.write("a", a.view()), a_pair);
+  // The cold-boot scan finds the same bytes.
+  const MarketStore rebooted(dir_config(dir));
+  EXPECT_EQ(rebooted.disk_bytes(), a_pair + b_pair);
+  EXPECT_EQ(rebooted.bytes_for("b"), b_pair);
+}
+
+TEST(MarketStoreLifecycleTest, SecondSpillOfAnUnchangedMarketSkipsTheGraphFile) {
+  const fs::path dir = scratch_dir("store_skip");
+  const Sample sample(92);
+  MarketStore store(dir_config(dir));
+  store.write("m", sample.view());
+  // A hard link keeps the first graph file's inode: a rewrite would rename a
+  // new file over the name, a skip leaves the name on the same inode.
+  const fs::path keep = dir / "keep.link";
+  fs::create_hard_link(store.graph_path_for("m"), keep);
+  store.write("m", sample.view());
+  EXPECT_TRUE(fs::equivalent(keep, store.graph_path_for("m")));
+  expect_faithful_round_trip(sample.market, store.load("m"));
+
+  // A store booted on the directory has not verified the graph file, so its
+  // first spill rewrites it; a load that verifies the pair makes the next
+  // spill skip it again.
+  MarketStore rebooted(dir_config(dir));
+  rebooted.write("m", sample.view());
+  EXPECT_FALSE(fs::equivalent(keep, rebooted.graph_path_for("m")));
+  MarketStore loaded(dir_config(dir));
+  (void)loaded.load("m");
+  fs::remove(keep);
+  fs::create_hard_link(loaded.graph_path_for("m"), keep);
+  loaded.write("m", sample.view());
+  EXPECT_TRUE(fs::equivalent(keep, loaded.graph_path_for("m")));
+}
+
+TEST(MarketStoreLifecycleTest, AFailedLoadMakesTheNextSpillRewriteTheGraphFile) {
+  // A graph file damaged after the store wrote it fails the load; the store
+  // then no longer trusts it, so the next spill writes a good one.
+  const fs::path dir = scratch_dir("store_relearn");
+  const Sample sample(98);
+  MarketStore store(dir_config(dir));
+  store.write("m", sample.view());
+  damage(store.graph_path_for("m"));
+  EXPECT_THROW((void)store.load("m"), SnapshotError);
+  store.write("m", sample.view());
+  expect_faithful_round_trip(sample.market, store.load("m"));
+}
+
+TEST(MarketStoreLifecycleTest, RemoveDeletesBothFiles) {
+  const fs::path dir = scratch_dir("store_remove");
+  const Sample sample(93);
+  MarketStore store(dir_config(dir));
+  store.write("m", sample.view());
+  ASSERT_TRUE(fs::exists(store.path_for("m")));
+  ASSERT_TRUE(fs::exists(store.graph_path_for("m")));
+  EXPECT_TRUE(store.remove("m"));
+  EXPECT_FALSE(fs::exists(store.path_for("m")));
+  EXPECT_FALSE(fs::exists(store.graph_path_for("m")));
+  EXPECT_FALSE(store.contains("m"));
+  EXPECT_EQ(store.disk_bytes(), 0u);
+  EXPECT_FALSE(store.remove("m"));
+  // The next write of the id writes a whole pair again.
+  store.write("m", sample.view());
+  expect_faithful_round_trip(sample.market, store.load("m"));
+}
+
+TEST(MarketStoreLifecycleTest, ColdBootIgnoresAGraphFileWithoutAStateFile) {
+  const fs::path dir = scratch_dir("store_orphan");
+  const Sample a(94);
+  const Sample b(95);
+  {
+    MarketStore store(dir_config(dir));
+    store.write("a", a.view());
+    store.write("b", b.view());
+    // A crash between b's two renames: b's graph file, no state file. Make
+    // it a corrupt one, so trusting it would show.
+    fs::remove(store.path_for("b"));
+    damage(store.graph_path_for("b"));
+  }
+  MarketStore store(dir_config(dir));
+  EXPECT_EQ(store.ids(), std::vector<std::string>{"a"});
+  EXPECT_FALSE(store.contains("b"));
+  EXPECT_EQ(store.bytes_for("b"), 0u);
+  EXPECT_EQ(store.disk_bytes(), store.bytes_for("a"));
+  // The id's next first spill overwrites the orphan.
+  store.write("b", b.view());
+  EXPECT_TRUE(store.contains("b"));
+  expect_faithful_round_trip(b.market, store.load("b"));
+}
+
+TEST(MarketStoreLifecycleTest, NewCreateAfterAFailedSpillWritesItsOwnGraphs) {
+  // A spill that writes the graph file and then fails on the state file
+  // leaves only the graph file. A later create of the id under another
+  // scenario must write its own graphs, not inherit those.
+  const fs::path dir = scratch_dir("store_failed_spill");
+  const Sample first(96);
+  const Sample second(97);
+  MarketStore store(dir_config(dir));
+  // A directory where the state file's temp file goes makes its open fail.
+  const fs::path blocker = store.path_for("m") + ".tmp";
+  fs::create_directories(blocker);
+  EXPECT_THROW(store.write("m", first.view()), SnapshotError);
+  EXPECT_TRUE(fs::exists(store.graph_path_for("m")));
+  EXPECT_FALSE(store.contains("m"));
+  EXPECT_EQ(store.disk_bytes(), 0u);
+  fs::remove(blocker);
+
+  store.write("m", second.view());
+  expect_faithful_round_trip(second.market, store.load("m"));
+  // And the first scenario again: its graphs come back, not the second's.
+  store.write("m", first.view());
+  expect_faithful_round_trip(first.market, store.load("m"));
 }
 
 // --- registry spill / fault-back -------------------------------------------
@@ -697,6 +1040,94 @@ TEST(ServerStoreTest, RestoreVerbAndErrors) {
       fresh.handle(verb_request(serve::RequestType::kRestore, "m"));
   EXPECT_FALSE(corrupt.ok);
   EXPECT_NE(corrupt.text.find("checksum"), std::string::npos) << corrupt.text;
+}
+
+TEST(ServerStoreTest, RetryOnAPartlyValidStoreGivesTheSameAnswers) {
+  // One intact market beside a corrupt state file, a corrupt graph file and
+  // a mismatched pair. Restore and fault-in, retried, must give the same
+  // error and leave the same registry state each time, while the intact
+  // market keeps serving.
+  const fs::path dir = scratch_dir("store_partial");
+  const std::vector<std::string> broken = {"bad_state", "bad_graph",
+                                           "mismatched"};
+  {
+    serve::MatchServer server(store_server_config(dir, 1));
+    std::uint64_t seed = 100;
+    for (const std::string& id : {std::string("ok"), broken[0], broken[1],
+                                  broken[2]}) {
+      ASSERT_TRUE(
+          server.handle(create_request(id, random_scenario(seed++, 2, 6))).ok);
+      ASSERT_TRUE(server.handle(verb_request(serve::RequestType::kSolve, id)).ok);
+      ASSERT_TRUE(
+          server.handle(verb_request(serve::RequestType::kSnapshot, id)).ok);
+    }
+  }
+  MarketStore store(dir_config(dir));
+  damage(store.path_for("bad_state"));
+  damage(store.graph_path_for("bad_graph"));
+  fs::copy_file(store.graph_path_for("ok"), store.graph_path_for("mismatched"),
+                fs::copy_options::overwrite_existing);
+
+  serve::MatchServer server(store_server_config(dir, 1));
+  ASSERT_TRUE(server.handle(verb_request(serve::RequestType::kRestore, "ok")).ok);
+
+  struct Round {
+    std::vector<std::string> answers;
+    std::size_t resident = 0;
+    std::size_t spilled = 0;
+    std::int64_t faults = 0;
+    std::int64_t discarded = 0;
+    std::uint64_t disk_bytes = 0;
+  };
+  const auto retry = [&] {
+    Round round;
+    for (const std::string& id : broken) {
+      for (const serve::RequestType type :
+           {serve::RequestType::kRestore, serve::RequestType::kQuery}) {
+        const serve::Response response = server.handle(verb_request(type, id));
+        EXPECT_FALSE(response.ok) << response.text;
+        round.answers.push_back(response.text);
+      }
+      const serve::Response served =
+          server.handle(verb_request(serve::RequestType::kQuery, "ok"));
+      EXPECT_TRUE(served.ok) << served.text;
+      round.answers.push_back(served.text);
+      // The store's own load fails the same way on every try.
+      try {
+        (void)store.load(id);
+        ADD_FAILURE() << id << " loaded";
+      } catch (const SnapshotError& e) {
+        round.answers.push_back(e.what());
+      }
+    }
+    round.resident = server.resident_markets();
+    round.spilled = server.spilled_markets();
+    round.faults = server.faults();
+    round.discarded = server.discarded();
+    round.disk_bytes = server.store_disk_bytes();
+    return round;
+  };
+
+  const Round first = retry();
+  // Each broken market names its own cause.
+  EXPECT_NE(first.answers[0].find("checksum mismatch"), std::string::npos)
+      << first.answers[0];
+  EXPECT_NE(first.answers[4].find("checksum mismatch"), std::string::npos)
+      << first.answers[4];
+  EXPECT_NE(first.answers[8].find("belong to different markets"),
+            std::string::npos)
+      << first.answers[8];
+  EXPECT_EQ(first.resident, 1u);
+  EXPECT_EQ(first.spilled, broken.size());
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const Round again = retry();
+    EXPECT_EQ(again.answers, first.answers) << "retry " << attempt;
+    EXPECT_EQ(again.resident, first.resident);
+    EXPECT_EQ(again.spilled, first.spilled);
+    EXPECT_EQ(again.faults, first.faults);
+    EXPECT_EQ(again.discarded, first.discarded);
+    EXPECT_EQ(again.disk_bytes, first.disk_bytes);
+  }
 }
 
 TEST(ServerStoreTest, MemoryCappedServingSpillsWithZeroDiscards) {
