@@ -332,24 +332,22 @@ void run_scale_sweep() {
       }
 
       // Direct per-component solve times on channel 0: every vertex a
-      // candidate, one timed solve_components call per component — the cost
+      // candidate, one timed solve_shard call per component — the cost
       // profile the sharded lanes see.
       Summary comp_ms;
       {
         const graph::InterferenceGraph& graph = market.graph(0);
         const graph::ComponentIndex& index = graph.components();
-        DynamicBitset local_set;
-        std::vector<double> local_weights;
+        DynamicBitset candidates;
         graph::MwisScratch scratch;
-        scratch.reserve(index.largest_component(), 2 * graph.num_edges());
+        scratch.reserve(graph.num_vertices(), 2 * graph.num_edges());
         std::vector<BuyerId> out(static_cast<std::size_t>(N));
         for (std::size_t c = 0; c < index.num_components(); ++c) {
           bench::WallTimer timer;
-          matching::solve_components(
-              index, market.channel_prices(0), static_cast<std::uint32_t>(c),
+          matching::solve_shard(
+              graph, market.channel_prices(0), static_cast<std::uint32_t>(c),
               static_cast<std::uint32_t>(c + 1), [](BuyerId) { return true; },
-              graph::MwisAlgorithm::kGwmin, local_set, local_weights, scratch,
-              out.data());
+              graph::MwisAlgorithm::kGwmin, candidates, scratch, out.data());
           comp_ms.add(timer.elapsed_ms());
         }
       }

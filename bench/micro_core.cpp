@@ -3,18 +3,19 @@
 // runtime, and the bitset primitives everything leans on.
 //
 // After the google-benchmark suite, main() runs the core perf trajectory —
-// the two-stage pipeline at 1 vs SPECMATCH_BENCH_THREADS lanes and
-// solve_mwis vs the textbook rescan reference — and writes the results to
-// BENCH_core.json (path override: SPECMATCH_BENCH_JSON). SPECMATCH_BENCH_SMOKE=1
-// shrinks the workloads to smoke-test size.
+// the two-stage pipeline at 1 vs SPECMATCH_BENCH_THREADS lanes, build_market,
+// solve_mwis vs the textbook rescan reference, and a market's fault-in and
+// component labelling — and writes the results to BENCH_core.json (path
+// override: SPECMATCH_BENCH_JSON). SPECMATCH_BENCH_SMOKE=1 shrinks the
+// workloads to smoke-test size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
-
-#include <fstream>
 
 #include "bench_util.hpp"
 #include "common/bitset.hpp"
@@ -23,6 +24,7 @@
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "dist/runtime.hpp"
+#include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/mwis.hpp"
 #include "market/scenario.hpp"
@@ -31,6 +33,8 @@
 #include "test_util.hpp"
 #include "matching/two_stage.hpp"
 #include "optimal/exact.hpp"
+#include "serve/registry.hpp"
+#include "store/market_store.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch {
@@ -189,13 +193,64 @@ double best_wall_ms(int reps, Fn&& fn) {
   return best;
 }
 
+/// Fault-in of a spill_churn-shaped market (dense, M = 16; N = 2000 at full
+/// size) at one lane: MarketStore::load of its snapshot pair plus the
+/// MarketEntry adoption that labels every channel's components ("rounds" is
+/// the channel count). Then the component labelling alone, every channel's
+/// ComponentIndex of the fresh market ("rounds" is the component total).
+void fault_in_records(int buyers, int reps,
+                      std::vector<bench::BenchRecord>& records) {
+  Rng rng(7);
+  const auto scenario = std::make_shared<const market::Scenario>(
+      testutil::stratified_scenario(rng, buyers, 0.0));
+  const market::SpectrumMarket built = market::build_market(*scenario);
+  const int M = built.num_channels();
+  const auto n = static_cast<std::size_t>(buyers);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "specmatch_micro_core_store";
+  std::filesystem::remove_all(dir);
+  {
+    store::MarketStore market_store(store::StoreConfig{dir.string(), true,
+                                                       false});
+    const std::vector<double> base(built.prices().begin(),
+                                   built.prices().end());
+    const std::vector<std::uint8_t> active(n, 1);
+    const std::vector<std::uint8_t> dirty(n, 0);
+    const std::vector<std::int32_t> matching(n, -1);
+    store::MarketStateView view;
+    view.market = &built;
+    view.scenario = scenario.get();
+    view.base_prices = base;
+    view.active = active;
+    view.dirty = dirty;
+    view.matching = matching;
+    market_store.write("m", view);
+    const double fault_ms = best_wall_ms(reps, [&] {
+      serve::MarketEntry entry(market_store.load("m"));
+      benchmark::DoNotOptimize(entry.bytes);
+    });
+    records.push_back({"fault_in", M, buyers, "dense", 1, fault_ms, M});
+  }
+  std::filesystem::remove_all(dir);
+
+  std::size_t components = 0;
+  const double index_ms = best_wall_ms(reps, [&] {
+    components = 0;
+    for (ChannelId i = 0; i < M; ++i)
+      components += graph::ComponentIndex(built.graph(i)).num_components();
+  });
+  records.push_back({"components_build", M, buyers, "dense", 1, index_ms,
+                     static_cast<int>(components)});
+}
+
 /// The headline trajectory of this perf series: the full pipeline at the
 /// paper's largest setting for serial vs parallel lanes, build_market on a
 /// cold_solve-shaped market (N = 8000, M = 16; "rounds" holds its edge
-/// total) at the same two lane counts, and solve_mwis
-/// against the textbook rescan (tests/mwis_reference.hpp) on G(500, 0.2),
-/// mean degree ~100: a dense-row graph where a word-parallel rescore of
-/// every survivor per pick is at its strongest.
+/// total) at the same two lane counts, solve_mwis against the textbook
+/// rescan (tests/mwis_reference.hpp) on G(500, 0.2), mean degree ~100: a
+/// dense-row graph where a word-parallel rescore of every survivor per pick
+/// is at its strongest, and a dense market's fault-in (fault_in_records).
 void run_core_trajectory() {
   const bool smoke = bench::env_int("SPECMATCH_BENCH_SMOKE", 0) != 0;
   const char* json_env = std::getenv("SPECMATCH_BENCH_JSON");
@@ -241,6 +296,9 @@ void run_core_trajectory() {
                        "geometric", threads, wall_ms,
                        static_cast<int>(edges)});
   }
+  config.num_threads = 1;
+  (void)ThreadPool::global();
+  fault_in_records(smoke ? 300 : 2000, reps * 4, records);
   config.num_threads = saved_threads;
   (void)ThreadPool::global();
 

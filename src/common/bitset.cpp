@@ -6,16 +6,6 @@
 
 namespace specmatch {
 
-DynamicBitset::DynamicBitset(std::size_t size,
-                             std::span<const std::uint64_t> words)
-    : size_(size), words_(words.begin(), words.end()) {
-  SPECMATCH_CHECK_MSG(words_.size() == (size + kBits - 1) / kBits,
-                      words_.size() << " words for a " << size
-                                    << "-bit bitset");
-  SPECMATCH_CHECK_MSG(size % kBits == 0 || words_.back() >> (size % kBits) == 0,
-                      "bit set past the end of a " << size << "-bit bitset");
-}
-
 void DynamicBitset::clear() { std::fill(words_.begin(), words_.end(), 0); }
 
 void DynamicBitset::assign_zero(std::size_t size) {
@@ -23,16 +13,18 @@ void DynamicBitset::assign_zero(std::size_t size) {
   words_.assign((size + kBits - 1) / kBits, 0);
 }
 
-void DynamicBitset::assign_and(const DynamicBitset& a, const DynamicBitset& b) {
-  a.check_same_size(b);
-  size_ = a.size_;
-  words_.resize(a.words_.size());
-  simd::store_and(words_.data(), a.words_.data(), b.words_.data(),
+void DynamicBitset::assign_and(BitsetView a, BitsetView b) {
+  detail::check_same_size(a.size(), b.size());
+  size_ = a.size();
+  // When this aliases a or b it already has a's size, so the resize cannot
+  // move the words they view.
+  words_.resize(a.num_words());
+  simd::store_and(words_.data(), a.words().data(), b.words().data(),
                   words_.size());
 }
 
 void DynamicBitset::assign_or(const DynamicBitset& a, const DynamicBitset& b) {
-  a.check_same_size(b);
+  detail::check_same_size(a.size(), b.size());
   size_ = a.size_;
   words_.resize(a.words_.size());
   simd::store_or(words_.data(), a.words_.data(), b.words_.data(),
@@ -41,7 +33,7 @@ void DynamicBitset::assign_or(const DynamicBitset& a, const DynamicBitset& b) {
 
 void DynamicBitset::assign_difference(const DynamicBitset& a,
                                       const DynamicBitset& b) {
-  a.check_same_size(b);
+  detail::check_same_size(a.size(), b.size());
   size_ = a.size_;
   words_.resize(a.words_.size());
   simd::store_andnot(words_.data(), a.words_.data(), b.words_.data(),
@@ -50,7 +42,7 @@ void DynamicBitset::assign_difference(const DynamicBitset& a,
 
 void DynamicBitset::assign_andnot(const DynamicBitset& a,
                                   const DynamicBitset& b) {
-  a.check_same_size(b);
+  detail::check_same_size(a.size(), b.size());
   size_ = a.size_;
   words_.resize(a.words_.size());
   // ~a & b == b & ~a: reuse the andnot store with the operands swapped.
@@ -67,43 +59,43 @@ bool DynamicBitset::any() const {
 }
 
 bool DynamicBitset::intersects(const DynamicBitset& other) const {
-  check_same_size(other);
+  detail::check_same_size(size_, other.size());
   return simd::intersects(words_.data(), other.words_.data(), words_.size());
 }
 
 std::size_t DynamicBitset::intersection_count(const DynamicBitset& other) const {
-  check_same_size(other);
+  detail::check_same_size(size_, other.size());
   return simd::and_popcount(words_.data(), other.words_.data(), words_.size());
 }
 
 std::size_t DynamicBitset::difference_count(const DynamicBitset& other) const {
-  check_same_size(other);
+  detail::check_same_size(size_, other.size());
   return simd::andnot_popcount(words_.data(), other.words_.data(),
                                words_.size());
 }
 
 bool DynamicBitset::is_subset_of(const DynamicBitset& other) const {
-  check_same_size(other);
+  detail::check_same_size(size_, other.size());
   return simd::is_subset(words_.data(), other.words_.data(), words_.size());
 }
 
-DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
-  check_same_size(other);
-  simd::store_or(words_.data(), words_.data(), other.words_.data(),
+DynamicBitset& DynamicBitset::operator|=(BitsetView other) {
+  detail::check_same_size(size_, other.size());
+  simd::store_or(words_.data(), words_.data(), other.words().data(),
                  words_.size());
   return *this;
 }
 
 DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
-  check_same_size(other);
+  detail::check_same_size(size_, other.size());
   simd::store_and(words_.data(), words_.data(), other.words_.data(),
                   words_.size());
   return *this;
 }
 
-DynamicBitset& DynamicBitset::operator-=(const DynamicBitset& other) {
-  check_same_size(other);
-  simd::store_andnot(words_.data(), words_.data(), other.words_.data(),
+DynamicBitset& DynamicBitset::operator-=(BitsetView other) {
+  detail::check_same_size(size_, other.size());
+  simd::store_andnot(words_.data(), words_.data(), other.words().data(),
                      words_.size());
   return *this;
 }

@@ -1,14 +1,18 @@
-// DynamicBitset: a fixed-size-at-construction bitset over 64-bit words.
+// DynamicBitset: a fixed-size-at-construction bitset over 64-bit words, and
+// BitsetView: a read-only view of words in the same layout.
 //
-// Interference graphs over N buyers store one DynamicBitset adjacency row per
-// vertex; seller coalition feasibility checks reduce to word-parallel
-// intersection tests, which keeps the N = 500 sweeps of Figs. 7-8 fast on a
-// single core. The interface is deliberately small and bounds-checked. The
-// word loops themselves live in common/simd.hpp: every counting, masking,
-// and scanning method routes through the runtime-dispatched kernel layer
-// (AVX2/SSE2/scalar, bit-identical across tiers by contract).
+// Dense interference graphs over N buyers keep one N-bit adjacency row per
+// vertex in a single word block and hand rows out as BitsetViews; seller
+// coalition feasibility checks reduce to word-parallel intersection tests of
+// a row against a DynamicBitset, which keeps the N = 500 sweeps of Figs. 7-8
+// fast on a single core. The interface is deliberately small and
+// bounds-checked. The word loops themselves live in common/simd.hpp: every
+// counting, masking, and scanning method routes through the
+// runtime-dispatched kernel layer (AVX2/SSE2/scalar, bit-identical across
+// tiers by contract).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -19,6 +23,14 @@
 
 namespace specmatch {
 
+class BitsetView;
+
+namespace detail {
+inline void check_same_size(std::size_t a, std::size_t b) {
+  SPECMATCH_CHECK_MSG(a == b, "bitset size mismatch: " << a << " vs " << b);
+}
+}  // namespace detail
+
 class DynamicBitset {
  public:
   DynamicBitset() = default;
@@ -27,15 +39,10 @@ class DynamicBitset {
   explicit DynamicBitset(std::size_t size)
       : size_(size), words_((size + kBits - 1) / kBits, 0) {}
 
-  /// Creates a bitset of `size` bits whose ⌈size/64⌉ words are copied from
-  /// `words` (bit k lives at bit k % 64 of word k / 64). Bits past `size`
-  /// must be clear — every counting kernel relies on it; checked.
-  DynamicBitset(std::size_t size, std::span<const std::uint64_t> words);
-
   std::size_t size() const { return size_; }
 
-  /// The backing words, in the layout the constructor above takes; bits
-  /// past size() are clear.
+  /// The backing words: bit k lives at bit k % 64 of word k / 64, and bits
+  /// past size() are clear (every counting kernel relies on it).
   std::span<const std::uint64_t> words() const { return words_; }
 
   bool test(std::size_t pos) const {
@@ -69,7 +76,7 @@ class DynamicBitset {
 
   /// Sets this to `a & b` / `a | b` / `a - b` without a temporary, reusing
   /// the existing word storage when possible. `this` may alias `a` or `b`.
-  void assign_and(const DynamicBitset& a, const DynamicBitset& b);
+  void assign_and(BitsetView a, BitsetView b);
   void assign_or(const DynamicBitset& a, const DynamicBitset& b);
   void assign_difference(const DynamicBitset& a, const DynamicBitset& b);
   /// Sets this to `~a & b` (ANDNOT operand order — the mirror image of
@@ -97,23 +104,10 @@ class DynamicBitset {
   /// True iff every set bit of this bitset is also set in `other`.
   bool is_subset_of(const DynamicBitset& other) const;
 
-  DynamicBitset& operator|=(const DynamicBitset& other);
+  DynamicBitset& operator|=(BitsetView other);
   DynamicBitset& operator&=(const DynamicBitset& other);
   /// Clears every bit that is set in `other` (set difference).
-  DynamicBitset& operator-=(const DynamicBitset& other);
-
-  friend DynamicBitset operator|(DynamicBitset a, const DynamicBitset& b) {
-    a |= b;
-    return a;
-  }
-  friend DynamicBitset operator&(DynamicBitset a, const DynamicBitset& b) {
-    a &= b;
-    return a;
-  }
-  friend DynamicBitset operator-(DynamicBitset a, const DynamicBitset& b) {
-    a -= b;
-    return a;
-  }
+  DynamicBitset& operator-=(BitsetView other);
 
   bool operator==(const DynamicBitset& other) const = default;
 
@@ -123,14 +117,79 @@ class DynamicBitset {
   /// Index of the first set bit strictly after `pos`, or size() if none.
   std::size_t find_next(std::size_t pos) const;
 
-  /// Calls `fn(index)` for every set bit in ascending order. Rows up to
+  /// Calls `fn(index)` for every set bit in ascending order (see
+  /// BitsetView::for_each_set).
+  template <typename Fn>
+  void for_each_set(Fn&& fn) const;
+
+  /// Calls `fn(index)` for every bit set in both this bitset and `other`,
+  /// in ascending order (see BitsetView::for_each_set_and).
+  template <typename Fn>
+  void for_each_set_and(const DynamicBitset& other, Fn&& fn) const;
+
+  /// Set-bit indices in ascending order (convenience for tests / tracing).
+  std::vector<std::size_t> to_indices() const;
+
+ private:
+  static constexpr std::size_t kBits = 64;
+
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> words_;
+};
+
+/// A read-only view of `size` bits held in ⌈size/64⌉ words laid out like
+/// DynamicBitset's (bit k at bit k % 64 of word k / 64, bits past `size`
+/// clear). Dense graphs hand out their adjacency rows this way, and every
+/// DynamicBitset converts to one. Cheap to copy; the viewed words must
+/// outlive the view.
+class BitsetView {
+ public:
+  BitsetView(const std::uint64_t* words, std::size_t size)
+      : words_(words), size_(size) {}
+  BitsetView(const DynamicBitset& bits)  // NOLINT: implicit by design
+      : words_(bits.words().data()), size_(bits.size()) {}
+
+  std::size_t size() const { return size_; }
+  std::size_t num_words() const { return (size_ + kBits - 1) / kBits; }
+  std::span<const std::uint64_t> words() const { return {words_, num_words()}; }
+
+  bool test(std::size_t pos) const {
+    SPECMATCH_DCHECK(pos < size_);
+    return (words_[pos / kBits] >> (pos % kBits)) & 1u;
+  }
+
+  /// True iff this and `other` share at least one set bit.
+  bool intersects(BitsetView other) const {
+    detail::check_same_size(size_, other.size_);
+    return simd::intersects(words_, other.words_, num_words());
+  }
+
+  /// |this & other| without materialising the intersection.
+  std::size_t intersection_count(BitsetView other) const {
+    detail::check_same_size(size_, other.size_);
+    return simd::and_popcount(words_, other.words_, num_words());
+  }
+
+  /// True iff every set bit of this is also set in `other`.
+  bool is_subset_of(BitsetView other) const {
+    detail::check_same_size(size_, other.size_);
+    return simd::is_subset(words_, other.words_, num_words());
+  }
+
+  friend bool operator==(BitsetView a, BitsetView b) {
+    const auto wa = a.words();
+    const auto wb = b.words();
+    return a.size_ == b.size_ && std::equal(wa.begin(), wa.end(), wb.begin());
+  }
+
+  /// Calls `fn(index)` for every set bit in ascending order. Views up to
   /// kSkipScanWords stay on the plain inline word loop (paper-scale markets;
   /// an indirect kernel call per word would cost more than it saves); larger
-  /// rows skip runs of zero words through the dispatched nonzero-word scan.
+  /// ones skip runs of zero words through the dispatched nonzero-word scan.
   template <typename Fn>
   void for_each_set(Fn&& fn) const {
-    const std::size_t nw = words_.size();
-    const std::uint64_t* wp = words_.data();
+    const std::size_t nw = num_words();
+    const std::uint64_t* wp = words_;
     if (nw <= kSkipScanWords) {
       for (std::size_t w = 0; w < nw; ++w) {
         std::uint64_t word = wp[w];
@@ -153,16 +212,16 @@ class DynamicBitset {
     }
   }
 
-  /// Calls `fn(index)` for every bit set in both this bitset and `other`,
-  /// in ascending order — for_each_set over (*this & other) without the
-  /// temporary (hot path of the incremental MWIS scoring). Same small/large
-  /// split as for_each_set, with the masked nonzero-word scan kernel.
+  /// Calls `fn(index)` for every bit set in both this and `other`, in
+  /// ascending order — for_each_set over (this & other) without the
+  /// temporary (hot path of the MWIS induced-subgraph gather). Same
+  /// small/large split as for_each_set, with the masked nonzero-word scan.
   template <typename Fn>
-  void for_each_set_and(const DynamicBitset& other, Fn&& fn) const {
-    check_same_size(other);
-    const std::size_t nw = words_.size();
-    const std::uint64_t* wp = words_.data();
-    const std::uint64_t* op = other.words_.data();
+  void for_each_set_and(BitsetView other, Fn&& fn) const {
+    detail::check_same_size(size_, other.size_);
+    const std::size_t nw = num_words();
+    const std::uint64_t* wp = words_;
+    const std::uint64_t* op = other.words_;
     if (nw <= kSkipScanWords) {
       for (std::size_t w = 0; w < nw; ++w) {
         std::uint64_t word = wp[w] & op[w];
@@ -185,9 +244,6 @@ class DynamicBitset {
     }
   }
 
-  /// Set-bit indices in ascending order (convenience for tests / tracing).
-  std::vector<std::size_t> to_indices() const;
-
  private:
   static constexpr std::size_t kBits = 64;
 
@@ -196,14 +252,32 @@ class DynamicBitset {
   /// bits, comfortably above the paper's N = 500 markets).
   static constexpr std::size_t kSkipScanWords = 16;
 
-  void check_same_size(const DynamicBitset& other) const {
-    SPECMATCH_CHECK_MSG(size_ == other.size_,
-                        "bitset size mismatch: " << size_ << " vs "
-                                                 << other.size_);
-  }
-
+  const std::uint64_t* words_ = nullptr;
   std::size_t size_ = 0;
-  std::vector<std::uint64_t> words_;
 };
+
+inline DynamicBitset operator|(DynamicBitset a, const DynamicBitset& b) {
+  a |= b;
+  return a;
+}
+inline DynamicBitset operator&(DynamicBitset a, const DynamicBitset& b) {
+  a &= b;
+  return a;
+}
+inline DynamicBitset operator-(DynamicBitset a, const DynamicBitset& b) {
+  a -= b;
+  return a;
+}
+
+template <typename Fn>
+void DynamicBitset::for_each_set(Fn&& fn) const {
+  BitsetView(*this).for_each_set(fn);
+}
+
+template <typename Fn>
+void DynamicBitset::for_each_set_and(const DynamicBitset& other,
+                                     Fn&& fn) const {
+  BitsetView(*this).for_each_set_and(other, fn);
+}
 
 }  // namespace specmatch

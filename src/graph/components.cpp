@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <utility>
 
 #include "common/check.hpp"
 
@@ -11,38 +10,42 @@ namespace specmatch::graph {
 ComponentIndex::ComponentIndex(const InterferenceGraph& graph) {
   const std::size_t n = graph.num_vertices();
   comp_of_.assign(n, 0);
-  pos_.assign(n, 0);
 
   // Pass 1: label every vertex by BFS from ascending seeds, so component ids
   // ascend with their seed vertex (same discovery order as coloring.cpp's
   // connected_components). The BFS walks only the still-unlabeled
   // neighbours: on a dense row that is one word-AND per row word instead of
   // a visit per neighbour bit, on a CSR row one mask test per neighbour.
+  // Once the last vertex is labelled the walk stops: the vertices still on
+  // the frontier have no unlabeled neighbour left to find.
   DynamicBitset unlabeled(n);
   for (std::size_t v = 0; v < n; ++v) unlabeled.set(v);
+  std::size_t left = n;
   std::vector<BuyerId> frontier;
   std::uint32_t num_comps = 0;
-  for (std::size_t seed = unlabeled.find_first(); seed < n;
-       seed = unlabeled.find_next(seed)) {
+  // Every vertex below a seed is labelled, so the next seed is the first
+  // unlabeled vertex past it.
+  for (std::size_t seed = 0; left > 0; seed = unlabeled.find_next(seed)) {
     const std::uint32_t c = num_comps++;
     comp_of_[seed] = c;
     unlabeled.reset(seed);
+    --left;
     frontier.clear();
     frontier.push_back(static_cast<BuyerId>(seed));
-    while (!frontier.empty()) {
+    while (!frontier.empty() && left > 0) {
       const BuyerId v = frontier.back();
       frontier.pop_back();
       graph.for_each_neighbor_in(v, unlabeled, [&](std::size_t u) {
         comp_of_[u] = c;
         unlabeled.reset(u);
+        --left;
         frontier.push_back(static_cast<BuyerId>(u));
       });
     }
   }
 
   // Pass 2: counting sort vertices into per-component slices. Scanning v
-  // ascending fills each slice ascending, so local id order preserves the
-  // global order (the GWMIN2 bit-for-bit requirement).
+  // ascending fills each slice ascending.
   comp_offsets_.assign(num_comps + 1, 0);
   for (std::size_t v = 0; v < n; ++v) ++comp_offsets_[comp_of_[v] + 1];
   for (std::size_t c = 0; c < num_comps; ++c) {
@@ -52,11 +55,8 @@ ComponentIndex::ComponentIndex(const InterferenceGraph& graph) {
   comp_vertices_.resize(n);
   std::vector<std::size_t> fill(comp_offsets_.begin(),
                                 comp_offsets_.end() - (num_comps ? 1 : 0));
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint32_t c = comp_of_[v];
-    pos_[v] = static_cast<std::uint32_t>(fill[c] - comp_offsets_[c]);
-    comp_vertices_[fill[c]++] = static_cast<BuyerId>(v);
-  }
+  for (std::size_t v = 0; v < n; ++v)
+    comp_vertices_[fill[comp_of_[v]]++] = static_cast<BuyerId>(v);
 
   // Pass 3: per-component edge/degree summaries (degrees are cached on the
   // graph, so this is O(V); each edge has both endpoints in one component).
@@ -69,45 +69,14 @@ ComponentIndex::ComponentIndex(const InterferenceGraph& graph) {
         std::max(comp_max_degree_[comp_of_[v]], d);
   }
   for (auto& e : comp_edges_) e /= 2;
-
-  // Pass 4: one local-id subgraph per non-trivial component. Singletons get
-  // a default (empty) graph — their solve is "pick iff candidate with
-  // positive weight" and needs no adjacency. A *dominant* component (more
-  // than half the vertices) also gets none: its subgraph would be a near-
-  // full copy of the parent adjacency, and sharding a graph that is mostly
-  // one component buys no parallelism — the workspace routes such channels
-  // down the whole-graph path instead (keeping dense channels above the
-  // percolation threshold at their PR-4 memory footprint).
-  subgraphs_.resize(num_comps);
-  std::vector<std::pair<BuyerId, BuyerId>> local_edges;
-  for (std::size_t c = 0; c < num_comps; ++c) {
-    const auto verts = vertices(c);
-    if (verts.size() < 2 || verts.size() * 2 > n) continue;
-    local_edges.clear();
-    local_edges.reserve(comp_edges_[c]);
-    for (const BuyerId v : verts) {
-      const auto vu = static_cast<std::size_t>(v);
-      graph.for_each_neighbor(v, [&](std::size_t u) {
-        if (u > vu)
-          local_edges.emplace_back(static_cast<BuyerId>(pos_[vu]),
-                                   static_cast<BuyerId>(pos_[u]));
-      });
-    }
-    subgraphs_[c] =
-        InterferenceGraph::from_edges(verts.size(), local_edges);
-  }
 }
 
 std::size_t ComponentIndex::bytes() const {
-  std::size_t total = comp_of_.capacity() * sizeof(std::uint32_t) +
-                      pos_.capacity() * sizeof(std::uint32_t) +
-                      comp_vertices_.capacity() * sizeof(BuyerId) +
-                      comp_offsets_.capacity() * sizeof(std::size_t) +
-                      comp_edges_.capacity() * sizeof(std::size_t) +
-                      comp_max_degree_.capacity() * sizeof(std::size_t) +
-                      subgraphs_.capacity() * sizeof(InterferenceGraph);
-  for (const auto& g : subgraphs_) total += g.adjacency_bytes();
-  return total;
+  return comp_of_.capacity() * sizeof(std::uint32_t) +
+         comp_vertices_.capacity() * sizeof(BuyerId) +
+         comp_offsets_.capacity() * sizeof(std::size_t) +
+         comp_edges_.capacity() * sizeof(std::size_t) +
+         comp_max_degree_.capacity() * sizeof(std::size_t);
 }
 
 std::size_t component_min_default() {

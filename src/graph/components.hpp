@@ -6,15 +6,16 @@
 // one component are provably independent of every other. A ComponentIndex
 // labels the components once per graph and stores them compactly — component
 // id per vertex, CSR-style vertex lists per component, per-component
-// edge/degree summaries — alongside the dual dense/CSR adjacency, plus one
-// local-id subgraph per non-trivial component so a per-component solve costs
-// O(n_c + E_c), not O(N).
+// edge/degree summaries. It holds no adjacency of its own: a shard of
+// components is solved on the channel graph itself, with the candidate set
+// restricted to the shard's vertices (the MWIS solver already works on the
+// candidate-induced subgraph).
 //
 // Determinism contract: components are numbered by ascending seed vertex
 // (the BFS of coloring.cpp's connected_components discovers them in exactly
-// this order) and each component's vertex list ascends, so local vertex
-// order preserves the global order. That makes per-component greedy MWIS
-// merged in component order bit-for-bit identical to the whole-graph greedy:
+// this order) and each component's vertex list ascends. Greedy MWIS over a
+// candidate set that is a union of whole components' candidates picks, in
+// each component, exactly what the whole-graph greedy picks there:
 // GWMIN/GWMIN2 scores only read within-component state, the global pick
 // sequence restricted to a component is the component's own pick sequence,
 // and GWMIN2's neighbour-weight sums run over the same operands in the same
@@ -35,7 +36,8 @@ namespace specmatch::graph {
 class ComponentIndex {
  public:
   /// Labels the components of `graph` and builds the per-component
-  /// summaries and local-id subgraphs. O(V + E) plus the subgraph builds.
+  /// summaries. O(V + E) for CSR graphs, O(V²/64) words for dense ones; the
+  /// labelling stops as soon as every vertex has its label.
   explicit ComponentIndex(const InterferenceGraph& graph);
 
   std::size_t num_components() const { return comp_offsets_.size() - 1; }
@@ -47,8 +49,13 @@ class ComponentIndex {
 
   /// Vertices of component c, ascending global ids.
   std::span<const BuyerId> vertices(std::size_t c) const {
-    return {comp_vertices_.data() + comp_offsets_[c],
-            comp_offsets_[c + 1] - comp_offsets_[c]};
+    return vertices(c, c + 1);
+  }
+
+  /// Vertices of components [begin, end): each component's list in turn.
+  std::span<const BuyerId> vertices(std::size_t begin, std::size_t end) const {
+    return {comp_vertices_.data() + comp_offsets_[begin],
+            comp_offsets_[end] - comp_offsets_[begin]};
   }
 
   /// Start of component c's slice in the concatenated vertex array;
@@ -67,42 +74,19 @@ class ComponentIndex {
   /// Largest vertex degree inside component c.
   std::size_t max_degree(std::size_t c) const { return comp_max_degree_[c]; }
 
-  /// Position of v within its component's vertex list — the local id v maps
-  /// to in subgraph(component_of(v)).
-  std::uint32_t local_id(BuyerId v) const {
-    return pos_[static_cast<std::size_t>(v)];
-  }
-
-  /// The component's interference graph over local ids (vertex k of the
-  /// subgraph is vertices(c)[k]). Empty (zero vertices) for size-1
-  /// components — a singleton's solve needs no graph — and for a dominant
-  /// component (more than half the graph's vertices), whose copy would
-  /// nearly double adjacency memory for no sharding benefit; check
-  /// has_subgraph() before solving a component through the sharded path.
-  const InterferenceGraph& subgraph(std::size_t c) const {
-    return subgraphs_[c];
-  }
-
-  /// True when subgraph(c) is materialized (size >= 2 and not dominant).
-  bool has_subgraph(std::size_t c) const {
-    return subgraphs_[c].num_vertices() > 0;
-  }
-
   /// Vertex count of the largest component.
   std::size_t largest_component() const { return largest_; }
 
-  /// Heap bytes of the index (labels, lists, summaries, subgraph
-  /// adjacencies) — the serve registry budgets resident markets with it.
+  /// Heap bytes of the index (labels, lists, summaries) — the serve
+  /// registry budgets resident markets with it.
   std::size_t bytes() const;
 
  private:
   std::vector<std::uint32_t> comp_of_;       ///< per-vertex component id
-  std::vector<std::uint32_t> pos_;           ///< per-vertex local id
   std::vector<BuyerId> comp_vertices_;       ///< concatenated vertex lists
   std::vector<std::size_t> comp_offsets_;    ///< num_components + 1 starts
   std::vector<std::size_t> comp_edges_;      ///< per-component edge count
   std::vector<std::size_t> comp_max_degree_; ///< per-component max degree
-  std::vector<InterferenceGraph> subgraphs_; ///< local-id graphs (size >= 2)
   std::size_t largest_ = 0;
 };
 

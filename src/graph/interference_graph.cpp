@@ -24,11 +24,12 @@ InterferenceGraph::InterferenceGraph(const InterferenceGraph& other)
       num_edges_(other.num_edges_),
       max_degree_(other.max_degree_),
       degrees_(other.degrees_),
-      adjacency_(other.adjacency_),
+      dense_(other.dense_),
       rows_(other.rows_),
       offsets_(other.offsets_),
       flat16_(other.flat16_),
       flat32_(other.flat32_),
+      ext_dense_(other.ext_dense_),
       ext_offsets_(other.ext_offsets_),
       ext_degrees_(other.ext_degrees_),
       ext_ids16_(other.ext_ids16_),
@@ -49,11 +50,12 @@ InterferenceGraph& InterferenceGraph::operator=(
   num_edges_ = other.num_edges_;
   max_degree_ = other.max_degree_;
   degrees_ = other.degrees_;
-  adjacency_ = other.adjacency_;
+  dense_ = other.dense_;
   rows_ = other.rows_;
   offsets_ = other.offsets_;
   flat16_ = other.flat16_;
   flat32_ = other.flat32_;
+  ext_dense_ = other.ext_dense_;
   ext_offsets_ = other.ext_offsets_;
   ext_degrees_ = other.ext_degrees_;
   ext_ids16_ = other.ext_ids16_;
@@ -64,13 +66,17 @@ InterferenceGraph& InterferenceGraph::operator=(
 }
 
 void InterferenceGraph::materialize() {
-  if (ext_offsets_ == nullptr) return;
-  offsets_.assign(ext_offsets_, ext_offsets_ + num_vertices_ + 1);
+  if (!view_backed()) return;
   degrees_.assign(ext_degrees_, ext_degrees_ + num_vertices_);
+  if (ext_dense_ != nullptr)
+    dense_.assign(ext_dense_, ext_dense_ + num_vertices_ * row_words());
+  if (ext_offsets_ != nullptr)
+    offsets_.assign(ext_offsets_, ext_offsets_ + num_vertices_ + 1);
   if (narrow_ && ext_ids16_ != nullptr)
     flat16_.assign(ext_ids16_, ext_ids16_ + 2 * num_edges_);
   else if (!narrow_ && ext_ids32_ != nullptr)
     flat32_.assign(ext_ids32_, ext_ids32_ + 2 * num_edges_);
+  ext_dense_ = nullptr;
   ext_offsets_ = nullptr;
   ext_degrees_ = nullptr;
   ext_ids16_ = nullptr;
@@ -120,27 +126,30 @@ InterferenceGraph InterferenceGraph::from_csr_view(const CsrView& view) {
   return g;
 }
 
-InterferenceGraph InterferenceGraph::from_dense_rows(
+std::span<const std::uint64_t> InterferenceGraph::dense_rows() const {
+  SPECMATCH_CHECK_MSG(rep_ == GraphRep::kDense,
+                      "dense_rows requires a dense graph");
+  return {dense_data(), num_vertices_ * row_words()};
+}
+
+InterferenceGraph InterferenceGraph::from_dense_view(
     std::size_t num_vertices, std::span<const std::uint64_t> rows,
     std::span<const std::uint32_t> degrees) {
-  const std::size_t words_per_row = (num_vertices + 63) / 64;
-  SPECMATCH_CHECK_MSG(rows.size() == num_vertices * words_per_row &&
-                          degrees.size() == num_vertices,
-                      "dense rows for " << num_vertices << " vertices need "
-                                        << num_vertices * words_per_row
-                                        << " words and as many degrees");
   InterferenceGraph g;
   g.rep_ = GraphRep::kDense;
   g.num_vertices_ = num_vertices;
   g.narrow_ = g.narrow_ids();
-  g.degrees_.assign(degrees.begin(), degrees.end());
-  g.adjacency_.reserve(num_vertices);
+  SPECMATCH_CHECK_MSG(rows.size() == num_vertices * g.row_words() &&
+                          degrees.size() == num_vertices,
+                      "dense rows for " << num_vertices << " vertices need "
+                                        << num_vertices * g.row_words()
+                                        << " words and as many degrees");
+  g.ext_dense_ = rows.data();
+  g.ext_degrees_ = degrees.data();
   std::size_t degree_sum = 0;
-  for (std::size_t v = 0; v < num_vertices; ++v) {
-    g.adjacency_.emplace_back(num_vertices,
-                              rows.subspan(v * words_per_row, words_per_row));
-    degree_sum += degrees[v];
-    g.max_degree_ = std::max<std::size_t>(g.max_degree_, degrees[v]);
+  for (const std::uint32_t d : degrees) {
+    degree_sum += d;
+    g.max_degree_ = std::max<std::size_t>(g.max_degree_, d);
   }
   g.num_edges_ = degree_sum / 2;
   return g;
@@ -180,7 +189,7 @@ InterferenceGraph::InterferenceGraph(std::size_t num_vertices, GraphRep rep)
       num_vertices_(num_vertices),
       degrees_(num_vertices, 0) {
   if (rep_ == GraphRep::kDense)
-    adjacency_.assign(num_vertices, DynamicBitset(num_vertices));
+    dense_.assign(num_vertices * row_words(), 0);
   else
     rows_.resize(num_vertices);
 }
@@ -302,9 +311,10 @@ void InterferenceGraph::add_edge(BuyerId a, BuyerId b) {
   const auto ua = static_cast<std::size_t>(a);
   const auto ub = static_cast<std::size_t>(b);
   if (rep_ == GraphRep::kDense) {
-    if (adjacency_[ua].test(ub)) return;  // already present
-    adjacency_[ua].set(ub);
-    adjacency_[ub].set(ua);
+    if (row(a).test(ub)) return;  // already present
+    materialize();  // never write through a borrowed (read-only) block
+    dense_[ua * row_words() + ub / 64] |= std::uint64_t{1} << (ub % 64);
+    dense_[ub * row_words() + ua / 64] |= std::uint64_t{1} << (ua % 64);
   } else {
     auto& row_a = rows_[ua];
     const auto wa = static_cast<std::uint32_t>(ub);
@@ -325,7 +335,7 @@ bool InterferenceGraph::has_edge(BuyerId a, BuyerId b) const {
   check_vertex(b);
   const auto ua = static_cast<std::size_t>(a);
   const auto ub = static_cast<std::size_t>(b);
-  if (rep_ == GraphRep::kDense) return adjacency_[ua].test(ub);
+  if (rep_ == GraphRep::kDense) return row(a).test(ub);
   if (!finalized_) {
     const auto& row = rows_[ua];
     return std::binary_search(row.begin(), row.end(),
@@ -344,12 +354,12 @@ bool InterferenceGraph::has_edge(BuyerId a, BuyerId b) const {
                             static_cast<std::uint32_t>(ub));
 }
 
-const DynamicBitset& InterferenceGraph::neighbors(BuyerId v) const {
+BitsetView InterferenceGraph::neighbors(BuyerId v) const {
   check_vertex(v);
   SPECMATCH_CHECK_MSG(rep_ == GraphRep::kDense,
                       "neighbors() hands out a dense adjacency row; CSR "
                       "graphs use the degree-proportional primitives");
-  return adjacency_[static_cast<std::size_t>(v)];
+  return row(v);
 }
 
 bool InterferenceGraph::is_independent(const DynamicBitset& members) const {
@@ -357,7 +367,8 @@ bool InterferenceGraph::is_independent(const DynamicBitset& members) const {
   bool independent = true;
   if (rep_ == GraphRep::kDense) {
     members.for_each_set([&](std::size_t v) {
-      if (independent && adjacency_[v].intersects(members)) independent = false;
+      if (independent && row(static_cast<BuyerId>(v)).intersects(members))
+        independent = false;
     });
     return independent;
   }
@@ -381,7 +392,7 @@ std::vector<std::pair<BuyerId, BuyerId>> InterferenceGraph::edges() const {
   out.reserve(num_edges_);
   if (rep_ == GraphRep::kDense) {
     for (std::size_t a = 0; a < num_vertices_; ++a) {
-      adjacency_[a].for_each_set([&](std::size_t b) {
+      row(static_cast<BuyerId>(a)).for_each_set([&](std::size_t b) {
         if (a < b)
           out.emplace_back(static_cast<BuyerId>(a), static_cast<BuyerId>(b));
       });
@@ -405,26 +416,18 @@ double InterferenceGraph::average_degree() const {
 }
 
 std::size_t InterferenceGraph::adjacency_bytes() const {
-  std::size_t bytes = degrees_.size() * sizeof(std::uint32_t);
-  if (rep_ == GraphRep::kDense) {
-    const std::size_t words_per_row = (num_vertices_ + 63) / 64;
-    return bytes + num_vertices_ * words_per_row * sizeof(std::uint64_t);
-  }
-  if (finalized_) {
-    // Computed from counts so owned and view-backed graphs report the same
-    // footprint (mapped pages occupy RSS once touched, just like owned
-    // arrays).
-    return num_vertices_ * sizeof(std::uint32_t) +
-           (num_vertices_ + 1) * sizeof(std::uint32_t) +
+  // Computed from counts so owned and view-backed graphs report the same
+  // footprint.
+  std::size_t bytes = num_vertices_ * sizeof(std::uint32_t);  // degrees
+  if (rep_ == GraphRep::kDense)
+    return bytes + num_vertices_ * row_words() * sizeof(std::uint64_t);
+  if (finalized_)
+    return bytes + (num_vertices_ + 1) * sizeof(std::uint32_t) +
            2 * num_edges_ *
                (narrow_ ? sizeof(std::uint16_t) : sizeof(std::uint32_t));
-  }
-  {
-    for (const auto& row : rows_)
-      bytes += row.capacity() * sizeof(std::uint32_t);
-    bytes += rows_.capacity() * sizeof(std::vector<std::uint32_t>);
-  }
-  return bytes;
+  for (const auto& build_row : rows_)
+    bytes += build_row.capacity() * sizeof(std::uint32_t);
+  return bytes + rows_.capacity() * sizeof(std::vector<std::uint32_t>);
 }
 
 bool InterferenceGraph::operator==(const InterferenceGraph& other) const {
@@ -434,8 +437,11 @@ bool InterferenceGraph::operator==(const InterferenceGraph& other) const {
     if (degree(static_cast<BuyerId>(v)) !=
         other.degree(static_cast<BuyerId>(v)))
       return false;
-  if (rep_ == GraphRep::kDense && other.rep_ == GraphRep::kDense)
-    return adjacency_ == other.adjacency_;
+  if (rep_ == GraphRep::kDense && other.rep_ == GraphRep::kDense) {
+    const auto a = dense_rows();
+    const auto b = other.dense_rows();
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
   return edges() == other.edges();
 }
 

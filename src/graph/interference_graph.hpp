@@ -4,12 +4,13 @@
 // this channel simultaneously (paper §II-A). Two storage representations sit
 // behind one API:
 //
-//  * kDense — one DynamicBitset adjacency row per vertex, so "does buyer j
-//    interfere with anyone in coalition C" is a word-parallel intersection
-//    test running on the runtime-dispatched kernels of common/simd.hpp
-//    (AVX2/SSE2/scalar, bit-identical across tiers). O(N²) bits per graph:
-//    perfect for the paper-sized markets, ruinous at ROADMAP scale (M dense
-//    graphs at N = 20000 cost gigabytes).
+//  * kDense — one N-bit adjacency row per vertex, all rows in one contiguous
+//    word block (row v at word v·⌈N/64⌉), so "does buyer j interfere with
+//    anyone in coalition C" is a word-parallel intersection test running on
+//    the runtime-dispatched kernels of common/simd.hpp (AVX2/SSE2/scalar,
+//    bit-identical across tiers). O(N²) bits per graph: perfect for the
+//    paper-sized markets, ruinous at ROADMAP scale (M dense graphs at
+//    N = 20000 cost gigabytes).
 //  * kCsr — compressed sparse rows: each vertex's neighbour list, ascending,
 //    concatenated into one flat array (16-bit ids when N <= 65536, 32-bit
 //    above) behind an offsets table. Memory scales with edges, and every
@@ -18,8 +19,14 @@
 // The representation is chosen per graph at construction: vertex counts at or
 // below the SPECMATCH_GRAPH_DENSE_MAX env knob (default 2048) stay dense,
 // larger graphs go CSR. All queries are representation-agnostic; only
-// neighbors() — which hands out a dense row by reference — is dense-only, and
-// callers on hot paths use the degree-proportional primitives below instead.
+// neighbors() — which hands out a dense row as a BitsetView — is dense-only,
+// and callers on hot paths use the degree-proportional primitives below
+// instead.
+//
+// Either representation's adjacency is owned when the graph is built, or
+// borrowed from a mapped snapshot file when a market is faulted in
+// (from_dense_view, from_csr_view): the graph then reads the file's pages in
+// place. Copying a borrowing graph copies its adjacency into owned storage.
 //
 // CSR graphs have a mutable build phase (per-vertex sorted rows, add_edge
 // allowed) and an immutable finalized phase (the flat arrays). finalize()
@@ -49,7 +56,7 @@ class ComponentIndex;
 
 /// Adjacency storage strategy; see the header comment.
 enum class GraphRep : std::uint8_t {
-  kDense,  ///< one bitset row per vertex (word-parallel, O(N²) bits)
+  kDense,  ///< one bit row per vertex in one block (word-parallel, O(N²))
   kCsr,    ///< compressed sparse rows (degree-proportional, O(E) ids)
 };
 
@@ -145,10 +152,10 @@ class InterferenceGraph {
 
   bool has_edge(BuyerId a, BuyerId b) const;
 
-  /// Adjacency row of `v`: bit j set iff (v, j) is an edge. Dense-only —
-  /// CSR graphs have no bitset row to hand out; use the degree-proportional
-  /// primitives below.
-  const DynamicBitset& neighbors(BuyerId v) const;
+  /// Adjacency row of `v`: bit j set iff (v, j) is an edge, viewed in place
+  /// (valid while the graph lives unchanged). Dense-only — CSR graphs have
+  /// no bit row to hand out; use the degree-proportional primitives below.
+  BitsetView neighbors(BuyerId v) const;
 
   /// Cached degree — O(1), maintained by add_edge (GWMIN scores it in a
   /// loop; recomputing neighbors(v).count() was a word scan per call).
@@ -164,32 +171,35 @@ class InterferenceGraph {
 
   /// Borrowed view of the finalized CSR arrays, valid until the next
   /// non-const call on this graph. Requires a finalized kCsr graph (the
-  /// snapshot writer stores dense graphs as their bitset rows instead).
+  /// snapshot writer stores dense graphs as their row block instead).
   CsrView csr_export() const;
 
-  /// A dense graph whose adjacency rows are copied word for word from
-  /// `rows`: num_vertices rows of ⌈num_vertices/64⌉ words each, row v at
-  /// word v·⌈num_vertices/64⌉, in DynamicBitset::words() layout. `degrees`
-  /// becomes the degree cache. No per-edge replay: this is how the snapshot
-  /// reader restores dense channels. The caller guarantees a valid
-  /// adjacency — symmetric, no diagonal bit, degrees[v] equal to row v's
-  /// popcount (the reader verifies everything but symmetry, which the
-  /// file checksum covers); bits past num_vertices are checked here.
-  static InterferenceGraph from_dense_rows(
+  /// The dense row block: num_vertices rows of ⌈num_vertices/64⌉ words, row
+  /// v at word v·⌈num_vertices/64⌉, each in DynamicBitset::words() layout.
+  /// Valid until the next non-const call. Requires a kDense graph.
+  std::span<const std::uint64_t> dense_rows() const;
+
+  /// A dense graph whose adjacency reads THROUGH `rows` (a block in
+  /// dense_rows() layout) and whose degree cache is `degrees` — no copy, no
+  /// per-edge replay: this is how the snapshot reader restores dense
+  /// channels. The caller guarantees the memory (typically an mmap'd
+  /// snapshot) outlives the graph, and a valid adjacency: symmetric, no
+  /// diagonal or padding bit, degrees[v] equal to row v's popcount (the
+  /// reader verifies everything but symmetry, which the file checksum
+  /// covers).
+  static InterferenceGraph from_dense_view(
       std::size_t num_vertices, std::span<const std::uint64_t> rows,
       std::span<const std::uint32_t> degrees);
 
   /// A finalized kCsr graph whose adjacency reads THROUGH `view`'s pointers
   /// — no copy. The caller guarantees the pointed-to memory (typically an
-  /// mmap'd snapshot) outlives the graph. Copying a view-backed graph
-  /// deep-copies into owned arrays. `view` must
-  /// be structurally valid (the snapshot reader checksum- and
-  /// bounds-verifies before calling).
+  /// mmap'd snapshot) outlives the graph. `view` must be structurally valid
+  /// (the snapshot reader checksum- and bounds-verifies before calling).
   static InterferenceGraph from_csr_view(const CsrView& view);
 
-  /// True when adjacency reads through external (borrowed) pointers rather
-  /// than owned arrays.
-  bool csr_view_backed() const { return ext_offsets_ != nullptr; }
+  /// True when the adjacency reads through borrowed memory (from_dense_view
+  /// or from_csr_view) rather than owned arrays. Copies never borrow.
+  bool view_backed() const { return ext_degrees_ != nullptr; }
 
   /// Largest vertex degree; 0 for the edgeless graph. O(1).
   std::size_t max_degree() const { return max_degree_; }
@@ -202,8 +212,7 @@ class InterferenceGraph {
   bool is_compatible(BuyerId v, const DynamicBitset& members) const {
     check_vertex(v);
     SPECMATCH_CHECK(members.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense)
-      return !adjacency_[static_cast<std::size_t>(v)].intersects(members);
+    if (rep_ == GraphRep::kDense) return !row(v).intersects(members);
     bool compatible = true;
     visit_row(v, [&](std::size_t u) {
       if (members.test(u)) {
@@ -222,7 +231,7 @@ class InterferenceGraph {
   void for_each_neighbor(BuyerId v, Fn&& fn) const {
     check_vertex(v);
     if (rep_ == GraphRep::kDense) {
-      adjacency_[static_cast<std::size_t>(v)].for_each_set(fn);
+      row(v).for_each_set(fn);
       return;
     }
     visit_row(v, [&](std::size_t u) {
@@ -239,7 +248,7 @@ class InterferenceGraph {
     check_vertex(v);
     SPECMATCH_CHECK(mask.size() == num_vertices_);
     if (rep_ == GraphRep::kDense) {
-      adjacency_[static_cast<std::size_t>(v)].for_each_set_and(mask, fn);
+      row(v).for_each_set_and(mask, fn);
       return;
     }
     visit_row(v, [&](std::size_t u) {
@@ -253,8 +262,7 @@ class InterferenceGraph {
   std::size_t degree_in(BuyerId v, const DynamicBitset& mask) const {
     check_vertex(v);
     SPECMATCH_CHECK(mask.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense)
-      return adjacency_[static_cast<std::size_t>(v)].intersection_count(mask);
+    if (rep_ == GraphRep::kDense) return row(v).intersection_count(mask);
     std::size_t count = 0;
     visit_row(v, [&](std::size_t u) {
       count += mask.test(u) ? 1 : 0;
@@ -267,8 +275,7 @@ class InterferenceGraph {
   bool neighbors_subset_of(BuyerId v, const DynamicBitset& mask) const {
     check_vertex(v);
     SPECMATCH_CHECK(mask.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense)
-      return adjacency_[static_cast<std::size_t>(v)].is_subset_of(mask);
+    if (rep_ == GraphRep::kDense) return row(v).is_subset_of(mask);
     bool subset = true;
     visit_row(v, [&](std::size_t u) {
       if (!mask.test(u)) {
@@ -286,7 +293,7 @@ class InterferenceGraph {
     check_vertex(v);
     SPECMATCH_CHECK(mask.size() == num_vertices_);
     if (rep_ == GraphRep::kDense) {
-      out.assign_and(adjacency_[static_cast<std::size_t>(v)], mask);
+      out.assign_and(row(v), mask);
       return;
     }
     out.assign_zero(num_vertices_);
@@ -301,7 +308,7 @@ class InterferenceGraph {
     check_vertex(v);
     SPECMATCH_CHECK(set.size() == num_vertices_);
     if (rep_ == GraphRep::kDense) {
-      set |= adjacency_[static_cast<std::size_t>(v)];
+      set |= row(v);
       return;
     }
     visit_row(v, [&](std::size_t u) {
@@ -315,7 +322,7 @@ class InterferenceGraph {
     check_vertex(v);
     SPECMATCH_CHECK(set.size() == num_vertices_);
     if (rep_ == GraphRep::kDense) {
-      set -= adjacency_[static_cast<std::size_t>(v)];
+      set -= row(v);
       return;
     }
     visit_row(v, [&](std::size_t u) {
@@ -330,10 +337,12 @@ class InterferenceGraph {
   /// Mean vertex degree; 0 for the empty graph.
   double average_degree() const;
 
-  /// Heap bytes of the adjacency storage under the current representation
-  /// (dense bitset rows, or CSR offsets + flat ids + degree cache). The
-  /// bench's representation-comparison leg reports this because process RSS
-  /// cannot attribute memory once the allocator recycles freed arenas.
+  /// Bytes of the adjacency storage under the current representation (dense
+  /// row block, or CSR offsets + flat ids, plus the degree cache), the same
+  /// for owned and borrowed storage: mapped pages occupy RSS once touched,
+  /// just like owned arrays. The bench's representation-comparison leg
+  /// reports this because process RSS cannot attribute memory once the
+  /// allocator recycles freed arenas.
   std::size_t adjacency_bytes() const;
 
   /// Representation-agnostic equality: same vertex count and same edge set
@@ -357,6 +366,15 @@ class InterferenceGraph {
     SPECMATCH_CHECK_MSG(
         v >= 0 && static_cast<std::size_t>(v) < num_vertices_,
         "vertex " << v << " out of range [0, " << num_vertices_ << ")");
+  }
+
+  /// Words per dense row.
+  std::size_t row_words() const { return (num_vertices_ + 63) / 64; }
+
+  /// Dense row of `v`, viewed in the row block (owned or borrowed).
+  BitsetView row(BuyerId v) const {
+    return {dense_data() + static_cast<std::size_t>(v) * row_words(),
+            num_vertices_};
   }
 
   /// CSR row walk, ascending, in whichever phase the graph is in. `fn`
@@ -383,8 +401,12 @@ class InterferenceGraph {
     }
   }
 
-  // Finalized-phase array access: borrowed snapshot pages when view-backed,
-  // the owned vectors otherwise. One predictable branch per row walk.
+  // Row block, finalized-phase CSR array and degree cache access: borrowed
+  // snapshot pages when view-backed, the owned vectors otherwise. One
+  // predictable branch per row walk.
+  const std::uint64_t* dense_data() const {
+    return ext_dense_ != nullptr ? ext_dense_ : dense_.data();
+  }
   const std::uint32_t* offsets_data() const {
     return ext_offsets_ != nullptr ? ext_offsets_ : offsets_.data();
   }
@@ -398,9 +420,9 @@ class InterferenceGraph {
     return ext_ids32_ != nullptr ? ext_ids32_ : flat32_.data();
   }
 
-  /// Copies externally viewed arrays into owned storage and drops the
-  /// borrowed pointers. Called by the copy operations — a copy must never
-  /// alias another graph's backing.
+  /// Copies borrowed arrays into owned storage and drops the borrowed
+  /// pointers. Called by the copy operations — a copy must never alias
+  /// another graph's backing — and before add_edge writes a dense row.
   void materialize();
 
   /// True when 16-bit neighbour ids cover every vertex.
@@ -414,8 +436,9 @@ class InterferenceGraph {
   std::size_t max_degree_ = 0;
   std::vector<std::uint32_t> degrees_;  ///< cached; add_edge maintains it
 
-  // kDense storage.
-  std::vector<DynamicBitset> adjacency_;
+  // kDense storage: num_vertices_ rows of row_words() words, row v at word
+  // v·row_words().
+  std::vector<std::uint64_t> dense_;
 
   // kCsr build phase: one sorted (ascending) neighbour vector per vertex.
   std::vector<std::vector<std::uint32_t>> rows_;
@@ -426,8 +449,11 @@ class InterferenceGraph {
   std::vector<std::uint16_t> flat16_;
   std::vector<std::uint32_t> flat32_;
 
-  // from_csr_view borrowed pointers (mmap'd snapshot pages). When non-null
-  // they supersede the owned vectors above; materialize() copies them down.
+  // from_dense_view / from_csr_view borrowed pointers (mmap'd snapshot
+  // pages). When non-null they supersede the owned vectors above;
+  // materialize() copies them down. ext_degrees_ is set whenever the graph
+  // borrows.
+  const std::uint64_t* ext_dense_ = nullptr;
   const std::uint32_t* ext_offsets_ = nullptr;
   const std::uint32_t* ext_degrees_ = nullptr;
   const std::uint16_t* ext_ids16_ = nullptr;
@@ -447,9 +473,9 @@ InterferenceGraph InterferenceGraph::from_neighbors(std::size_t num_vertices,
   std::uint32_t* degrees = g.degrees_.data();
   if (g.rep_ == GraphRep::kDense) {
     for (std::size_t a = 0; a < num_vertices; ++a) {
-      DynamicBitset& row = g.adjacency_[a];
+      std::uint64_t* row = g.dense_.data() + a * g.row_words();
       visit(a, [&](std::size_t b) {
-        row.set(b);
+        row[b / 64] |= std::uint64_t{1} << (b % 64);
         ++degrees[a];
       });
     }

@@ -65,7 +65,6 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   if (shard_plans.size() < mu) shard_plans.resize(mu);
   std::size_t total_tasks = 0;
   std::size_t out_bound = 0;
-  std::size_t max_component = 0;
   for (ChannelId i = 0; i < M; ++i) {
     ShardPlan& plan = shard_plans[static_cast<std::size_t>(i)];
     plan.shard_comps.clear();
@@ -80,8 +79,8 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
       metrics::observe("component.per_channel",
                        static_cast<double>(index.num_components()));
     // A channel dominated by one huge component (> half the vertices) has
-    // no subgraph for it (see ComponentIndex) and nothing to parallelise —
-    // route it whole-graph.
+    // little to parallelise — its largest shard is most of the solve — so it
+    // goes whole-graph.
     if (index.num_components() >= 2 && index.largest_component() * 2 <= nu)
       graph::build_shards(index, min_vertices, plan.shard_comps);
     if (!plan.sharded()) {
@@ -94,7 +93,6 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
                        static_cast<double>(plan.num_shards()));
     total_tasks += plan.num_shards();
     out_bound += nu;  // a channel's shards partition its vertices
-    max_component = std::max(max_component, index.largest_component());
   }
   coal_tasks.clear();
   coal_tasks.reserve(total_tasks);
@@ -102,23 +100,17 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
 
   // One solver scratch per pool lane, sized for an all-candidate solve on
   // the widest channel: its induced adjacency holds at most the summed
-  // degree of the graph, 2E, which also bounds any component subgraph's.
-  // The capacity is left uninitialised; a solve writes only the rows it
-  // keeps.
+  // degree of the graph, 2E, which also bounds any shard's. The capacity is
+  // left uninitialised; a solve writes only the rows it keeps.
   const std::size_t lanes = ThreadPool::global().num_threads();
   if (lane_set.size() < lanes) lane_set.resize(lanes);
   if (lane_scratch.size() < lanes) lane_scratch.resize(lanes);
-  if (lane_local.size() < lanes) lane_local.resize(lanes);
-  if (lane_weights.size() < lanes) lane_weights.resize(lanes);
   std::size_t row_entries = 0;
   for (ChannelId i = 0; i < M; ++i)
     row_entries = std::max(row_entries, 2 * market.graph(i).num_edges());
   for (std::size_t lane = 0; lane < lane_set.size(); ++lane) {
     lane_set[lane].assign_zero(nu);
     lane_scratch[lane].reserve(nu, row_entries);
-    lane_local[lane].assign_zero(max_component);
-    if (lane_weights[lane].size() < max_component)
-      lane_weights[lane].resize(max_component);
   }
   stage2_active.assign_zero(nu);
 

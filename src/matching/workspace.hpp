@@ -121,8 +121,6 @@ struct MatchWorkspace {
   std::vector<ShardPlan> shard_plans;    ///< per channel
   std::vector<CoalitionTask> coal_tasks; ///< the round's solve tasks
   std::vector<BuyerId> coal_out;         ///< flat chosen-id slices per task
-  std::vector<DynamicBitset> lane_local;          ///< local candidate bits
-  std::vector<std::vector<double>> lane_weights;  ///< local weight gather
 
   // Stage II restricted mode: the active participant set (config copy plus
   /// buyers activated by departure cascades).
@@ -143,9 +141,10 @@ struct MatchWorkspace {
 /// solves), and `is_candidate(i, v)` answers per vertex (sharded channels).
 ///
 /// The driver owns the sharding decision. A fractured channel is solved as
-/// one task per component shard, each writing a disjoint slice of
-/// ws.coal_out that is merged serially in fixed task order; every other
-/// channel, and every channel under kExact (its tie-breaking is not
+/// one task per component shard (solve_shard: the channel graph, with the
+/// shard's candidates set in the lane's N-bit set), each writing a disjoint
+/// slice of ws.coal_out that is merged serially in fixed task order; every
+/// other channel, and every channel under kExact (its tie-breaking is not
 /// component-local), is one whole-graph task. Tasks run in
 /// parallel_for_lanes lanes on per-lane scratch, so the result is
 /// bit-for-bit the serial whole-graph one at any thread count (see
@@ -189,11 +188,11 @@ void solve_coalition_round(const market::SpectrumMarket& market,
         }
         const MatchWorkspace::ShardPlan& plan =
             ws.shard_plans[static_cast<std::size_t>(i)];
-        task.out_count = solve_components(
-            market.graph(i).components(), market.channel_prices(i),
+        task.out_count = solve_shard(
+            market.graph(i), market.channel_prices(i),
             plan.shard_comps[task.shard], plan.shard_comps[task.shard + 1],
             [&](BuyerId v) { return is_candidate(i, v); }, policy,
-            ws.lane_local[lane], ws.lane_weights[lane], ws.lane_scratch[lane],
+            ws.lane_set[lane], ws.lane_scratch[lane],
             ws.coal_out.data() + task.out_begin);
       });
   // Merge the shard slices into their slots (disjoint, so order cannot

@@ -59,10 +59,9 @@ struct MarketEntry {
   /// The creating scenario, retained so eviction can spill it with the
   /// entry (and re-serves of the snapshot can validate against it).
   std::shared_ptr<const market::Scenario> scenario;
-  /// The mapped graph file backing the market's view-backed CSR graphs when
-  /// this entry was faulted in from a snapshot; null for freshly built
-  /// markets and for faulted-in markets whose channels are all dense (their
-  /// rows were copied out).
+  /// The mapped graph file the market's graphs read their adjacency through
+  /// when this entry was faulted in from a snapshot; null for freshly built
+  /// markets.
   std::shared_ptr<store::MappedSnapshot> backing;
 
   /// Buyers whose assignment or opportunities a mutation may have changed

@@ -81,8 +81,8 @@ std::string hex64(std::uint64_t value) {
 }
 
 /// Rebuilds one channel graph from its snapshot sections, under the
-/// representation it spilled with. CSR channels get a zero-copy view into
-/// the mapping; dense channels get their bitset rows copied word for word.
+/// representation it spilled with, reading its adjacency in place: dense
+/// rows and CSR arrays alike are borrowed from the mapping, never copied.
 /// Nothing out of range leaves here: every later consumer indexes bitsets
 /// and price rows with these values.
 graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
@@ -147,7 +147,7 @@ graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
         fail("cached degree of vertex " + std::to_string(v) +
              " disagrees with its row popcount");
     }
-    return graph::InterferenceGraph::from_dense_rows(
+    return graph::InterferenceGraph::from_dense_view(
         n, {rows, n * words_per_row}, {degrees, n});
   }
 
@@ -349,7 +349,7 @@ SnapshotImage build_graph_image(const MarketStateView& state,
       std::span<const double>(scenario.channel_reserves));
 
   // The adjacency: every channel's degree cache, then CSR channels' offsets
-  // and ids as finalized, and dense channels' bitset rows word for word —
+  // and ids as finalized, and dense channels' row blocks word for word —
   // each stored under its resident representation, with no conversion. Each
   // channel's sub-array starts kSectionAlign-aligned inside its blob. The
   // meta records are filled in as the pieces land, before finish() copies
@@ -392,14 +392,9 @@ SnapshotImage build_graph_image(const MarketStateView& state,
   for (ChannelId i = 0; i < market.num_channels(); ++i) {
     const graph::InterferenceGraph& g = market.graph(i);
     if (g.representation() != graph::GraphRep::kDense) continue;
-    for (BuyerId v = 0; v < market.num_buyers(); ++v) {
-      const auto words = g.neighbors(v).words();
-      // Row 0 opens the channel's aligned sub-array; the rest pack behind it.
-      const std::uint64_t at = builder.add_piece(
-          words.data(), words.size_bytes(),
-          v == 0 ? kSectionAlign : sizeof(std::uint64_t));
-      if (v == 0) meta[static_cast<std::size_t>(i)].rows_off = at;
-    }
+    const auto rows = g.dense_rows();
+    meta[static_cast<std::size_t>(i)].rows_off =
+        builder.add_piece(rows.data(), rows.size_bytes());
   }
   return builder.finish(header_of(FileKind::kGraph, market, digest));
 }
@@ -412,7 +407,6 @@ struct LoadedGraphs {
   std::vector<int> buyer_parents;
   std::vector<int> seller_parents;
   std::vector<double> reserves;
-  bool reads_through_map = false;
 };
 
 LoadedGraphs load_graph_file(const MappedSnapshot& snap) {
@@ -473,11 +467,9 @@ LoadedGraphs load_graph_file(const MappedSnapshot& snap) {
   const auto meta = snap.array<GraphMetaRecord>(
       require_count(snap, SectionKind::kGraphMeta, m));
   out.graphs.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
+  for (std::size_t i = 0; i < m; ++i)
     out.graphs.push_back(
         load_graph(snap, meta[i], n, static_cast<ChannelId>(i)));
-    out.reads_through_map |= out.graphs.back().csr_view_backed();
-  }
 
   // The header's digest is outside the checksum: recompute it from the
   // contents, so a graph file only ever answers to its own identity.
@@ -573,9 +565,8 @@ LoadedMarket load_market(std::shared_ptr<MappedSnapshot> state,
   out.dirty.assign(dirty.begin(), dirty.end());
   out.matching.assign(matching.begin(), matching.end());
   std::copy(counters.begin(), counters.end(), out.counters.begin());
-  // Dense rows and every other section were copied out: keep the graph
-  // file's mapping only when a CSR graph still reads through it.
-  if (loaded.reads_through_map) out.backing = std::move(graphs);
+  // Every graph reads its adjacency through the graph file's mapping.
+  out.backing = std::move(graphs);
   return out;
 }
 

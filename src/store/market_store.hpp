@@ -10,11 +10,12 @@
 // counters — rewritten on every spill. write() skips the graph file when its
 // own index says the id's graph file on disk carries the digest of the
 // view's graphs. Both directions keep each channel's resident
-// representation: dense channels as their bitset rows, CSR channels as their
-// finalized arrays; load() copies dense rows back word for word and POINTS
-// CSR graphs at the mapped graph file (InterferenceGraph::from_csr_view).
-// Fault-in cost is page-in plus flat copies, not a rebuild, and the carried
-// matching comes back with the market so it warm-serves immediately.
+// representation: dense channels as their row blocks, CSR channels as their
+// finalized arrays; load() POINTS every graph at the mapped graph file
+// (InterferenceGraph::from_dense_view, from_csr_view) after checking it.
+// Fault-in cost is page-in, checks and small flat copies, not a rebuild, and
+// the carried matching comes back with the market so it warm-serves
+// immediately.
 //
 // File naming: the market id, percent-encoded (every byte outside
 // [A-Za-z0-9._-] becomes %XX), with ".spms" for the state file and ".spmg"
@@ -56,11 +57,10 @@ struct MarketStateView {
   std::array<std::int64_t, kNumCounters> counters{};
 };
 
-/// A market reconstructed from a snapshot pair. `market`'s CSR graphs may
-/// read through `backing`, the mapped graph file — whoever adopts the market
-/// must keep `backing` alive as long as the graphs (the registry stores it in
-/// the entry). `backing` is null when no graph reads through the mapping
-/// (every channel loaded dense), so the mapping is released at once.
+/// A market reconstructed from a snapshot pair. `market`'s graphs read
+/// their adjacency through `backing`, the mapped graph file — whoever adopts
+/// the market must keep `backing` alive as long as the graphs (the registry
+/// stores it in the entry).
 struct LoadedMarket {
   std::shared_ptr<const market::Scenario> scenario;
   std::unique_ptr<market::SpectrumMarket> market;

@@ -15,9 +15,9 @@
 // payload sections each padded to a 64-byte boundary. The payloads are the
 // exact arrays the resident MarketEntry works over, so writing is one copy
 // per byte and loading is page-in plus flat copies, never a representation
-// change: the reader hands mapped CSR pages straight to
-// graph::InterferenceGraph::from_csr_view and copies dense rows word for
-// word through from_dense_rows.
+// change: the reader hands mapped adjacency pages straight to
+// graph::InterferenceGraph::from_csr_view (CSR arrays) and from_dense_view
+// (dense row blocks).
 //
 // Integrity is fail-loud: every load verifies magic, version, endianness
 // stamp, declared length against the real file size, and a word-wide
@@ -82,7 +82,7 @@ enum class SectionKind : std::uint32_t {
   kGraphOffsets = 17,  ///< concatenated per-channel CSR offsets, uint32
   kGraphDegrees = 18,  ///< concatenated per-channel degree caches, uint32
   kGraphIds = 19,      ///< concatenated per-channel neighbour ids, u16/u32
-  kGraphRows = 20,     ///< concatenated dense-channel bitset rows, uint64
+  kGraphRows = 20,     ///< concatenated dense-channel row blocks, uint64
 };
 
 inline constexpr std::size_t kNumCounters = 6;

@@ -129,12 +129,25 @@ class TokenReader {
       fail("trailing values before '" + wanted + "' header");
     if (!next_line()) fail("unexpected end of input, wanted '" + wanted + "'");
     std::vector<std::string> tokens;
-    std::istringstream ss(current_);
-    std::string token;
-    while (ss >> token) tokens.push_back(token);
-    pos_ = current_.size();  // the header line is consumed as a unit
+    std::string_view token;
+    while (line_has_more()) {  // the header line is consumed as a unit
+      next_token(token);
+      tokens.emplace_back(token);
+    }
     if (tokens.empty()) fail("blank line where '" + wanted + "' expected");
     return tokens;
+  }
+
+  /// Parses `token`, a count in the `header` line, as a std::size_t. A
+  /// leading '-' fails here, naming the header, rather than wrapping.
+  std::size_t header_count(const std::string& token,
+                           const std::string& header) {
+    if (!token.empty() && token.front() == '-')
+      fail("negative count '" + token + "' in '" + header + "'");
+    std::size_t count = 0;
+    if (!parse_number(token, count))
+      fail("malformed count '" + token + "' in '" + header + "'");
+    return count;
   }
 
   /// Reads "<keyword> <positive count>" on its own line.
@@ -267,23 +280,20 @@ market::Scenario load_scenario(std::istream& is, int line_offset,
     const auto tokens = reader.header_line("reserves or utilities");
     if (tokens[0] == "reserves") {
       if (have_reserves) reader.fail("duplicate 'reserves' section");
-      std::size_t count = 0;
-      std::istringstream ss(tokens.size() == 2 ? tokens[1] : "");
-      ss >> count;
-      if (tokens.size() != 2 || ss.fail() || !ss.eof() || count == 0)
+      if (tokens.size() != 2)
         reader.fail("expected 'reserves <positive count>'");
+      const std::size_t count =
+          reader.header_count(tokens[1], "reserves <count>");
+      if (count == 0) reader.fail("expected 'reserves <positive count>'");
       reader.next_values(scenario.channel_reserves, count, "channel reserves");
       have_reserves = true;
       continue;
     }
     if (tokens[0] == "utilities") {
-      std::istringstream m_ss(tokens.size() == 3 ? tokens[1] : "");
-      std::istringstream n_ss(tokens.size() == 3 ? tokens[2] : "");
-      m_ss >> M;
-      n_ss >> N;
-      if (tokens.size() != 3 || m_ss.fail() || !m_ss.eof() || n_ss.fail() ||
-          !n_ss.eof() || M == 0 || N == 0)
-        reader.fail("expected 'utilities <M> <N>'");
+      if (tokens.size() != 3) reader.fail("expected 'utilities <M> <N>'");
+      M = reader.header_count(tokens[1], "utilities <M> <N>");
+      N = reader.header_count(tokens[2], "utilities <M> <N>");
+      if (M == 0 || N == 0) reader.fail("expected 'utilities <M> <N>'");
       break;
     }
     reader.fail("expected 'reserves' or 'utilities', got '" + tokens[0] + "'");

@@ -14,6 +14,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.hpp"
+#include "graph/coloring.hpp"
+#include "matching/component_solve.hpp"
 #include "matching/stability.hpp"
 #include "matching/transfer_invitation.hpp"
 #include "matching/two_stage.hpp"
@@ -36,6 +39,18 @@ market::SpectrumMarket geometric_market(std::uint64_t seed, int sellers,
 }
 
 using testutil::ScopedThreads;
+
+/// The perfbench market shapes at N = 2000, M = 16: spill_churn's (ranges
+/// stratified over (0, 5], so most channels are one component) and a
+/// sub-percolation one like warm_serve's (ranges over (0, 0.5], below the
+/// percolation radius at this density, so every channel fractures).
+market::SpectrumMarket perfbench_shaped_market(bool sub_percolation) {
+  Rng rng(sub_percolation ? 12 : 11);
+  market::Scenario scenario = testutil::stratified_scenario(rng, 2000, 0.0);
+  if (sub_percolation)
+    for (double& range : scenario.channel_ranges) range *= 0.1;
+  return market::build_market(scenario);
+}
 
 // ---------------------------------------------------------------------------
 // ComponentIndex structure
@@ -71,17 +86,10 @@ TEST(ComponentIndexTest, LabelsAKnownGraph) {
   EXPECT_EQ(c0[0], 0);
   EXPECT_EQ(c0[1], 1);
   EXPECT_EQ(c0[2], 2);
-  EXPECT_EQ(index.local_id(2), 2u);
-  EXPECT_EQ(index.local_id(5), 1u);
-
-  // Local-id subgraphs mirror the component's edges; singletons carry none.
-  EXPECT_EQ(index.subgraph(0).num_vertices(), 3u);
-  EXPECT_EQ(index.subgraph(0).num_edges(), 2u);
-  EXPECT_TRUE(index.subgraph(0).has_edge(0, 1));
-  EXPECT_TRUE(index.subgraph(0).has_edge(1, 2));
-  EXPECT_FALSE(index.subgraph(0).has_edge(0, 2));
-  EXPECT_EQ(index.subgraph(1).num_vertices(), 0u);
-  EXPECT_EQ(index.subgraph(2).num_edges(), 1u);
+  // A component range is the components' lists back to back.
+  const auto c12 = index.vertices(1, 3);
+  EXPECT_EQ(std::vector<BuyerId>(c12.begin(), c12.end()),
+            (std::vector<BuyerId>{3, 4, 5}));
   EXPECT_GT(index.bytes(), 0u);
 }
 
@@ -104,7 +112,6 @@ TEST(ComponentIndexTest, PartitionInvariantsOnRandomGeometricGraphs) {
         largest = std::max(largest, verts.size());
         for (std::size_t l = 0; l < verts.size(); ++l) {
           EXPECT_EQ(index.component_of(verts[l]), c);
-          EXPECT_EQ(index.local_id(verts[l]), l);
           if (l > 0) EXPECT_LT(verts[l - 1], verts[l]) << "not ascending";
         }
       }
@@ -112,25 +119,11 @@ TEST(ComponentIndexTest, PartitionInvariantsOnRandomGeometricGraphs) {
       EXPECT_EQ(total_edges, graph.num_edges());
       EXPECT_EQ(index.largest_component(), largest);
 
-      // No edge crosses a component boundary, and every component's
-      // subgraph has exactly the component's edges.
+      // No edge crosses a component boundary.
       for (BuyerId v = 0; v < static_cast<BuyerId>(n); ++v)
         graph.for_each_neighbor(v, [&](BuyerId u) {
           EXPECT_EQ(index.component_of(v), index.component_of(u));
         });
-      for (std::size_t c = 0; c < index.num_components(); ++c) {
-        if (index.size(c) < 2) continue;
-        if (index.size(c) * 2 > n) {
-          // Dominant component: subgraph materialization is skipped (the
-          // copy would nearly double adjacency memory and sharding buys
-          // nothing); the engine routes such channels whole-graph.
-          EXPECT_FALSE(index.has_subgraph(c));
-          continue;
-        }
-        ASSERT_TRUE(index.has_subgraph(c));
-        EXPECT_EQ(index.subgraph(c).num_edges(), index.edges(c));
-        EXPECT_EQ(index.subgraph(c).num_vertices(), index.size(c));
-      }
     }
   }
 }
@@ -152,7 +145,6 @@ TEST(ComponentIndexTest, DenseAndCsrIndicesAreIdentical) {
       for (BuyerId v = 0; v < static_cast<BuyerId>(dense.num_vertices());
            ++v) {
         EXPECT_EQ(a.component_of(v), b.component_of(v)) << "vertex " << v;
-        EXPECT_EQ(a.local_id(v), b.local_id(v)) << "vertex " << v;
       }
       for (std::size_t c = 0; c <= a.num_components(); ++c)
         EXPECT_EQ(a.offset(c), b.offset(c)) << "component " << c;
@@ -163,12 +155,53 @@ TEST(ComponentIndexTest, DenseAndCsrIndicesAreIdentical) {
             << "component " << c;
         EXPECT_EQ(a.edges(c), b.edges(c)) << "component " << c;
         EXPECT_EQ(a.max_degree(c), b.max_degree(c)) << "component " << c;
-        ASSERT_EQ(a.has_subgraph(c), b.has_subgraph(c)) << "component " << c;
-        if (a.has_subgraph(c)) {
-          EXPECT_EQ(a.subgraph(c).edges(), b.subgraph(c).edges())
-              << "component " << c;
-        }
       }
+    }
+  }
+}
+
+/// Expects `index` to hold exactly coloring.cpp's connected_components of
+/// `graph`: the same components in the same order, the same vertex lists,
+/// offsets and per-vertex labels.
+void expect_matches_connected_components(const InterferenceGraph& graph,
+                                         const ComponentIndex& index) {
+  const std::vector<DynamicBitset> want = connected_components(graph);
+  ASSERT_EQ(index.num_components(), want.size());
+  std::size_t offset = 0;
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(index.offset(c), offset) << "component " << c;
+    const auto verts = index.vertices(c);
+    std::vector<std::size_t> got(verts.begin(), verts.end());
+    ASSERT_EQ(got, want[c].to_indices()) << "component " << c;
+    for (const std::size_t v : got)
+      ASSERT_EQ(index.component_of(static_cast<BuyerId>(v)), c);
+    offset += got.size();
+  }
+  EXPECT_EQ(index.offset(want.size()), graph.num_vertices());
+}
+
+TEST(ComponentIndexTest, EarlyExitLabellingMatchesConnectedComponents) {
+  // The labelling stops once every vertex has its label, usually with
+  // vertices still on the frontier; the index must not notice.
+  std::vector<InterferenceGraph> graphs;
+  graphs.emplace_back(0);
+  graphs.emplace_back(5);  // edgeless
+  std::vector<std::pair<BuyerId, BuyerId>> complete;
+  for (BuyerId a = 0; a < 40; ++a)
+    for (BuyerId b = a + 1; b < 40; ++b) complete.emplace_back(a, b);
+  graphs.push_back(InterferenceGraph::from_edges(40, complete));
+  for (const bool sub_percolation : {false, true}) {
+    const auto market = perfbench_shaped_market(sub_percolation);
+    for (ChannelId i = 0; i < market.num_channels(); i += 3)
+      graphs.push_back(market.graph(i));
+  }
+  for (std::size_t k = 0; k < graphs.size(); ++k) {
+    for (const GraphRep rep : {GraphRep::kDense, GraphRep::kCsr}) {
+      SCOPED_TRACE(testing::Message()
+                   << "graph " << k << (rep == GraphRep::kDense ? " dense"
+                                                                : " csr"));
+      const InterferenceGraph graph = with_representation(graphs[k], rep);
+      expect_matches_connected_components(graph, ComponentIndex(graph));
     }
   }
 }
@@ -201,6 +234,77 @@ TEST(ComponentIndexTest, BuildShardsBatchesToMinimum) {
   // min 1: every component its own shard.
   build_shards(index, 1, shards);
   EXPECT_EQ(shards.size(), index.num_components() + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Shard solves on the channel graph: every shard of build_shards solved by
+// solve_shard in parallel lanes, merged, equals the whole-graph solve_mwis
+// set, on both perfbench shapes, both representations, both greedy policies
+// and component minimums {1, 64, N}.
+// ---------------------------------------------------------------------------
+
+TEST(ShardSolveTest, ShardSolvesEqualTheWholeGraphSet) {
+  ScopedThreads scope(testutil::contract_lanes());
+  const std::size_t lanes = ThreadPool::global().num_threads();
+  std::vector<DynamicBitset> lane_set(lanes);
+  std::vector<MwisScratch> lane_scratch(lanes);
+  std::vector<std::uint32_t> shards;
+  for (const bool sub_percolation : {false, true}) {
+    const auto base = perfbench_shaped_market(sub_percolation);
+    const std::size_t n = static_cast<std::size_t>(base.num_buyers());
+    Rng rng(sub_percolation ? 5 : 4);
+    DynamicBitset candidates(n);
+    for (std::size_t v = 0; v < n; ++v)
+      if (rng.bernoulli(0.7)) candidates.set(v);
+    std::vector<BuyerId> out(n);
+    // The shapes hold: the widest spill_churn channel is one component, and
+    // every sub-percolation channel fractures into many shards.
+    const ComponentIndex& widest =
+        base.graph(base.num_channels() - 1).components();
+    if (!sub_percolation) ASSERT_EQ(widest.num_components(), 1u);
+    if (sub_percolation) {
+      build_shards(widest, 64, shards);
+      ASSERT_GT(shards.size(), 10u);
+    }
+    for (const GraphRep rep : {GraphRep::kDense, GraphRep::kCsr}) {
+      const auto market = market::with_graph_representation(base, rep);
+      for (ChannelId i = 0; i < market.num_channels(); ++i) {
+        const InterferenceGraph& graph = market.graph(i);
+        const auto weights = market.channel_prices(i);
+        for (const auto policy :
+             {MwisAlgorithm::kGwmin, MwisAlgorithm::kGwmin2}) {
+          const DynamicBitset want =
+              solve_mwis(graph, weights, candidates, policy);
+          for (const std::size_t min : {std::size_t{1}, std::size_t{64}, n}) {
+            SCOPED_TRACE(testing::Message()
+                         << (sub_percolation ? "sub-percolation" : "spill")
+                         << (rep == GraphRep::kDense ? " dense" : " csr")
+                         << " channel " << i << " " << to_string(policy)
+                         << " min " << min);
+            build_shards(graph.components(), min, shards);
+            const ComponentIndex& index = graph.components();
+            std::vector<std::size_t> count(shards.size() - 1);
+            parallel_for_lanes(
+                0, count.size(), [&](std::size_t lane, std::size_t s) {
+                  count[s] = matching::solve_shard(
+                      graph, weights, shards[s], shards[s + 1],
+                      [&](BuyerId v) {
+                        return candidates.test(static_cast<std::size_t>(v));
+                      },
+                      policy, lane_set[lane], lane_scratch[lane],
+                      out.data() + index.offset(shards[s]));
+                });
+            DynamicBitset merged(n);
+            for (std::size_t s = 0; s < count.size(); ++s)
+              for (std::size_t k = 0; k < count[s]; ++k)
+                merged.set(static_cast<std::size_t>(
+                    out[index.offset(shards[s]) + k]));
+            ASSERT_EQ(merged, want);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -282,6 +282,32 @@ TEST(ScenarioIoTest, InflatedCountsFailWithoutAllocatingThem) {
   }
 }
 
+TEST(ScenarioIoTest, NegativeHeaderCountsNameTheirHeader) {
+  // A '-' count fails as negative, naming its header, instead of wrapping
+  // to 2^64 - 1 and failing with another section's message.
+  const std::string head =
+      "specmatch-scenario v1\n"
+      "sellers 1\n1\n"
+      "buyers 1\n1\n"
+      "locations\n0 0\n"
+      "ranges 1\n2\n";
+  const struct {
+    std::string header;
+    std::string named;
+  } cases[] = {
+      {"reserves -1\n0.1\nutilities 1 1\n0.5\n", "'reserves <count>'"},
+      {"utilities -1 1\n0.5\n", "'utilities <M> <N>'"},
+      {"utilities 1 -1\n0.5\n", "'utilities <M> <N>'"},
+  };
+  for (const auto& c : cases) {
+    const ScenarioParseError error = expect_parse_error(head + c.header);
+    const std::string what = error.what();
+    EXPECT_NE(what.find("negative count '-1'"), std::string::npos) << what;
+    EXPECT_NE(what.find(c.named), std::string::npos) << what;
+    EXPECT_EQ(error.line(), 10) << what;
+  }
+}
+
 /// The token parser against `std::istringstream >>`, the reader it
 /// replaced: the same accept/reject verdict and, on accept, the same bits.
 template <typename T>

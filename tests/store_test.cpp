@@ -584,10 +584,8 @@ void expect_faithful_round_trip(const market::SpectrumMarket& built,
     const graph::InterferenceGraph& want = built.graph(i);
     const graph::InterferenceGraph& got = loaded.market->graph(i);
     ASSERT_EQ(got.representation(), want.representation()) << "channel " << i;
-    // CSR channels read through the mapping; dense rows were copied out.
-    EXPECT_EQ(got.csr_view_backed(),
-              want.representation() == graph::GraphRep::kCsr)
-        << "channel " << i;
+    // Every channel reads its adjacency through the mapping.
+    EXPECT_TRUE(got.view_backed()) << "channel " << i;
     EXPECT_EQ(got, want) << "channel " << i;
     EXPECT_EQ(got.max_degree(), want.max_degree()) << "channel " << i;
 
@@ -596,7 +594,6 @@ void expect_faithful_round_trip(const market::SpectrumMarket& built,
     ASSERT_EQ(index.num_components(), fresh.num_components());
     for (BuyerId v = 0; v < built.num_buyers(); ++v) {
       ASSERT_EQ(index.component_of(v), fresh.component_of(v)) << "vertex " << v;
-      ASSERT_EQ(index.local_id(v), fresh.local_id(v)) << "vertex " << v;
     }
     for (std::size_t c = 0; c < fresh.num_components(); ++c) {
       const auto a = index.vertices(c);
@@ -643,14 +640,64 @@ TEST(SnapshotRoundTripTest, MarketAboveDenseMaxLoadsCsrViewBacked) {
   EXPECT_NE(loaded.backing, nullptr);
 }
 
-TEST(SnapshotRoundTripTest, MarketBelowDenseMaxLoadsDenseAndReleasesTheMap) {
+TEST(SnapshotRoundTripTest, MarketBelowDenseMaxLoadsDenseViewBacked) {
   const auto scenario = sparse_scenario(25, 3, 300);
   const market::SpectrumMarket built = market::build_market(*scenario);
   ASSERT_EQ(built.graph(0).representation(), graph::GraphRep::kDense);
   const LoadedMarket loaded = round_trip("store_dense", built, *scenario);
   expect_faithful_round_trip(built, loaded);
-  // Every row was copied out: nothing reads through the mapping any more.
-  EXPECT_EQ(loaded.backing, nullptr);
+  // The dense rows are read in place, so the mapping stays held.
+  EXPECT_NE(loaded.backing, nullptr);
+}
+
+TEST(SnapshotRoundTripTest, FaultedInDenseRowsAreReadInPlace) {
+  // spill_churn's shape: N = 2000, M = 16, every channel dense.
+  Rng rng(7);
+  const auto scenario = std::make_shared<const market::Scenario>(
+      testutil::stratified_scenario(rng, 2000, 0.0));
+  const market::SpectrumMarket built = market::build_market(*scenario);
+  MarketStore store(dir_config(scratch_dir("store_in_place")));
+  const FreshState fresh(built);
+  store.write("m", fresh.view(built, *scenario));
+
+  std::vector<graph::InterferenceGraph> copies;
+  std::weak_ptr<MappedSnapshot> mapping;
+  {
+    serve::MarketEntry entry(store.load("m"));
+    ASSERT_NE(entry.backing, nullptr) << "the entry dropped its mapping";
+    mapping = entry.backing;
+    for (ChannelId i = 0; i < built.num_channels(); ++i) {
+      SCOPED_TRACE(testing::Message() << "channel " << i);
+      const graph::InterferenceGraph& got = entry.market.graph(i);
+      ASSERT_EQ(got.representation(), graph::GraphRep::kDense);
+      EXPECT_TRUE(got.view_backed());
+      EXPECT_EQ(got.adjacency_bytes(), built.graph(i).adjacency_bytes());
+      const auto want_rows = built.graph(i).dense_rows();
+      const auto got_rows = got.dense_rows();
+      ASSERT_TRUE(std::equal(got_rows.begin(), got_rows.end(),
+                             want_rows.begin(), want_rows.end()));
+      copies.push_back(got);
+      EXPECT_FALSE(copies.back().view_backed()) << "a copy borrowed its rows";
+    }
+  }
+  // The entry is gone and its graph file unmapped: the copies still answer
+  // from their own rows.
+  EXPECT_TRUE(mapping.expired());
+  for (ChannelId i = 0; i < built.num_channels(); ++i) {
+    SCOPED_TRACE(testing::Message() << "channel " << i);
+    const graph::InterferenceGraph& want = built.graph(i);
+    const graph::InterferenceGraph& copy = copies[static_cast<std::size_t>(i)];
+    EXPECT_EQ(copy, want);
+    const auto want_rows = want.dense_rows();
+    const auto copy_rows = copy.dense_rows();
+    EXPECT_TRUE(std::equal(copy_rows.begin(), copy_rows.end(),
+                           want_rows.begin(), want_rows.end()));
+    for (BuyerId v = 0; v < built.num_buyers(); v += 97) {
+      EXPECT_EQ(copy.degree(v), want.degree(v));
+      EXPECT_EQ(copy.has_edge(v, (v + 1) % built.num_buyers()),
+                want.has_edge(v, (v + 1) % built.num_buyers()));
+    }
+  }
 }
 
 TEST(SnapshotRoundTripTest, OneCsrChannelKeepsTheMapping) {
