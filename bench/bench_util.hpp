@@ -15,24 +15,19 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/config.hpp"
 #include "common/metrics.hpp"
 #include "common/table.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch::bench {
 
-/// Integer environment knob: `fallback` when unset, empty, or non-positive.
-inline int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
-
 /// Trials per figure point. Every bench binary routes its hardcoded count
 /// through this, so SPECMATCH_TRIALS=1 turns any harness into a seconds-long
 /// smoke run (the bench_smoke ctest) without changing the full-run defaults.
-inline int env_trials(int fallback) { return env_int("SPECMATCH_TRIALS", fallback); }
+inline int env_trials(int fallback) {
+  return env_count("SPECMATCH_TRIALS", 1, fallback);
+}
 
 /// Steady-clock stopwatch for the JSON perf records.
 class WallTimer {
@@ -149,8 +144,7 @@ inline workload::WorkloadParams paper_params(int num_sellers, int num_buyers,
 inline void print_panel(const std::string& title, const Table& table) {
   std::cout << "\n== " << title << " ==\n";
   table.print(std::cout);
-  const char* csv = std::getenv("SPECMATCH_CSV");
-  if (csv != nullptr && csv[0] != '\0' && csv[0] != '0') {
+  if (env_flag("SPECMATCH_CSV")) {
     std::cout << "-- csv --\n";
     table.write_csv(std::cout);
   }

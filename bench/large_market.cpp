@@ -102,12 +102,12 @@ std::int64_t total_steady_allocs(const matching::TwoStageResult& result) {
 }
 
 void run_scale_sweep() {
-  const bool smoke = bench::env_int("SPECMATCH_BENCH_SMOKE", 0) != 0;
+  const bool smoke = env_flag("SPECMATCH_BENCH_SMOKE");
   const char* json_env = std::getenv("SPECMATCH_BENCH_JSON");
   const std::string json_path =
       (json_env != nullptr && json_env[0] != '\0') ? json_env
                                                    : "BENCH_scale.json";
-  const int max_n = bench::env_int("SPECMATCH_SCALE_MAX_N", 1 << 30);
+  const int max_n = env_count("SPECMATCH_SCALE_MAX_N", 1, 1 << 30);
   const int threads = SpecmatchConfig::global().num_threads;
 
   std::vector<int> n_grid = smoke ? std::vector<int>{60, 200}

@@ -252,12 +252,12 @@ void fault_in_records(int buyers, int reps,
 /// dense-row graph where a word-parallel rescore of every survivor per pick
 /// is at its strongest, and a dense market's fault-in (fault_in_records).
 void run_core_trajectory() {
-  const bool smoke = bench::env_int("SPECMATCH_BENCH_SMOKE", 0) != 0;
+  const bool smoke = env_flag("SPECMATCH_BENCH_SMOKE");
   const char* json_env = std::getenv("SPECMATCH_BENCH_JSON");
   const std::string json_path =
       (json_env != nullptr && json_env[0] != '\0') ? json_env
                                                    : "BENCH_core.json";
-  const int parallel_threads = bench::env_int("SPECMATCH_BENCH_THREADS", 4);
+  const int parallel_threads = env_count("SPECMATCH_BENCH_THREADS", 1, 4);
   const int market_sellers = smoke ? 4 : 16;
   const int market_buyers = smoke ? 60 : 500;
   const std::size_t mwis_vertices = smoke ? 80 : 500;

@@ -193,8 +193,7 @@ int run(int argc, char** argv) {
     std::cout << (i ? " " : "") << to_string(supported[i]);
   std::cout << ")\n";
 
-  const char* smoke = std::getenv("SPECMATCH_BENCH_SMOKE");
-  const bool is_smoke = smoke != nullptr && smoke[0] != '\0' && smoke[0] != '0';
+  const bool is_smoke = env_flag("SPECMATCH_BENCH_SMOKE");
   // ~4M words per timing cell full-size (a few ms each), 64K under smoke.
   const std::size_t word_ops = is_smoke ? (std::size_t{1} << 16)
                                         : (std::size_t{1} << 22);

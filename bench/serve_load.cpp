@@ -190,7 +190,7 @@ void run_cold_start(int M, int N, int reps,
 }
 
 int run() {
-  const bool smoke = bench::env_int("SPECMATCH_BENCH_SMOKE", 0) != 0;
+  const bool smoke = env_flag("SPECMATCH_BENCH_SMOKE");
   const char* json_env = std::getenv("SPECMATCH_BENCH_JSON");
   const std::string json_path =
       (json_env != nullptr && json_env[0] != '\0') ? json_env

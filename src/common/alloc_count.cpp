@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "common/config.hpp"
+
 namespace specmatch::alloc_count {
 
 void note_scoped_alloc();  // Scope's friend: bumps the current scope chain
@@ -20,13 +22,9 @@ constinit std::atomic<std::int64_t> g_total{0};
 constinit std::atomic<bool> g_counting{false};
 constinit thread_local Scope* t_scope = nullptr;
 
-bool env_counting() {
-  const char* env = std::getenv("SPECMATCH_COUNT_ALLOCS");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 const bool g_env_latch = [] {
-  g_counting.store(env_counting(), std::memory_order_relaxed);
+  g_counting.store(env_flag("SPECMATCH_COUNT_ALLOCS"),
+                   std::memory_order_relaxed);
   return true;
 }();
 

@@ -1,6 +1,7 @@
 #include "common/config.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 namespace specmatch {
@@ -8,18 +9,14 @@ namespace specmatch {
 namespace {
 
 int initial_num_threads() {
-  if (const char* env = std::getenv("SPECMATCH_THREADS");
-      env != nullptr && env[0] != '\0') {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) return parsed;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return env_count("SPECMATCH_THREADS", 1, hw == 0 ? 1 : static_cast<int>(hw));
 }
 
 /// The knob registry backing known_env_knobs(). Keep one entry per
 /// SPECMATCH_* variable the codebase or build reads; docs_check fails when a
-/// documented knob is missing from this file.
+/// documented knob is missing from this file, and when an entry here is
+/// read nowhere.
 constexpr EnvKnob kKnownEnvKnobs[] = {
     {"SPECMATCH_THREADS",
      "engine thread-pool lanes; 1 = exact serial path (common/config.cpp)"},
@@ -99,10 +96,6 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
      "snapshot directory of the persistent market store; empty (the "
      "default) disables the store — no spill tier, no cold boot, snapshot/"
      "restore verbs answer err (store/market_store.cpp)"},
-    {"SPECMATCH_STORE_SPILL",
-     "spill-on-evict: when the store is enabled, registry eviction writes "
-     "the market to disk instead of discarding it, default on; 0 turns "
-     "eviction back into discard (store/market_store.cpp)"},
     {"SPECMATCH_STORE_FSYNC",
      "fsync every snapshot file before its rename-commit, default off; "
      "turn on when snapshots must survive power loss "
@@ -119,6 +112,24 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
 }  // namespace
 
 std::span<const EnvKnob> known_env_knobs() { return kKnownEnvKnobs; }
+
+bool env_flag(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr && value[0] != '\0' &&
+         !(value[0] == '0' && value[1] == '\0');
+}
+
+int env_count(const char* name, int min, int fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') return fallback;
+  long long parsed = 0;
+  for (const char* c = value; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return fallback;
+    parsed = parsed * 10 + (*c - '0');
+    if (parsed > std::numeric_limits<int>::max()) return fallback;
+  }
+  return parsed < min ? fallback : static_cast<int>(parsed);
+}
 
 SpecmatchConfig& SpecmatchConfig::global() {
   static SpecmatchConfig config{initial_num_threads()};

@@ -8,7 +8,10 @@
 // (environment variables plus the SPECMATCH_SANITIZE CMake option) —
 // known_env_knobs() below. tools/docs_check.sh verifies that every knob
 // mentioned in the documentation appears here, so the registry cannot drift
-// from the docs.
+// from the docs, and that every registered knob is read somewhere.
+//
+// Every SPECMATCH_* flag or count is read through env_flag / env_count
+// below, so all knobs parse alike.
 #pragma once
 
 #include <span>
@@ -22,8 +25,19 @@ struct EnvKnob {
 };
 
 /// Every recognised SPECMATCH_* knob. Add new knobs here (with the module
-/// that reads them) so docs_check keeps docs and code in sync.
+/// that reads them) and delete removed ones, so docs_check keeps docs and
+/// code in sync.
 std::span<const EnvKnob> known_env_knobs();
+
+/// True when environment variable `name` is set to anything but "" or "0".
+/// Allocation-free: alloc_count latches its knob during static
+/// initialisation through it.
+bool env_flag(const char* name);
+
+/// Environment variable `name` as a decimal count: `fallback` when it is
+/// unset, empty, anything but decimal digits, above INT_MAX, or below `min`.
+/// Allocation-free.
+int env_count(const char* name, int min, int fallback);
 
 struct SpecmatchConfig {
   /// Worker threads used by the parallel engine. 1 selects the exact serial

@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <ostream>
 
+#include "common/config.hpp"
+
 namespace specmatch::metrics {
 
 namespace {
-
-bool env_flag(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
 
 std::atomic<bool>& enabled_flag() {
   static std::atomic<bool> flag{env_flag("SPECMATCH_METRICS")};

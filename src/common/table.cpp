@@ -17,7 +17,7 @@ void Table::add_row(std::vector<std::string> cells) {
   SPECMATCH_CHECK_MSG(cells.size() == columns_.size(),
                       "row has " << cells.size() << " cells, expected "
                                  << columns_.size());
-  rows_.push_back(std::move(cells));
+  body_.push_back(std::move(cells));
 }
 
 void Table::add_numeric_row(const std::vector<double>& cells, int precision) {
@@ -31,7 +31,7 @@ void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(columns_.size());
   for (std::size_t c = 0; c < columns_.size(); ++c)
     widths[c] = columns_[c].size();
-  for (const auto& row : rows_)
+  for (const auto& row : body_)
     for (std::size_t c = 0; c < row.size(); ++c)
       widths[c] = std::max(widths[c], row[c].size());
 
@@ -48,7 +48,7 @@ void Table::print(std::ostream& os) const {
   for (std::size_t c = 0; c < widths.size(); ++c)
     total += widths[c] + (c + 1 < widths.size() ? 2 : 0);
   os << std::string(total, '-') << '\n';
-  for (const auto& row : rows_) emit(row);
+  for (const auto& row : body_) emit(row);
 }
 
 void Table::write_csv(std::ostream& os) const {
@@ -70,7 +70,7 @@ void Table::write_csv(std::ostream& os) const {
     os << '\n';
   };
   emit(columns_);
-  for (const auto& row : rows_) emit(row);
+  for (const auto& row : body_) emit(row);
 }
 
 std::string format_double(double value, int precision) {

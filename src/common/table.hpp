@@ -20,7 +20,7 @@ class Table {
   /// Convenience: formats doubles with `precision` digits after the point.
   void add_numeric_row(const std::vector<double>& cells, int precision = 4);
 
-  std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_rows() const { return body_.size(); }
   std::size_t num_columns() const { return columns_.size(); }
 
   /// Space-aligned rendering with a header rule.
@@ -31,7 +31,7 @@ class Table {
 
  private:
   std::vector<std::string> columns_;
-  std::vector<std::vector<std::string>> rows_;
+  std::vector<std::vector<std::string>> body_;
 };
 
 /// Formats a double with fixed precision (helper shared by harnesses).

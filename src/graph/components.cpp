@@ -1,9 +1,9 @@
 #include "graph/components.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.hpp"
+#include "common/config.hpp"
 
 namespace specmatch::graph {
 
@@ -80,15 +80,8 @@ std::size_t ComponentIndex::bytes() const {
 }
 
 std::size_t component_min_default() {
-  static const std::size_t value = [] {
-    constexpr std::size_t kDefault = 64;
-    const char* env = std::getenv("SPECMATCH_COMPONENT_MIN");
-    if (env == nullptr || env[0] == '\0') return kDefault;
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || parsed < 1) return kDefault;
-    return static_cast<std::size_t>(parsed);
-  }();
+  static const auto value =
+      static_cast<std::size_t>(env_count("SPECMATCH_COMPONENT_MIN", 1, 64));
   return value;
 }
 

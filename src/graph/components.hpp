@@ -11,6 +11,11 @@
 // restricted to the shard's vertices (the MWIS solver already works on the
 // candidate-induced subgraph).
 //
+// InterferenceGraph::components() builds a graph's index on first use and
+// caches it for the graph's lifetime. Graphs are immutable once
+// constructed, so a cached index never goes stale; a copy of a graph starts
+// without one.
+//
 // Determinism contract: components are numbered by ascending seed vertex
 // (the BFS of coloring.cpp's connected_components discovers them in exactly
 // this order) and each component's vertex list ascends. Greedy MWIS over a

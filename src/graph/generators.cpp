@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -11,6 +12,15 @@
 namespace specmatch::graph {
 
 namespace {
+
+/// The edges a-(a+1) of the path over `n` vertices.
+std::vector<std::pair<BuyerId, BuyerId>> path_edges(std::size_t n) {
+  std::vector<std::pair<BuyerId, BuyerId>> edge_list;
+  for (std::size_t a = 0; a + 1 < n; ++a)
+    edge_list.emplace_back(static_cast<BuyerId>(a),
+                           static_cast<BuyerId>(a + 1));
+  return edge_list;
+}
 
 /// The one squared-distance expression: distance() takes its root, and the
 /// geometric grid compares it against squared_threshold().
@@ -152,38 +162,32 @@ InterferenceGraph geometric(std::span<const Point> positions, double range) {
 
 InterferenceGraph erdos_renyi(std::size_t n, double p, Rng& rng) {
   SPECMATCH_CHECK_MSG(p >= 0.0 && p <= 1.0, "probability " << p);
-  InterferenceGraph g(n);
+  std::vector<std::pair<BuyerId, BuyerId>> edge_list;
   for (std::size_t a = 0; a < n; ++a)
     for (std::size_t b = a + 1; b < n; ++b)
       if (rng.bernoulli(p))
-        g.add_edge(static_cast<BuyerId>(a), static_cast<BuyerId>(b));
-  return g;
+        edge_list.emplace_back(static_cast<BuyerId>(a),
+                               static_cast<BuyerId>(b));
+  return InterferenceGraph::from_edges(n, edge_list);
 }
 
 InterferenceGraph complete(std::size_t n) {
-  InterferenceGraph g(n);
-  for (std::size_t a = 0; a < n; ++a)
-    for (std::size_t b = a + 1; b < n; ++b)
-      g.add_edge(static_cast<BuyerId>(a), static_cast<BuyerId>(b));
-  return g;
+  return InterferenceGraph::from_neighbors(n, [n](std::size_t a, auto&& emit) {
+    for (std::size_t b = 0; b < n; ++b)
+      if (b != a) emit(b);
+  });
 }
 
 InterferenceGraph empty(std::size_t n) { return InterferenceGraph(n); }
 
 InterferenceGraph cycle(std::size_t n) {
-  InterferenceGraph g(n);
-  if (n < 2) return g;
-  for (std::size_t a = 0; a + 1 < n; ++a)
-    g.add_edge(static_cast<BuyerId>(a), static_cast<BuyerId>(a + 1));
-  if (n > 2) g.add_edge(static_cast<BuyerId>(n - 1), 0);
-  return g;
+  auto edge_list = path_edges(n);
+  if (n > 2) edge_list.emplace_back(static_cast<BuyerId>(n - 1), 0);
+  return InterferenceGraph::from_edges(n, edge_list);
 }
 
 InterferenceGraph path(std::size_t n) {
-  InterferenceGraph g(n);
-  for (std::size_t a = 0; a + 1 < n; ++a)
-    g.add_edge(static_cast<BuyerId>(a), static_cast<BuyerId>(a + 1));
-  return g;
+  return InterferenceGraph::from_edges(n, path_edges(n));
 }
 
 }  // namespace specmatch::graph

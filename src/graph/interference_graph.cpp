@@ -1,10 +1,10 @@
 #include "graph/interference_graph.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/config.hpp"
 #include "graph/components.hpp"
 
 namespace specmatch::graph {
@@ -18,75 +18,38 @@ InterferenceGraph& InterferenceGraph::operator=(
 
 InterferenceGraph::InterferenceGraph(const InterferenceGraph& other)
     : rep_(other.rep_),
-      finalized_(other.finalized_),
       narrow_(other.narrow_),
       num_vertices_(other.num_vertices_),
       num_edges_(other.num_edges_),
-      max_degree_(other.max_degree_),
-      degrees_(other.degrees_),
-      dense_(other.dense_),
-      rows_(other.rows_),
-      offsets_(other.offsets_),
-      flat16_(other.flat16_),
-      flat32_(other.flat32_),
-      ext_dense_(other.ext_dense_),
-      ext_offsets_(other.ext_offsets_),
-      ext_degrees_(other.ext_degrees_),
-      ext_ids16_(other.ext_ids16_),
-      ext_ids32_(other.ext_ids32_) {
-  // components_ stays null: the copy rebuilds its own index on first use.
-  // A copy must not alias the source's snapshot backing, whose lifetime it
-  // does not control — deep-copy any borrowed arrays into owned storage.
-  materialize();
+      max_degree_(other.max_degree_) {
+  // A copy owns its adjacency: it must not alias the source's snapshot
+  // backing, whose lifetime it does not control. components_ stays null —
+  // the copy rebuilds its own index on first use.
+  const auto copy = [](auto& into, const auto* from, std::size_t count) {
+    into.assign(from, from + count);
+  };
+  copy(degrees_, other.degrees_data(), num_vertices_);
+  if (rep_ == GraphRep::kDense) {
+    copy(dense_, other.dense_data(), num_vertices_ * row_words());
+    return;
+  }
+  copy(offsets_, other.offsets_data(), num_vertices_ + 1);
+  if (narrow_)
+    copy(flat16_, other.flat16_data(), 2 * num_edges_);
+  else
+    copy(flat32_, other.flat32_data(), 2 * num_edges_);
 }
 
 InterferenceGraph& InterferenceGraph::operator=(
     const InterferenceGraph& other) {
-  if (this == &other) return *this;
-  rep_ = other.rep_;
-  finalized_ = other.finalized_;
-  narrow_ = other.narrow_;
-  num_vertices_ = other.num_vertices_;
-  num_edges_ = other.num_edges_;
-  max_degree_ = other.max_degree_;
-  degrees_ = other.degrees_;
-  dense_ = other.dense_;
-  rows_ = other.rows_;
-  offsets_ = other.offsets_;
-  flat16_ = other.flat16_;
-  flat32_ = other.flat32_;
-  ext_dense_ = other.ext_dense_;
-  ext_offsets_ = other.ext_offsets_;
-  ext_degrees_ = other.ext_degrees_;
-  ext_ids16_ = other.ext_ids16_;
-  ext_ids32_ = other.ext_ids32_;
-  components_.reset();
-  materialize();  // same no-alias rule as the copy constructor
+  if (this != &other) *this = InterferenceGraph(other);
   return *this;
 }
 
-void InterferenceGraph::materialize() {
-  if (!view_backed()) return;
-  degrees_.assign(ext_degrees_, ext_degrees_ + num_vertices_);
-  if (ext_dense_ != nullptr)
-    dense_.assign(ext_dense_, ext_dense_ + num_vertices_ * row_words());
-  if (ext_offsets_ != nullptr)
-    offsets_.assign(ext_offsets_, ext_offsets_ + num_vertices_ + 1);
-  if (narrow_ && ext_ids16_ != nullptr)
-    flat16_.assign(ext_ids16_, ext_ids16_ + 2 * num_edges_);
-  else if (!narrow_ && ext_ids32_ != nullptr)
-    flat32_.assign(ext_ids32_, ext_ids32_ + 2 * num_edges_);
-  ext_dense_ = nullptr;
-  ext_offsets_ = nullptr;
-  ext_degrees_ = nullptr;
-  ext_ids16_ = nullptr;
-  ext_ids32_ = nullptr;
-}
-
 CsrView InterferenceGraph::csr_export() const {
-  SPECMATCH_CHECK_MSG(rep_ == GraphRep::kCsr && finalized_,
-                      "csr_export requires a finalized CSR graph (convert "
-                      "dense graphs through with_representation first)");
+  SPECMATCH_CHECK_MSG(rep_ == GraphRep::kCsr,
+                      "csr_export requires a CSR graph (convert dense graphs "
+                      "through with_representation first)");
   CsrView view;
   view.num_vertices = num_vertices_;
   view.num_edges = num_edges_;
@@ -114,7 +77,6 @@ InterferenceGraph InterferenceGraph::from_csr_view(const CsrView& view) {
         "CSR view missing neighbour-id array");
   InterferenceGraph g;
   g.rep_ = GraphRep::kCsr;
-  g.finalized_ = true;
   g.narrow_ = view.narrow;
   g.num_vertices_ = view.num_vertices;
   g.num_edges_ = view.num_edges;
@@ -166,15 +128,8 @@ std::size_t InterferenceGraph::component_index_bytes() const {
 }
 
 std::size_t InterferenceGraph::dense_max() {
-  static const std::size_t value = [] {
-    constexpr std::size_t kDefault = 2048;
-    const char* env = std::getenv("SPECMATCH_GRAPH_DENSE_MAX");
-    if (env == nullptr || env[0] == '\0') return kDefault;
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || parsed < 0) return kDefault;
-    return static_cast<std::size_t>(parsed);
-  }();
+  static const auto value =
+      static_cast<std::size_t>(env_count("SPECMATCH_GRAPH_DENSE_MAX", 0, 2048));
   return value;
 }
 
@@ -191,7 +146,7 @@ InterferenceGraph::InterferenceGraph(std::size_t num_vertices, GraphRep rep)
   if (rep_ == GraphRep::kDense)
     dense_.assign(num_vertices * row_words(), 0);
   else
-    rows_.resize(num_vertices);
+    offsets_.assign(num_vertices + 1, 0);
 }
 
 InterferenceGraph InterferenceGraph::from_edges(
@@ -206,23 +161,36 @@ InterferenceGraph InterferenceGraph::from_edges(
     std::size_t num_vertices,
     std::span<const std::pair<BuyerId, BuyerId>> edge_list, GraphRep rep) {
   InterferenceGraph g(num_vertices, rep);
-  if (rep == GraphRep::kDense) {
-    for (const auto& [a, b] : edge_list) g.add_edge(a, b);
-    return g;
-  }
-
-  // Straight-to-finalized CSR: count, prefix-sum, fill, sort, dedup. The
-  // only transients beyond the final arrays are the caller's edge list and
-  // one cursor vector — no per-vertex row vectors, which matters when the
-  // generator builds M large graphs back to back.
   for (const auto& [a, b] : edge_list) {
     g.check_vertex(a);
     g.check_vertex(b);
     SPECMATCH_CHECK_MSG(a != b, "self-loop at vertex " << a);
+  }
+  if (rep == GraphRep::kDense) {
+    const std::size_t words = g.row_words();
+    for (const auto& [a, b] : edge_list) {
+      const auto ua = static_cast<std::size_t>(a);
+      const auto ub = static_cast<std::size_t>(b);
+      std::uint64_t& word = g.dense_[ua * words + ub / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (ub % 64);
+      if ((word & bit) != 0) continue;  // a duplicate or reversed pair
+      word |= bit;
+      g.dense_[ub * words + ua / 64] |= std::uint64_t{1} << (ua % 64);
+      ++g.num_edges_;
+      g.max_degree_ = std::max<std::size_t>(
+          g.max_degree_, std::max(++g.degrees_[ua], ++g.degrees_[ub]));
+    }
+    return g;
+  }
+
+  // CSR: count, prefix-sum, fill, sort, dedup. The only transients beyond
+  // the final arrays are the caller's edge list and one cursor vector — no
+  // per-vertex row vectors, which matters when a caller builds M large
+  // graphs back to back.
+  for (const auto& [a, b] : edge_list) {
     ++g.degrees_[static_cast<std::size_t>(a)];  // raw counts incl. duplicates
     ++g.degrees_[static_cast<std::size_t>(b)];
   }
-  g.offsets_.assign(num_vertices + 1, 0);
   std::size_t total = 0;
   for (std::size_t v = 0; v < num_vertices; ++v) {
     SPECMATCH_CHECK_MSG(
@@ -267,67 +235,7 @@ InterferenceGraph InterferenceGraph::from_edges(
     fill(g.flat16_);
   else
     fill(g.flat32_);
-
-  std::vector<std::vector<std::uint32_t>>().swap(g.rows_);  // build rows unused
-  g.finalized_ = true;
   return g;
-}
-
-void InterferenceGraph::finalize() {
-  if (rep_ == GraphRep::kDense || finalized_) return;
-  const std::size_t total = 2 * num_edges_;
-  SPECMATCH_CHECK_MSG(total <= std::numeric_limits<std::uint32_t>::max(),
-                      "CSR offsets overflow uint32");
-  offsets_.assign(num_vertices_ + 1, 0);
-  std::size_t running = 0;
-  for (std::size_t v = 0; v < num_vertices_; ++v) {
-    offsets_[v] = static_cast<std::uint32_t>(running);
-    running += rows_[v].size();
-  }
-  offsets_[num_vertices_] = static_cast<std::uint32_t>(running);
-  const auto fill = [&](auto& flat) {
-    flat.resize(total);
-    using Id = typename std::remove_reference_t<decltype(flat)>::value_type;
-    std::size_t write = 0;
-    for (std::size_t v = 0; v < num_vertices_; ++v)
-      for (std::uint32_t u : rows_[v]) flat[write++] = static_cast<Id>(u);
-  };
-  if (narrow_)
-    fill(flat16_);
-  else
-    fill(flat32_);
-  std::vector<std::vector<std::uint32_t>>().swap(rows_);
-  finalized_ = true;
-}
-
-void InterferenceGraph::add_edge(BuyerId a, BuyerId b) {
-  check_vertex(a);
-  check_vertex(b);
-  SPECMATCH_CHECK_MSG(a != b, "self-loop at vertex " << a);
-  SPECMATCH_CHECK_MSG(rep_ == GraphRep::kDense || !finalized_,
-                      "add_edge on a finalized CSR graph; build it from an "
-                      "edge list (from_edges) instead");
-  components_.reset();  // edge mutations invalidate the component index
-  const auto ua = static_cast<std::size_t>(a);
-  const auto ub = static_cast<std::size_t>(b);
-  if (rep_ == GraphRep::kDense) {
-    if (row(a).test(ub)) return;  // already present
-    materialize();  // never write through a borrowed (read-only) block
-    dense_[ua * row_words() + ub / 64] |= std::uint64_t{1} << (ub % 64);
-    dense_[ub * row_words() + ua / 64] |= std::uint64_t{1} << (ua % 64);
-  } else {
-    auto& row_a = rows_[ua];
-    const auto wa = static_cast<std::uint32_t>(ub);
-    const auto it_a = std::lower_bound(row_a.begin(), row_a.end(), wa);
-    if (it_a != row_a.end() && *it_a == wa) return;  // already present
-    row_a.insert(it_a, wa);
-    auto& row_b = rows_[ub];
-    const auto wb = static_cast<std::uint32_t>(ua);
-    row_b.insert(std::lower_bound(row_b.begin(), row_b.end(), wb), wb);
-  }
-  ++num_edges_;
-  max_degree_ = std::max<std::size_t>(
-      max_degree_, std::max(++degrees_[ua], ++degrees_[ub]));
 }
 
 bool InterferenceGraph::has_edge(BuyerId a, BuyerId b) const {
@@ -336,11 +244,6 @@ bool InterferenceGraph::has_edge(BuyerId a, BuyerId b) const {
   const auto ua = static_cast<std::size_t>(a);
   const auto ub = static_cast<std::size_t>(b);
   if (rep_ == GraphRep::kDense) return row(a).test(ub);
-  if (!finalized_) {
-    const auto& row = rows_[ua];
-    return std::binary_search(row.begin(), row.end(),
-                              static_cast<std::uint32_t>(ub));
-  }
   const std::uint32_t* offs = offsets_data();
   const std::size_t begin = offs[ua];
   const std::size_t end = offs[ua + 1];
@@ -409,25 +312,15 @@ std::vector<std::pair<BuyerId, BuyerId>> InterferenceGraph::edges() const {
   return out;
 }
 
-double InterferenceGraph::average_degree() const {
-  if (num_vertices_ == 0) return 0.0;
-  return 2.0 * static_cast<double>(num_edges_) /
-         static_cast<double>(num_vertices_);
-}
-
 std::size_t InterferenceGraph::adjacency_bytes() const {
   // Computed from counts so owned and view-backed graphs report the same
   // footprint.
   std::size_t bytes = num_vertices_ * sizeof(std::uint32_t);  // degrees
   if (rep_ == GraphRep::kDense)
     return bytes + num_vertices_ * row_words() * sizeof(std::uint64_t);
-  if (finalized_)
-    return bytes + (num_vertices_ + 1) * sizeof(std::uint32_t) +
-           2 * num_edges_ *
-               (narrow_ ? sizeof(std::uint16_t) : sizeof(std::uint32_t));
-  for (const auto& build_row : rows_)
-    bytes += build_row.capacity() * sizeof(std::uint32_t);
-  return bytes + rows_.capacity() * sizeof(std::vector<std::uint32_t>);
+  return bytes + (num_vertices_ + 1) * sizeof(std::uint32_t) +
+         2 * num_edges_ *
+             (narrow_ ? sizeof(std::uint16_t) : sizeof(std::uint32_t));
 }
 
 bool InterferenceGraph::operator==(const InterferenceGraph& other) const {

@@ -28,12 +28,10 @@
 // (from_dense_view, from_csr_view): the graph then reads the file's pages in
 // place. Copying a borrowing graph copies its adjacency into owned storage.
 //
-// CSR graphs have a mutable build phase (per-vertex sorted rows, add_edge
-// allowed) and an immutable finalized phase (the flat arrays). finalize()
-// compacts build rows into flat storage; SpectrumMarket finalizes its graphs
-// on construction, and the geometric generator emits finalized graphs
-// directly through from_neighbors. A finalized graph is never mutated:
-// add_edge on one throws.
+// A graph is immutable once constructed, as the paper's graphs are: each is
+// fixed by the buyers' locations and the channel's range. It comes from the
+// edgeless constructors, from_edges, from_neighbors, or one of the two
+// snapshot views, and has no mutator; only assignment replaces it whole.
 #pragma once
 
 #include <algorithm>
@@ -60,9 +58,9 @@ enum class GraphRep : std::uint8_t {
   kCsr,    ///< compressed sparse rows (degree-proportional, O(E) ids)
 };
 
-/// Borrowed pointers into a finalized CSR adjacency: the exact arrays
-/// visit_row walks, suitable for writing to (or mapping from) a snapshot
-/// file. `ids16` is populated when `narrow`, `ids32` otherwise; the live one
+/// Borrowed pointers into a CSR adjacency: the exact arrays visit_row
+/// walks, suitable for writing to (or mapping from) a snapshot file.
+/// `ids16` is populated when `narrow`, `ids32` otherwise; the live one
 /// holds 2 * num_edges entries. The pointed-to memory is NOT owned — the
 /// producer (an InterferenceGraph, or a mapped snapshot) must outlive every
 /// use of the view.
@@ -85,7 +83,8 @@ class InterferenceGraph {
   InterferenceGraph();
 
   /// An edgeless graph over `num_vertices` buyers; representation chosen by
-  /// vertex count against dense_max().
+  /// vertex count against dense_max(). An edgeless CSR graph has the flat
+  /// form of every CSR graph: num_vertices + 1 zero offsets.
   explicit InterferenceGraph(std::size_t num_vertices);
 
   /// An edgeless graph with an explicit representation (tests, benches, and
@@ -93,10 +92,10 @@ class InterferenceGraph {
   InterferenceGraph(std::size_t num_vertices, GraphRep rep);
 
   /// Bulk constructor: the graph over `num_vertices` buyers whose edge set is
-  /// `edge_list` (unordered pairs; duplicates tolerated, self-loops rejected).
-  /// The CSR build goes straight to finalized flat storage — no per-vertex
-  /// row vectors — which keeps the generator's transient footprint at one
-  /// edge list, not a vector-of-vectors.
+  /// `edge_list` (unordered pairs; duplicate and reversed pairs fold into one
+  /// edge; self-loops and out-of-range ids throw CheckError). The CSR build
+  /// goes straight to flat storage — no per-vertex row vectors — which keeps
+  /// the transient footprint at one edge list, not a vector-of-vectors.
   static InterferenceGraph from_edges(
       std::size_t num_vertices,
       std::span<const std::pair<BuyerId, BuyerId>> edge_list);
@@ -104,16 +103,15 @@ class InterferenceGraph {
       std::size_t num_vertices,
       std::span<const std::pair<BuyerId, BuyerId>> edge_list, GraphRep rep);
 
-  /// Builds a finalized graph in place from a neighbour enumeration, with no
-  /// edge list, no per-row sort and no add_edge; representation chosen by
-  /// vertex count against dense_max(). `visit(a, emit)` must call `emit(b)`
-  /// once for every neighbour b != a of a, in any order, and the relation
-  /// must be symmetric (a CSR build checks every row's fill against its
-  /// count: each write in debug builds, the totals in all builds). It runs
-  /// for every a ascending: once for a dense graph, whose bits go straight
-  /// into the rows; twice for a CSR graph, a count pass and then a fill pass
-  /// that appends a to each neighbour's row, so every row comes out
-  /// ascending.
+  /// Builds a graph in place from a neighbour enumeration, with no edge list
+  /// and no per-row sort; representation chosen by vertex count against
+  /// dense_max(). `visit(a, emit)` must call `emit(b)` once for every
+  /// neighbour b != a of a, in any order, and the relation must be symmetric
+  /// (a CSR build checks every row's fill against its count: each write in
+  /// debug builds, the totals in all builds). It runs for every a
+  /// ascending: once for a dense graph, whose bits go straight into the
+  /// rows; twice for a CSR graph, a count pass and then a fill pass that
+  /// appends a to each neighbour's row, so every row comes out ascending.
   template <typename Visit>
   static InterferenceGraph from_neighbors(std::size_t num_vertices,
                                           Visit&& visit);
@@ -134,49 +132,36 @@ class InterferenceGraph {
 
   GraphRep representation() const { return rep_; }
 
-  /// True once CSR rows live in the immutable flat arrays (always true for
-  /// dense graphs — they have no separate build phase).
-  bool finalized() const { return rep_ == GraphRep::kDense || finalized_; }
-
-  /// Compacts CSR build rows into the flat arrays and frees the build
-  /// storage. Idempotent; no-op for dense graphs. Queries work in either
-  /// phase; finalize before long-term storage to drop the build overhead.
-  void finalize();
-
   std::size_t num_vertices() const { return num_vertices_; }
   std::size_t num_edges() const { return num_edges_; }
-
-  /// Adds the undirected edge (a, b). Self-loops are rejected; duplicate
-  /// insertions are idempotent. Throws on a finalized CSR graph.
-  void add_edge(BuyerId a, BuyerId b);
 
   bool has_edge(BuyerId a, BuyerId b) const;
 
   /// Adjacency row of `v`: bit j set iff (v, j) is an edge, viewed in place
-  /// (valid while the graph lives unchanged). Dense-only — CSR graphs have
-  /// no bit row to hand out; use the degree-proportional primitives below.
+  /// (valid while the graph lives). Dense-only — CSR graphs have no bit row
+  /// to hand out; use the degree-proportional primitives below.
   BitsetView neighbors(BuyerId v) const;
 
-  /// Cached degree — O(1), maintained by add_edge (GWMIN scores it in a
+  /// Cached degree — O(1), computed at construction (GWMIN scores it in a
   /// loop; recomputing neighbors(v).count() was a word scan per call).
   std::size_t degree(BuyerId v) const {
     check_vertex(v);
     return degrees_data()[static_cast<std::size_t>(v)];
   }
 
-  /// The per-vertex degree cache, valid until the next non-const call.
+  /// The per-vertex degree cache, valid while the graph lives.
   std::span<const std::uint32_t> degrees() const {
     return {degrees_data(), num_vertices_};
   }
 
-  /// Borrowed view of the finalized CSR arrays, valid until the next
-  /// non-const call on this graph. Requires a finalized kCsr graph (the
-  /// snapshot writer stores dense graphs as their row block instead).
+  /// Borrowed view of the CSR arrays, valid while the graph lives. Requires
+  /// a kCsr graph (the snapshot writer stores dense graphs as their row
+  /// block instead).
   CsrView csr_export() const;
 
   /// The dense row block: num_vertices rows of ⌈num_vertices/64⌉ words, row
   /// v at word v·⌈num_vertices/64⌉, each in DynamicBitset::words() layout.
-  /// Valid until the next non-const call. Requires a kDense graph.
+  /// Valid while the graph lives. Requires a kDense graph.
   std::span<const std::uint64_t> dense_rows() const;
 
   /// A dense graph whose adjacency reads THROUGH `rows` (a block in
@@ -191,8 +176,8 @@ class InterferenceGraph {
       std::size_t num_vertices, std::span<const std::uint64_t> rows,
       std::span<const std::uint32_t> degrees);
 
-  /// A finalized kCsr graph whose adjacency reads THROUGH `view`'s pointers
-  /// — no copy. The caller guarantees the pointed-to memory (typically an
+  /// A kCsr graph whose adjacency reads THROUGH `view`'s pointers — no
+  /// copy. The caller guarantees the pointed-to memory (typically an
   /// mmap'd snapshot) outlives the graph. `view` must be structurally valid
   /// (the snapshot reader checksum- and bounds-verifies before calling).
   static InterferenceGraph from_csr_view(const CsrView& view);
@@ -334,9 +319,6 @@ class InterferenceGraph {
   /// All edges (a < b), ascending — handy for tests and serialisation.
   std::vector<std::pair<BuyerId, BuyerId>> edges() const;
 
-  /// Mean vertex degree; 0 for the empty graph.
-  double average_degree() const;
-
   /// Bytes of the adjacency storage under the current representation (dense
   /// row block, or CSR offsets + flat ids, plus the degree cache), the same
   /// for owned and borrowed storage: mapped pages occupy RSS once touched,
@@ -350,13 +332,11 @@ class InterferenceGraph {
   bool operator==(const InterferenceGraph& other) const;
 
   /// The graph's connected-component index, built lazily on first use and
-  /// cached (invalidated by add_edge). The first call on a given graph must
-  /// not race other accesses — the matching engine builds it from the serial
-  /// prepare path before any parallel section; thereafter reads are safe.
+  /// cached for the graph's lifetime (the graph never changes, so nothing
+  /// invalidates it). The first call on a given graph must not race other
+  /// accesses — the matching engine builds it from the serial prepare path
+  /// before any parallel section; thereafter reads are safe.
   const ComponentIndex& components() const;
-
-  /// True when the component index is already built (no build triggered).
-  bool has_component_index() const { return components_ != nullptr; }
 
   /// Heap bytes of the cached component index; 0 when not built.
   std::size_t component_index_bytes() const;
@@ -377,16 +357,10 @@ class InterferenceGraph {
             num_vertices_};
   }
 
-  /// CSR row walk, ascending, in whichever phase the graph is in. `fn`
-  /// returns false to stop early.
+  /// CSR row walk, ascending. `fn` returns false to stop early.
   template <typename Fn>
   void visit_row(BuyerId v, Fn&& fn) const {
     const auto vu = static_cast<std::size_t>(v);
-    if (!finalized_) {
-      for (std::uint32_t u : rows_[vu])
-        if (!fn(static_cast<std::size_t>(u))) return;
-      return;
-    }
     const std::uint32_t* offs = offsets_data();
     const std::size_t begin = offs[vu];
     const std::size_t end = offs[vu + 1];
@@ -401,9 +375,9 @@ class InterferenceGraph {
     }
   }
 
-  // Row block, finalized-phase CSR array and degree cache access: borrowed
-  // snapshot pages when view-backed, the owned vectors otherwise. One
-  // predictable branch per row walk.
+  // Row block, CSR array and degree cache access: borrowed snapshot pages
+  // when view-backed, the owned vectors otherwise. One predictable branch
+  // per row walk.
   const std::uint64_t* dense_data() const {
     return ext_dense_ != nullptr ? ext_dense_ : dense_.data();
   }
@@ -420,39 +394,30 @@ class InterferenceGraph {
     return ext_ids32_ != nullptr ? ext_ids32_ : flat32_.data();
   }
 
-  /// Copies borrowed arrays into owned storage and drops the borrowed
-  /// pointers. Called by the copy operations — a copy must never alias
-  /// another graph's backing — and before add_edge writes a dense row.
-  void materialize();
-
   /// True when 16-bit neighbour ids cover every vertex.
   bool narrow_ids() const { return num_vertices_ <= (1u << 16); }
 
   GraphRep rep_ = GraphRep::kDense;
-  bool finalized_ = false;  ///< CSR only; dense graphs ignore it
-  bool narrow_ = true;      ///< flat arrays use 16-bit ids
+  bool narrow_ = true;  ///< flat arrays use 16-bit ids
   std::size_t num_vertices_ = 0;
   std::size_t num_edges_ = 0;
   std::size_t max_degree_ = 0;
-  std::vector<std::uint32_t> degrees_;  ///< cached; add_edge maintains it
+  std::vector<std::uint32_t> degrees_;  ///< cached at construction
 
   // kDense storage: num_vertices_ rows of row_words() words, row v at word
   // v·row_words().
   std::vector<std::uint64_t> dense_;
 
-  // kCsr build phase: one sorted (ascending) neighbour vector per vertex.
-  std::vector<std::vector<std::uint32_t>> rows_;
-
-  // kCsr finalized phase: rows concatenated behind an offsets table. One of
-  // flat16_/flat32_ is populated according to narrow_.
+  // kCsr storage: ascending rows concatenated behind an offsets table. One
+  // of flat16_/flat32_ is populated according to narrow_.
   std::vector<std::uint32_t> offsets_;  ///< num_vertices_ + 1 row starts
   std::vector<std::uint16_t> flat16_;
   std::vector<std::uint32_t> flat32_;
 
   // from_dense_view / from_csr_view borrowed pointers (mmap'd snapshot
-  // pages). When non-null they supersede the owned vectors above;
-  // materialize() copies them down. ext_degrees_ is set whenever the graph
-  // borrows.
+  // pages). When non-null they supersede the owned vectors above; the copy
+  // constructor copies them into owned storage. ext_degrees_ is set whenever
+  // the graph borrows.
   const std::uint64_t* ext_dense_ = nullptr;
   const std::uint32_t* ext_offsets_ = nullptr;
   const std::uint32_t* ext_degrees_ = nullptr;
@@ -460,7 +425,7 @@ class InterferenceGraph {
   const std::uint32_t* ext_ids32_ = nullptr;
 
   /// Lazily built connected-component index (components()); never copied —
-  /// a copy rebuilds its own on first use. add_edge resets it.
+  /// a copy rebuilds its own on first use.
   mutable std::unique_ptr<ComponentIndex> components_;
 };
 
@@ -482,7 +447,6 @@ InterferenceGraph InterferenceGraph::from_neighbors(std::size_t num_vertices,
   } else {
     for (std::size_t a = 0; a < num_vertices; ++a)
       visit(a, [&](std::size_t) { ++degrees[a]; });
-    g.offsets_.resize(num_vertices + 1);
     std::size_t total = 0;
     for (std::size_t v = 0; v < num_vertices; ++v) {
       g.offsets_[v] = static_cast<std::uint32_t>(total);
@@ -510,8 +474,6 @@ InterferenceGraph InterferenceGraph::from_neighbors(std::size_t num_vertices,
     for (std::size_t v = 0; v < num_vertices; ++v)
       SPECMATCH_CHECK_MSG(cursor[v] == g.offsets_[v + 1],
                           "asymmetric neighbour enumeration at vertex " << v);
-    std::vector<std::vector<std::uint32_t>>().swap(g.rows_);
-    g.finalized_ = true;
   }
   std::size_t degree_sum = 0;
   for (std::size_t v = 0; v < num_vertices; ++v) {

@@ -30,16 +30,11 @@ SpectrumMarket::SpectrumMarket(int num_channels, int num_buyers,
                           << num_channels_ * num_buyers_);
   SPECMATCH_CHECK_MSG(graphs_.size() == static_cast<std::size_t>(num_channels_),
                       "need one interference graph per channel");
-  for (auto& g : graphs_) {
+  for (const auto& g : graphs_)
     SPECMATCH_CHECK_MSG(
         g.num_vertices() == static_cast<std::size_t>(num_buyers_),
         "graph over " << g.num_vertices() << " vertices, expected "
                       << num_buyers_);
-    // Markets are immutable, so CSR graphs can drop their mutable build rows
-    // for the compact flat arrays here (a no-op when already finalized or
-    // dense).
-    g.finalize();
-  }
   if (buyer_parents_.empty()) {
     buyer_parents_.resize(static_cast<std::size_t>(num_buyers_));
     std::iota(buyer_parents_.begin(), buyer_parents_.end(), 0);

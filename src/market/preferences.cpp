@@ -7,9 +7,10 @@ namespace specmatch::market {
 double buyer_utility_in(const SpectrumMarket& market, BuyerId j,
                         ChannelId channel, const DynamicBitset& members) {
   if (channel == kUnmatched) return 0.0;
-  // Interference graphs have no self-loops (add_edge rejects them), so N(j)
-  // can never contain j and testing against `members` directly is already
-  // j-exclusive — no copy-and-mask-out-j temporary. This predicate is the
+  // Interference graphs have no self-loops (from_edges rejects them, and
+  // neighbour enumerations skip the vertex itself), so N(j) can never
+  // contain j and testing against `members` directly is already j-exclusive
+  // — no copy-and-mask-out-j temporary. This predicate is the
   // innermost call of Stage II screening and every stability check, so it
   // must stay allocation-free: is_compatible is one word-parallel intersects
   // on dense graphs and an early-exit O(deg) row walk on CSR.

@@ -21,12 +21,9 @@ market::SpectrumMarket build(
                             [static_cast<std::size_t>(i)];
   std::vector<graph::InterferenceGraph> graphs;
   graphs.reserve(static_cast<std::size_t>(M));
-  for (int i = 0; i < M; ++i) {
-    graph::InterferenceGraph g(static_cast<std::size_t>(N));
-    for (const auto& [a, b] : edges[static_cast<std::size_t>(i)])
-      g.add_edge(a, b);
-    graphs.push_back(std::move(g));
-  }
+  for (int i = 0; i < M; ++i)
+    graphs.push_back(graph::InterferenceGraph::from_edges(
+        static_cast<std::size_t>(N), edges[static_cast<std::size_t>(i)]));
   return market::SpectrumMarket(M, N, std::move(prices), std::move(graphs));
 }
 

@@ -11,12 +11,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/config.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "serve/protocol.hpp"
@@ -24,14 +24,6 @@
 namespace specmatch::serve {
 
 namespace {
-
-long env_long(const char* name, long fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  return (end == raw || *end != '\0' || value <= 0) ? fallback : value;
-}
 
 std::atomic<NetServer*> g_signal_target{nullptr};
 
@@ -46,16 +38,12 @@ extern "C" void netserver_on_signal(int /*signum*/) {
 
 NetConfig NetConfig::from_env() {
   NetConfig config;
-  config.backlog =
-      static_cast<int>(env_long("SPECMATCH_SERVE_LISTEN_BACKLOG", 128));
-  config.max_conns =
-      static_cast<int>(env_long("SPECMATCH_SERVE_MAX_CONNS", 1024));
-  config.conn_window =
-      static_cast<int>(env_long("SPECMATCH_SERVE_CONN_WINDOW", 64));
-  config.drain_timeout_ms =
-      static_cast<int>(env_long("SPECMATCH_SERVE_DRAIN_MS", 5000));
+  config.backlog = env_count("SPECMATCH_SERVE_LISTEN_BACKLOG", 1, 128);
+  config.max_conns = env_count("SPECMATCH_SERVE_MAX_CONNS", 1, 1024);
+  config.conn_window = env_count("SPECMATCH_SERVE_CONN_WINDOW", 1, 64);
+  config.drain_timeout_ms = env_count("SPECMATCH_SERVE_DRAIN_MS", 1, 5000);
   config.max_line_bytes = static_cast<std::size_t>(
-      env_long("SPECMATCH_SERVE_MAX_LINE", long{1} << 20));
+      env_count("SPECMATCH_SERVE_MAX_LINE", 1, 1 << 20));
   return config;
 }
 

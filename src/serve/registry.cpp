@@ -252,7 +252,7 @@ void MarketRegistry::evict_over_budget(const MarketEntry* protect,
       }
     }
     if (victim == entries_.end()) break;
-    if (store_.enabled() && store_.config().spill) {
+    if (store_.enabled()) {
       try {
         spill_entry(victim->first, victim->second);
         ++spills_;

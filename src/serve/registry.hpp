@@ -180,7 +180,8 @@ class MarketRegistry {
   std::int64_t spills() const { return spills_; }      ///< evictions spilled
   std::int64_t faults() const { return faults_; }      ///< spills faulted back
   /// Evictions that lost the market for good: no snapshot written and none
-  /// on disk. Zero whenever the spill tier is on and healthy.
+  /// on disk: every eviction without a store, and every failed spill. Zero
+  /// whenever the spill tier is on and healthy.
   std::int64_t discarded() const { return discarded_; }
   std::uint64_t disk_bytes() const { return store_.disk_bytes(); }
 

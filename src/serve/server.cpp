@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <utility>
@@ -16,19 +15,6 @@
 namespace specmatch::serve {
 
 namespace {
-
-long env_long(const char* name, long fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  return (end == raw || *end != '\0' || value <= 0) ? fallback : value;
-}
-
-bool env_flag(const char* name) {
-  const char* raw = std::getenv(name);
-  return raw != nullptr && *raw != '\0' && std::string(raw) != "0";
-}
 
 bool is_cold_solve(const Request& request) {
   return request.type == RequestType::kSolve && !request.warm;
@@ -66,12 +52,11 @@ Response error_response(const Request& request, const std::string& detail) {
 
 ServeConfig ServeConfig::from_env() {
   ServeConfig config;
-  config.drain_lanes = static_cast<int>(env_long(
-      "SPECMATCH_SERVE_THREADS", SpecmatchConfig::global().num_threads));
-  config.queue_capacity =
-      static_cast<int>(env_long("SPECMATCH_SERVE_QUEUE", 1024));
+  config.drain_lanes = env_count("SPECMATCH_SERVE_THREADS", 1,
+                                 SpecmatchConfig::global().num_threads);
+  config.queue_capacity = env_count("SPECMATCH_SERVE_QUEUE", 1, 1024);
   config.mem_budget_mb =
-      static_cast<std::size_t>(env_long("SPECMATCH_SERVE_MEM_MB", 4096));
+      static_cast<std::size_t>(env_count("SPECMATCH_SERVE_MEM_MB", 1, 4096));
   config.check_warm = env_flag("SPECMATCH_SERVE_CHECK_WARM");
   config.store = store::StoreConfig::from_env();
   return config;

@@ -65,8 +65,9 @@ struct ServeConfig {
   /// deterministic.
   bool manual_drain = false;
   /// Snapshot store (disk spill tier + snapshot/restore verbs). An empty
-  /// dir disables it: evictions discard, store verbs answer "err". Default:
-  /// SPECMATCH_STORE_DIR / SPECMATCH_STORE_SPILL / SPECMATCH_STORE_FSYNC.
+  /// dir disables it: evictions discard, store verbs answer "err". With a
+  /// dir, every eviction spills. Default: SPECMATCH_STORE_DIR /
+  /// SPECMATCH_STORE_FSYNC.
   store::StoreConfig store;
 
   /// Defaults with the SPECMATCH_SERVE_* / SPECMATCH_STORE_* environment

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/config.hpp"
 #include "common/simd.hpp"
 #include "graph/generators.hpp"
 
@@ -15,12 +16,6 @@ namespace specmatch::store {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool env_flag_default(const char* name, bool fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  return std::string(raw) != "0";
-}
 
 bool safe_id_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -208,8 +203,7 @@ StoreConfig StoreConfig::from_env() {
   if (const char* dir = std::getenv("SPECMATCH_STORE_DIR");
       dir != nullptr && dir[0] != '\0')
     config.dir = dir;
-  config.spill = env_flag_default("SPECMATCH_STORE_SPILL", true);
-  config.sync = env_flag_default("SPECMATCH_STORE_FSYNC", false);
+  config.sync = env_flag("SPECMATCH_STORE_FSYNC");
   return config;
 }
 
@@ -349,8 +343,9 @@ SnapshotImage build_graph_image(const MarketStateView& state,
       std::span<const double>(scenario.channel_reserves));
 
   // The adjacency: every channel's degree cache, then CSR channels' offsets
-  // and ids as finalized, and dense channels' row blocks word for word —
-  // each stored under its resident representation, with no conversion. Each
+  // and ids as they lie in memory, and dense channels' row blocks word for
+  // word — each stored under its resident representation, with no
+  // conversion. Each
   // channel's sub-array starts kSectionAlign-aligned inside its blob. The
   // meta records are filled in as the pieces land, before finish() copies
   // them.

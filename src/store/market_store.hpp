@@ -11,7 +11,7 @@
 // own index says the id's graph file on disk carries the digest of the
 // view's graphs. Both directions keep each channel's resident
 // representation: dense channels as their row blocks, CSR channels as their
-// finalized arrays; load() POINTS every graph at the mapped graph file
+// flat arrays; load() POINTS every graph at the mapped graph file
 // (InterferenceGraph::from_dense_view, from_csr_view) after checking it.
 // Fault-in cost is page-in, checks and small flat copies, not a rebuild, and
 // the carried matching comes back with the market so it warm-serves
@@ -74,14 +74,19 @@ struct LoadedMarket {
   std::shared_ptr<MappedSnapshot> backing;
 };
 
+/// With a store configured, registry eviction always spills; a spill that
+/// fails is counted as a discard.
 struct StoreConfig {
-  std::string dir;    ///< snapshot directory; empty disables the store
-  bool spill = true;  ///< evictions write snapshots instead of discarding
+  std::string dir;  ///< snapshot directory; empty disables the store
+  /// Read by nothing. It stays only so that perfbench/twin.cpp's
+  /// three-member brace initialisers {dir, true, false} keep compiling;
+  /// delete it with them.
+  bool spill = true;
   bool sync = false;  ///< fsync snapshots before the rename
 
   bool enabled() const { return !dir.empty(); }
 
-  /// SPECMATCH_STORE_DIR / SPECMATCH_STORE_SPILL / SPECMATCH_STORE_FSYNC.
+  /// SPECMATCH_STORE_DIR / SPECMATCH_STORE_FSYNC.
   static StoreConfig from_env();
 };
 

@@ -4,7 +4,7 @@
 // A market's snapshot is a pair of files of one format, told apart by the
 // header's file kind. The GRAPH file holds everything a market never changes
 // after create — scenario, buyer and seller parents, reserves, and every
-// channel's adjacency (finalized CSR arrays or dense bitset rows) — and is
+// channel's adjacency (flat CSR arrays or dense bitset rows) — and is
 // written once. The STATE file holds what serving changes — live and base
 // prices, activity/dirty masks, the carried matching, counters and flags —
 // and is rewritten on every spill. Both headers carry the graph identity

@@ -71,10 +71,7 @@ TEST(ComponentsTest, EdgelessGraphHasSingletonComponents) {
 }
 
 TEST(ComponentsTest, FindsDisjointClusters) {
-  InterferenceGraph g(7);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(4, 5);
+  const auto g = testutil::make_graph(7, {{0, 1}, {1, 2}, {4, 5}});
   const auto comps = connected_components(g);
   ASSERT_EQ(comps.size(), 4u);
   EXPECT_EQ(comps[0], bits(7, {0, 1, 2}));

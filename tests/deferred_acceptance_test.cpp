@@ -191,11 +191,8 @@ TEST(StageITest, GuardComparesTheWholeCoalitionAcrossComponents) {
   const int M = 2, N = 5;
   std::vector<double> prices = {10.0, 6.0, 6.0, 5.0, 1.0,
                                 20.0, 1.0, 1.0, 20.0, 100.0};
-  graph::InterferenceGraph fractured(static_cast<std::size_t>(N));
-  fractured.add_edge(0, 1);
-  fractured.add_edge(0, 2);
   std::vector<graph::InterferenceGraph> graphs;
-  graphs.push_back(std::move(fractured));
+  graphs.push_back(testutil::make_graph(N, {{0, 1}, {0, 2}}));
   graphs.push_back(graph::complete(static_cast<std::size_t>(N)));
   const market::SpectrumMarket market(M, N, std::move(prices),
                                       std::move(graphs));

@@ -25,46 +25,79 @@ TEST(InterferenceGraphTest, EmptyGraph) {
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_FALSE(g.has_edge(0, 1));
   EXPECT_EQ(g.degree(0), 0u);
-  EXPECT_EQ(g.average_degree(), 0.0);
+  EXPECT_EQ(g.max_degree(), 0u);
 }
 
-TEST(InterferenceGraphTest, AddEdgeIsSymmetricAndIdempotent) {
-  InterferenceGraph g(4);
-  g.add_edge(1, 3);
-  EXPECT_TRUE(g.has_edge(1, 3));
-  EXPECT_TRUE(g.has_edge(3, 1));
-  EXPECT_EQ(g.num_edges(), 1u);
-  g.add_edge(3, 1);  // duplicate
-  EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_EQ(g.degree(1), 1u);
-  EXPECT_EQ(g.degree(3), 1u);
+TEST(InterferenceGraphTest, FromEdgesFoldsPairsAndRejectsBadIds) {
+  // One table over both representations: reversed and duplicate pairs fold
+  // into one symmetric edge; self-loops and ids outside [0, 5) throw.
+  const struct {
+    const char* name;
+    std::vector<std::pair<BuyerId, BuyerId>> edges;
+    bool rejected;
+    std::size_t num_edges;
+    std::size_t max_degree;
+  } cases[] = {
+      {"one edge", {{1, 3}}, false, 1, 1},
+      {"reversed pair", {{1, 3}, {3, 1}}, false, 1, 1},
+      {"duplicates", {{0, 2}, {0, 2}, {2, 0}, {4, 0}, {0, 4}}, false, 2, 2},
+      {"no edges", {}, false, 0, 0},
+      {"self-loop", {{0, 2}, {1, 1}}, true, 0, 0},
+      {"id past the end", {{0, 5}}, true, 0, 0},
+      {"negative id", {{-1, 0}}, true, 0, 0},
+  };
+  for (const GraphRep rep : {GraphRep::kDense, GraphRep::kCsr}) {
+    for (const auto& c : cases) {
+      SCOPED_TRACE(testing::Message()
+                   << c.name << (rep == GraphRep::kDense ? " dense" : " csr"));
+      if (c.rejected) {
+        EXPECT_THROW((void)InterferenceGraph::from_edges(5, c.edges, rep),
+                     CheckError);
+        continue;
+      }
+      const auto g = InterferenceGraph::from_edges(5, c.edges, rep);
+      EXPECT_EQ(g.representation(), rep);
+      EXPECT_EQ(g.num_edges(), c.num_edges);
+      EXPECT_EQ(g.max_degree(), c.max_degree);
+      std::size_t degree_sum = 0;
+      for (BuyerId v = 0; v < 5; ++v) degree_sum += g.degree(v);
+      EXPECT_EQ(degree_sum, 2 * c.num_edges);
+      for (const auto& [a, b] : c.edges) {
+        EXPECT_TRUE(g.has_edge(a, b));
+        EXPECT_TRUE(g.has_edge(b, a));
+      }
+      EXPECT_EQ(g, with_representation(g, rep == GraphRep::kDense
+                                              ? GraphRep::kCsr
+                                              : GraphRep::kDense));
+      EXPECT_THROW((void)g.has_edge(0, 5), CheckError);
+      EXPECT_THROW((void)g.has_edge(-1, 0), CheckError);
+    }
+  }
 }
 
-TEST(InterferenceGraphTest, SelfLoopRejected) {
-  InterferenceGraph g(3);
-  EXPECT_THROW(g.add_edge(1, 1), CheckError);
-}
-
-TEST(InterferenceGraphTest, OutOfRangeRejected) {
-  InterferenceGraph g(3);
-  EXPECT_THROW(g.add_edge(0, 3), CheckError);
-  EXPECT_THROW(g.add_edge(-1, 0), CheckError);
-  EXPECT_THROW((void)g.has_edge(0, 5), CheckError);
+TEST(InterferenceGraphTest, EdgelessCsrGraphIsFlat) {
+  // An edgeless CSR graph is born in the flat form: n + 1 zero offsets.
+  const InterferenceGraph csr(5, GraphRep::kCsr);
+  const CsrView view = csr.csr_export();
+  EXPECT_EQ(view.num_vertices, 5u);
+  EXPECT_EQ(view.num_edges, 0u);
+  EXPECT_EQ(view.max_degree, 0u);
+  for (std::size_t v = 0; v <= 5; ++v) EXPECT_EQ(view.offsets[v], 0u);
+  EXPECT_EQ(csr.adjacency_bytes(), 5 * 4 + 6 * 4u);
+  EXPECT_EQ(csr, InterferenceGraph(5, GraphRep::kDense));
+  EXPECT_EQ(InterferenceGraph::from_csr_view(view), csr);
+  // neighbors() hands out a dense row and is dense-only by contract.
+  EXPECT_THROW((void)csr.neighbors(2), CheckError);
 }
 
 TEST(InterferenceGraphTest, Neighbors) {
-  InterferenceGraph g(6);
-  g.add_edge(2, 0);
-  g.add_edge(2, 4);
-  g.add_edge(2, 5);
+  const auto g = testutil::make_graph(6, {{2, 0}, {2, 4}, {2, 5}});
   EXPECT_EQ(g.neighbors(2), bits(6, {0, 4, 5}));
   EXPECT_EQ(g.degree(2), 3u);
 }
 
 TEST(InterferenceGraphTest, IsIndependent) {
-  InterferenceGraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const auto g = testutil::make_graph(5, {{0, 1}, {2, 3}});
   EXPECT_TRUE(g.is_independent(bits(5, {0, 2, 4})));
   EXPECT_TRUE(g.is_independent(bits(5, {})));
   EXPECT_TRUE(g.is_independent(bits(5, {1})));
@@ -73,8 +106,7 @@ TEST(InterferenceGraphTest, IsIndependent) {
 }
 
 TEST(InterferenceGraphTest, IsCompatible) {
-  InterferenceGraph g(4);
-  g.add_edge(0, 1);
+  const auto g = testutil::make_graph(4, {{0, 1}});
   EXPECT_FALSE(g.is_compatible(0, bits(4, {1, 2})));
   EXPECT_TRUE(g.is_compatible(0, bits(4, {2, 3})));
   // A vertex is always compatible with a set containing only itself.
@@ -82,10 +114,7 @@ TEST(InterferenceGraphTest, IsCompatible) {
 }
 
 TEST(InterferenceGraphTest, EdgesListSortedUnique) {
-  InterferenceGraph g(4);
-  g.add_edge(2, 1);
-  g.add_edge(0, 3);
-  g.add_edge(1, 2);
+  const auto g = testutil::make_graph(4, {{2, 1}, {0, 3}, {1, 2}});
   const auto edges = g.edges();
   ASSERT_EQ(edges.size(), 2u);
   EXPECT_EQ(edges[0], std::make_pair(BuyerId{0}, BuyerId{3}));
@@ -229,7 +258,7 @@ TEST(GeneratorsTest, SquaredThresholdIsExactlyTheSqrtTest) {
 TEST(GeneratorsTest, CompleteAndEmpty) {
   const auto k = complete(6);
   EXPECT_EQ(k.num_edges(), 15u);
-  EXPECT_EQ(k.average_degree(), 5.0);
+  for (BuyerId v = 0; v < 6; ++v) EXPECT_EQ(k.degree(v), 5u);
   const auto e = empty(6);
   EXPECT_EQ(e.num_edges(), 0u);
 }
@@ -257,6 +286,21 @@ TEST(GeneratorsTest, ErdosRenyiDensityMatchesProbability) {
   Rng rng2(4);
   EXPECT_EQ(erdos_renyi(20, 0.0, rng2).num_edges(), 0u);
   EXPECT_EQ(erdos_renyi(20, 1.0, rng2).num_edges(), 190u);
+}
+
+TEST(GeneratorsTest, ErdosRenyiEdgeCountsArePinned) {
+  // The generator draws one bernoulli per pair (a, b), a < b, in ascending
+  // order; these counts pin that draw order for a dense and a CSR graph.
+  Rng dense_rng(3);
+  const auto dense = erdos_renyi(60, 0.3, dense_rng);
+  EXPECT_EQ(dense.representation(), GraphRep::kDense);
+  EXPECT_EQ(dense.num_edges(), 505u);
+  Rng csr_rng(11);
+  const auto csr = erdos_renyi(3000, 0.002, csr_rng);
+  if (std::getenv("SPECMATCH_GRAPH_DENSE_MAX") == nullptr) {
+    EXPECT_EQ(csr.representation(), GraphRep::kCsr);
+  }
+  EXPECT_EQ(csr.num_edges(), 9013u);
 }
 
 TEST(GeneratorsTest, ErdosRenyiInvalidProbabilityThrows) {
@@ -372,48 +416,6 @@ TEST(GraphRepresentationTest, MwisSelectionsAgreeOnRandomGraphs) {
           solve_mwis_rescan(csr, weights, candidates, MwisAlgorithm::kGwmin2));
     }
   }
-}
-
-TEST(GraphRepresentationTest, CsrBuildFinalizeThenRejectMutation) {
-  InterferenceGraph g(6, GraphRep::kCsr);
-  EXPECT_FALSE(g.finalized());
-  g.add_edge(2, 0);
-  g.add_edge(2, 4);
-  g.add_edge(4, 2);  // duplicate, idempotent
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_TRUE(g.has_edge(0, 2));
-  g.finalize();
-  EXPECT_TRUE(g.finalized());
-  g.finalize();  // idempotent
-  EXPECT_TRUE(g.has_edge(2, 4));
-  EXPECT_EQ(g.degree(2), 2u);
-  EXPECT_EQ(g.max_degree(), 2u);
-
-  // A finalized graph is immutable: no edge, not even a duplicate, is added
-  // to its flat arrays.
-  EXPECT_THROW(g.add_edge(2, 4), CheckError);
-  EXPECT_THROW(g.add_edge(1, 5), CheckError);
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_FALSE(g.has_edge(1, 5));
-
-  // Same checks as the dense representation.
-  EXPECT_THROW(g.add_edge(1, 1), CheckError);
-  EXPECT_THROW(g.add_edge(0, 6), CheckError);
-  // neighbors() hands out a dense row and is dense-only by contract.
-  EXPECT_THROW((void)g.neighbors(2), CheckError);
-}
-
-TEST(GraphRepresentationTest, FromEdgesDeduplicatesAndMatchesAddEdge) {
-  const std::vector<std::pair<BuyerId, BuyerId>> edge_list = {
-      {3, 1}, {0, 2}, {1, 3}, {2, 0}, {4, 0}};
-  const auto dense = InterferenceGraph::from_edges(5, edge_list,
-                                                   GraphRep::kDense);
-  const auto csr = InterferenceGraph::from_edges(5, edge_list, GraphRep::kCsr);
-  EXPECT_EQ(dense.num_edges(), 3u);
-  EXPECT_EQ(csr.num_edges(), 3u);
-  EXPECT_EQ(dense, csr);
-  EXPECT_TRUE(csr.finalized());
-  EXPECT_EQ(csr.degree(0), 2u);
 }
 
 TEST(GraphRepresentationTest, AutoSelectionFollowsDenseMaxKnob) {

@@ -18,9 +18,9 @@ SpectrumMarket tiny_market() {
       0.5, 0.2, 0.9,  // channel 0
       0.1, 0.8, 0.0,  // channel 1
   };
-  std::vector<graph::InterferenceGraph> graphs(2,
-                                               graph::InterferenceGraph(3));
-  graphs[0].add_edge(0, 1);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(testutil::make_graph(3, {{0, 1}}));
+  graphs.emplace_back(3);
   return SpectrumMarket(2, 3, std::move(prices), std::move(graphs));
 }
 

@@ -105,8 +105,7 @@ TEST(MwisGreedyTest, GwminPrefersLowDegreeHighWeight) {
   // Star: center 0 with weight 5, leaves 1..4 weight 2 each. GWMIN scores:
   // center 5/5 = 1, leaf 2/2 = 1 -> tie resolves to vertex 0... center wins
   // ties by index, leaving {0}. Raise one leaf to break the tie properly.
-  InterferenceGraph g(5);
-  for (BuyerId leaf = 1; leaf < 5; ++leaf) g.add_edge(0, leaf);
+  const auto g = testutil::make_graph(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
   const std::vector<double> w = {5, 2.1, 2, 2, 2};
   const auto result = solve_mwis(g, w, all(5), MwisAlgorithm::kGwmin);
   EXPECT_EQ(result, bits(5, {1, 2, 3, 4}));

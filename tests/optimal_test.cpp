@@ -119,9 +119,8 @@ TEST(GreedyTest, TakesTheGlobalMaximumPairFirst) {
 
 TEST(GreedyTest, RespectsInterference) {
   std::vector<double> prices = {0.3, 0.9};
-  std::vector<graph::InterferenceGraph> graphs(1,
-                                               graph::InterferenceGraph(2));
-  graphs[0].add_edge(0, 1);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(testutil::make_graph(2, {{0, 1}}));
   const market::SpectrumMarket market(1, 2, std::move(prices),
                                       std::move(graphs));
   const auto m = solve_greedy(market);

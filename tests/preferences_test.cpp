@@ -15,10 +15,8 @@ using testutil::bits;
 /// One channel, four buyers, edges 0-1 and 2-3, prices 1, 2, 3, 4.
 SpectrumMarket one_channel_market() {
   std::vector<double> prices = {1, 2, 3, 4};
-  std::vector<graph::InterferenceGraph> graphs(1,
-                                               graph::InterferenceGraph(4));
-  graphs[0].add_edge(0, 1);
-  graphs[0].add_edge(2, 3);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(testutil::make_graph(4, {{0, 1}, {2, 3}}));
   return SpectrumMarket(1, 4, std::move(prices), std::move(graphs));
 }
 
@@ -66,9 +64,9 @@ TEST(BuyerPrefersTest, Eq5Cases) {
       5, 2, 3,  // channel 0
       4, 9, 3,  // channel 1
   };
-  std::vector<graph::InterferenceGraph> graphs(2,
-                                               graph::InterferenceGraph(3));
-  graphs[0].add_edge(0, 1);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(testutil::make_graph(3, {{0, 1}}));
+  graphs.emplace_back(3);
   const SpectrumMarket m(2, 3, std::move(prices), std::move(graphs));
 
   // Case 1 of eq. (5): no interference in C1 and higher utility.

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "matching/paper_examples.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 
 namespace specmatch::matching {
@@ -66,9 +67,8 @@ TEST(CriticalValueTest, ContestedChannelPricesNearTheRivalBid) {
   // Two buyers interfering on a single channel: the winner's critical value
   // is the loser's bid (she must outbid to be selected by the seller).
   std::vector<double> prices = {0.9, 0.4};
-  std::vector<graph::InterferenceGraph> graphs(1,
-                                               graph::InterferenceGraph(2));
-  graphs[0].add_edge(0, 1);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(testutil::make_graph(2, {{0, 1}}));
   const market::SpectrumMarket market(1, 2, std::move(prices),
                                       std::move(graphs));
   const auto report = critical_value_payments(market);

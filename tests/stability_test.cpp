@@ -90,9 +90,8 @@ TEST(PairwiseStabilityTest, SellerGainMustBeStrict) {
   // Two buyers with equal prices interfere; swapping them never strictly
   // improves the seller, so the matching is pairwise stable.
   std::vector<double> prices = {1.0, 1.0};
-  std::vector<graph::InterferenceGraph> graphs(1,
-                                               graph::InterferenceGraph(2));
-  graphs[0].add_edge(0, 1);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(testutil::make_graph(2, {{0, 1}}));
   const market::SpectrumMarket market(1, 2, std::move(prices),
                                       std::move(graphs));
   const auto m = make_matching(1, 2, {{0}});

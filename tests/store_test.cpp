@@ -942,17 +942,12 @@ TEST(RegistrySpillTest, EvictionSpillsAndFaultBackRestoresWithZeroDiscards) {
 }
 
 TEST(RegistrySpillTest, SpillDisabledDiscardsButCountsHonestly) {
+  // With no store, an eviction loses the market, and discarded() says so.
   const auto scenario = random_scenario(42, 2, 6);
-  const fs::path dir = scratch_dir("store_nospill");
-
-  serve::MarketRegistry probe(std::size_t{1} << 30, dir_config(dir));
+  serve::MarketRegistry probe(std::size_t{1} << 30, StoreConfig{});
   const std::size_t one = probe.create("probe", scenario, 0, nullptr).bytes;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
 
-  StoreConfig config = dir_config(dir);
-  config.spill = false;
-  serve::MarketRegistry registry(one + one / 2, config);
+  serve::MarketRegistry registry(one + one / 2, StoreConfig{});
   registry.create("a", scenario, 1, nullptr);
   registry.create("b", scenario, 2, nullptr);
   EXPECT_EQ(registry.spills(), 0);

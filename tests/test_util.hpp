@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -12,6 +14,7 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "graph/interference_graph.hpp"
 #include "market/scenario.hpp"
 #include "matching/matching.hpp"
 #include "workload/generator.hpp"
@@ -24,6 +27,15 @@ inline DynamicBitset bits(std::size_t size,
   DynamicBitset b(size);
   for (std::size_t i : indices) b.set(i);
   return b;
+}
+
+/// The graph over `num_vertices` buyers with exactly the listed edges,
+/// built through InterferenceGraph::from_edges.
+inline graph::InterferenceGraph make_graph(
+    std::size_t num_vertices,
+    std::initializer_list<std::pair<BuyerId, BuyerId>> edges) {
+  return graph::InterferenceGraph::from_edges(
+      num_vertices, std::span(edges.begin(), edges.size()));
 }
 
 /// Builds a Matching from per-seller member lists (one list per channel).

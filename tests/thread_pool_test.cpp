@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <future>
 #include <latch>
 #include <memory>
@@ -378,6 +379,42 @@ TEST(ThreadPoolTest, FreeParallelForTracksTheConfigKnob) {
 
   config.num_threads = saved;
   (void)ThreadPool::global();  // restore the pool for later tests
+}
+
+TEST(EnvReaderTest, FlagsAndCountsParseAlikeWithoutAllocating) {
+  // Every SPECMATCH_* knob goes through env_flag / env_count, so one table
+  // pins the parse for all of them. nullptr means unset.
+  constexpr const char* kName = "SPECMATCH_ENV_READER_TEST";
+  const struct {
+    const char* value;
+    bool flag;
+    int count;  // env_count(kName, 2, -7)
+  } cases[] = {
+      {nullptr, false, -7}, {"", false, -7},   {"0", false, -7},
+      {"00", true, -7},     {"1", true, -7},   {"2", true, 2},
+      {"4", true, 4},       {"4x", true, -7},  {" 4", true, -7},
+      {"+4", true, -7},     {"-4", true, -7},  {"0x10", true, -7},
+      {"012", true, 12},    {"yes", true, -7}, {"2147483647", true, 2147483647},
+      {"2147483648", true, -7}, {"99999999999999999999", true, -7},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.value == nullptr ? "(unset)" : c.value);
+    if (c.value == nullptr)
+      ::unsetenv(kName);
+    else
+      ::setenv(kName, c.value, 1);
+    const bool was_counting = alloc_count::counting();
+    alloc_count::set_counting(true);
+    const std::int64_t before = alloc_count::total();
+    const bool flag = env_flag(kName);
+    const int count = env_count(kName, 2, -7);
+    const std::int64_t allocs = alloc_count::total() - before;
+    alloc_count::set_counting(was_counting);
+    EXPECT_EQ(flag, c.flag);
+    EXPECT_EQ(count, c.count);
+    EXPECT_EQ(allocs, 0);
+  }
+  ::unsetenv(kName);
 }
 
 }  // namespace

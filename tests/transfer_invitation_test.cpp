@@ -111,11 +111,8 @@ TEST(StageIITest, Phase2SendsOneInvitationPerSellerPerRound) {
   const int M = 2, N = 4;
   std::vector<double> prices = {5.0, 8.0, 5.0, 7.0,  //
                                 10.0, 0.0, 10.0, 0.0};
-  graph::InterferenceGraph fractured(static_cast<std::size_t>(N));
-  fractured.add_edge(0, 1);
-  fractured.add_edge(2, 3);
   std::vector<graph::InterferenceGraph> graphs;
-  graphs.push_back(std::move(fractured));
+  graphs.push_back(testutil::make_graph(N, {{0, 1}, {2, 3}}));
   graphs.push_back(graph::InterferenceGraph(static_cast<std::size_t>(N)));
   const market::SpectrumMarket market(M, N, std::move(prices),
                                       std::move(graphs));
@@ -197,8 +194,7 @@ TEST(StageIITest, BlockerRowsTrackTheMatching) {
   // count on channel 0. Phase 2 then finds b admissible and invites her.
   {
     std::vector<graph::InterferenceGraph> graphs;
-    graphs.emplace_back(2);
-    graphs[0].add_edge(0, 1);
+    graphs.push_back(testutil::make_graph(2, {{0, 1}}));
     graphs.emplace_back(2);
     const market::SpectrumMarket market(2, 2, {5.0, 8.0, 10.0, 0.0},
                                         std::move(graphs));

@@ -14,6 +14,10 @@
 # 4. Every `stats` response tail key (the kStatsTailKeys registry between
 #    the stats-tail-keys markers in src/serve/protocol.cpp) must be
 #    documented in docs/SERVING.md.
+# 5. The reverse of 2: every knob registered in known_env_knobs() must be
+#    read by code in src/, bench/, tools/ or examples/ (its name as a quoted
+#    string outside the registry entry), so a removed knob cannot stay
+#    listed. SPECMATCH_SANITIZE is a CMake option and is exempt.
 #
 # Usage: tools/docs_check.sh [repo_root]
 set -uo pipefail
@@ -102,6 +106,23 @@ else
     fi
   done
 fi
+
+# ---- 5. Every registered knob is read by code ------------------------------
+registry=src/common/config.cpp
+knobs="$(grep -oE '\{"SPECMATCH_[A-Z_]+"' "$registry" | tr -d '{"' | sort -u)"
+if [[ -z "$knobs" ]]; then
+  echo "docs_check: no knobs extracted from $registry (registry moved?)" >&2
+  status=1
+fi
+for knob in $knobs; do
+  [[ "$knob" == SPECMATCH_SANITIZE ]] && continue
+  if ! grep -rhF "\"$knob\"" src bench tools examples \
+       | grep -vF "{\"$knob\"" | grep -q .; then
+    echo "docs_check: $knob is registered in $registry but read nowhere" \
+         "in src/ bench/ tools/ examples/" >&2
+    status=1
+  fi
+done
 
 if [[ "$status" -eq 0 ]]; then
   echo "docs_check: OK (${#docs[@]} docs checked)"
