@@ -26,7 +26,7 @@
 namespace specmatch::bench {
 namespace {
 
-const int kTrials = env_trials(40);
+const auto kTrials = static_cast<std::uint64_t>(env_trials(40));
 
 struct RuleSetup {
   std::string name;

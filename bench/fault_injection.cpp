@@ -14,7 +14,7 @@
 namespace specmatch::bench {
 namespace {
 
-const int kTrials = env_trials(25);
+const auto kTrials = static_cast<std::uint64_t>(env_trials(25));
 
 void measure_row(Table& table, const std::string& label,
                  const dist::DistConfig& base, int delay, double loss,

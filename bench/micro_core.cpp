@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -194,12 +196,14 @@ double best_wall_ms(int reps, Fn&& fn) {
 }
 
 /// Fault-in of a spill_churn-shaped market (dense, M = 16; N = 2000 at full
-/// size) at one lane: MarketStore::load of its snapshot pair plus the
-/// MarketEntry adoption that labels every channel's components ("rounds" is
-/// the channel count). Then the component labelling alone, every channel's
-/// ComponentIndex of the fresh market ("rounds" is the component total).
-void fault_in_records(int buyers, int reps,
+/// size) at each lane count in `lanes`: MarketStore::load of its snapshot
+/// pair plus the MarketEntry adoption that labels every channel's
+/// components ("rounds" is the channel count). Then the component labelling
+/// alone, every channel's ComponentIndex of the fresh market, one channel
+/// per lane as adoption builds them ("rounds" is the component total).
+void fault_in_records(int buyers, int reps, std::initializer_list<int> lanes,
                       std::vector<bench::BenchRecord>& records) {
+  auto& config = SpecmatchConfig::global();
   Rng rng(7);
   const auto scenario = std::make_shared<const market::Scenario>(
       testutil::stratified_scenario(rng, buyers, 0.0));
@@ -226,22 +230,34 @@ void fault_in_records(int buyers, int reps,
     view.dirty = dirty;
     view.matching = matching;
     market_store.write("m", view);
-    const double fault_ms = best_wall_ms(reps, [&] {
-      serve::MarketEntry entry(market_store.load("m"));
-      benchmark::DoNotOptimize(entry.bytes);
-    });
-    records.push_back({"fault_in", M, buyers, "dense", 1, fault_ms, M});
+    for (const int threads : lanes) {
+      config.num_threads = threads;
+      (void)ThreadPool::global();
+      const double fault_ms = best_wall_ms(reps, [&] {
+        serve::MarketEntry entry(market_store.load("m"));
+        benchmark::DoNotOptimize(entry.bytes);
+      });
+      records.push_back({"fault_in", M, buyers, "dense", threads, fault_ms, M});
+    }
   }
   std::filesystem::remove_all(dir);
 
-  std::size_t components = 0;
-  const double index_ms = best_wall_ms(reps, [&] {
-    components = 0;
-    for (ChannelId i = 0; i < M; ++i)
-      components += graph::ComponentIndex(built.graph(i)).num_components();
-  });
-  records.push_back({"components_build", M, buyers, "dense", 1, index_ms,
-                     static_cast<int>(components)});
+  std::vector<std::size_t> components(static_cast<std::size_t>(M));
+  for (const int threads : lanes) {
+    config.num_threads = threads;
+    (void)ThreadPool::global();
+    const double index_ms = best_wall_ms(reps, [&] {
+      parallel_for(0, components.size(), [&](std::size_t i) {
+        components[i] =
+            graph::ComponentIndex(built.graph(static_cast<ChannelId>(i)))
+                .num_components();
+      });
+    });
+    records.push_back(
+        {"components_build", M, buyers, "dense", threads, index_ms,
+         static_cast<int>(std::accumulate(components.begin(), components.end(),
+                                          std::size_t{0}))});
+  }
 }
 
 /// The headline trajectory of this perf series: the full pipeline at the
@@ -296,9 +312,8 @@ void run_core_trajectory() {
                        "geometric", threads, wall_ms,
                        static_cast<int>(edges)});
   }
-  config.num_threads = 1;
-  (void)ThreadPool::global();
-  fault_in_records(smoke ? 300 : 2000, reps * 4, records);
+  fault_in_records(smoke ? 300 : 2000, reps * 4, {1, parallel_threads},
+                   records);
   config.num_threads = saved_threads;
   (void)ThreadPool::global();
 

@@ -5,8 +5,33 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 
 namespace specmatch::market {
+
+namespace {
+
+/// Calls fn(i) for every channel i in [0, num_channels) of a market over
+/// `num_buyers` buyers: one channel per engine lane when the market's graphs
+/// are CSR, in order on this thread when they are dense. Dense builds stay
+/// on one thread because building dense rows on pool workers once left
+/// 5-6 MB resident in each worker's malloc arena after the market was freed
+/// (spill_churn's peak RSS rose 30%). That was with one allocation per row;
+/// a dense graph is now one row block, but per-lane dense builds have not
+/// been measured again (ROADMAP.md, "Build dense markets one channel per
+/// lane"). `fn` must write only channel i's slot, so results do not depend
+/// on the lane count.
+template <typename Fn>
+void for_each_channel(int num_channels, std::size_t num_buyers, Fn&& fn) {
+  const auto m = static_cast<std::size_t>(num_channels);
+  if (num_buyers > graph::InterferenceGraph::dense_max()) {
+    parallel_for(0, m, fn);
+  } else {
+    for (std::size_t i = 0; i < m; ++i) fn(i);
+  }
+}
+
+}  // namespace
 
 int Scenario::num_channels() const {
   return std::accumulate(seller_channel_counts.begin(),

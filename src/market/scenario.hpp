@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "market/market.hpp"
 
@@ -45,26 +44,8 @@ struct Scenario {
   void validate() const;
 };
 
-/// Calls fn(i) for every channel i in [0, num_channels) of a market over
-/// `num_buyers` buyers: one channel per engine lane when the market's graphs
-/// are CSR, in order on this thread when they are dense. A dense graph and
-/// its component index are thousands of small allocations; made on pool
-/// workers, they stay resident in the workers' malloc arenas after the
-/// market is freed (spill_churn's peak RSS rose 30%). CSR arrays are large
-/// blocks the allocator maps and unmaps. `fn` must write only channel i's
-/// slot, so results do not depend on the lane count.
-template <typename Fn>
-void for_each_channel(int num_channels, std::size_t num_buyers, Fn&& fn) {
-  const auto m = static_cast<std::size_t>(num_channels);
-  if (num_buyers > graph::InterferenceGraph::dense_max()) {
-    parallel_for(0, m, fn);
-  } else {
-    for (std::size_t i = 0; i < m; ++i) fn(i);
-  }
-}
-
 /// Expands the scenario into a SpectrumMarket: builds one geometric
-/// interference graph per channel (for_each_channel), from buyer
+/// interference graph per channel, from buyer
 /// locations and the channel's transmission range. Same-parent dummies share
 /// a location, so every channel links them; that is checked, not added.
 SpectrumMarket build_market(const Scenario& scenario);

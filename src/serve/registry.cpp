@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/components.hpp"
 
 namespace specmatch::serve {
@@ -68,12 +69,11 @@ void MarketEntry::finish_construction() {
   // Force the per-channel component indices now: mutations and warm solves
   // read them on the serving hot path, and building here keeps first-request
   // latency flat and the byte estimate complete. Each graph owns its cache,
-  // so the builds share nothing.
-  market::for_each_channel(
-      market.num_channels(), static_cast<std::size_t>(market.num_buyers()),
-      [&](std::size_t i) {
-        (void)market.graph(static_cast<ChannelId>(i)).components();
-      });
+  // so the builds share nothing: one channel per engine lane.
+  parallel_for(0, static_cast<std::size_t>(market.num_channels()),
+               [&](std::size_t i) {
+                 (void)market.graph(static_cast<ChannelId>(i)).components();
+               });
   dirty.assign_zero(static_cast<std::size_t>(market.num_buyers()));
   bytes = resident_bytes();
 }
@@ -239,18 +239,24 @@ std::uint64_t MarketRegistry::spill_entry(const std::string& id,
   return bytes;
 }
 
+std::map<std::string, MarketEntry>::iterator MarketRegistry::lru_victim(
+    const MarketEntry* protect) {
+  auto victim = entries_.end();
+  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+  for (auto jt = entries_.begin(); jt != entries_.end(); ++jt) {
+    if (&jt->second == protect) continue;  // never evict the newcomer
+    if (jt->second.last_used < oldest) {
+      oldest = jt->second.last_used;
+      victim = jt;
+    }
+  }
+  return victim;
+}
+
 void MarketRegistry::evict_over_budget(const MarketEntry* protect,
                                        std::vector<std::string>* evicted) {
   while (total_bytes_ > budget_bytes_ && entries_.size() > 1) {
-    auto victim = entries_.end();
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (auto jt = entries_.begin(); jt != entries_.end(); ++jt) {
-      if (&jt->second == protect) continue;  // never evict the newcomer
-      if (jt->second.last_used < oldest) {
-        oldest = jt->second.last_used;
-        victim = jt;
-      }
-    }
+    const auto victim = lru_victim(protect);
     if (victim == entries_.end()) break;
     if (store_.enabled()) {
       try {
@@ -292,6 +298,16 @@ MarketEntry& MarketRegistry::fault_in(const std::string& id, std::uint64_t seq,
                                       std::vector<std::string>* evicted) {
   SPECMATCH_CHECK_MSG(entries_.find(id) == entries_.end(),
                       "market id already resident: " << id);
+  // The entry evict_over_budget will pick first gives its graph file's
+  // touched pages back before the newcomer's file is mapped and read, so the
+  // two are not resident at once. Its contents are unchanged: if the load
+  // fails or the budget keeps it, it re-faults pages from the file. Whether
+  // an eviction follows is judged with the newcomer's bytes on disk standing
+  // in for its resident footprint; a wrong guess costs only page faults.
+  if (const auto victim = lru_victim(nullptr);
+      victim != entries_.end() && victim->second.backing != nullptr &&
+      total_bytes_ + store_.bytes_for(id) > budget_bytes_)
+    victim->second.backing->release_pages();
   const auto start = std::chrono::steady_clock::now();
   store::LoadedMarket loaded = store_.load(id);  // throws SnapshotError
   auto [it, inserted] = entries_.emplace(id, MarketEntry(std::move(loaded)));

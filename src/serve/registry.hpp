@@ -156,10 +156,12 @@ class MarketRegistry {
                       std::uint64_t seq, std::vector<std::string>* evicted);
 
   /// Faults a spilled market back in from its snapshot (mmap, verify,
-  /// adopt), then evicts under the budget like create. Throws
-  /// store::SnapshotError when the snapshot is missing or corrupt — the
-  /// id stays non-resident and the error is the caller's to report. Must
-  /// only run at the server's admission barrier.
+  /// adopt), then evicts under the budget like create. When an eviction is
+  /// expected, the entry it would pick first releases its graph file's
+  /// pages (MappedSnapshot::release_pages) before the newcomer is mapped.
+  /// Throws store::SnapshotError when the snapshot is missing or corrupt —
+  /// the id stays non-resident and the error is the caller's to report.
+  /// Must only run at the server's admission barrier.
   MarketEntry& fault_in(const std::string& id, std::uint64_t seq,
                         std::vector<std::string>* evicted);
 
@@ -186,6 +188,10 @@ class MarketRegistry {
   std::uint64_t disk_bytes() const { return store_.disk_bytes(); }
 
  private:
+  /// The least recently used entry other than `protect`; end() when none.
+  std::map<std::string, MarketEntry>::iterator lru_victim(
+      const MarketEntry* protect);
+
   /// LRU-evicts entries other than `protect` until the budget holds,
   /// spilling each victim to the store when configured.
   void evict_over_budget(const MarketEntry* protect,

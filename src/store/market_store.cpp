@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
 
 namespace specmatch::store {
@@ -459,12 +461,24 @@ LoadedGraphs load_graph_file(const MappedSnapshot& snap) {
   }
   out.scenario = std::move(scenario);
 
+  // One channel per engine lane: each task checks and points only its own
+  // slot. A failing channel records its error instead of throwing, and the
+  // lowest channel's error is rethrown, so a file with several defects
+  // names the same one at any lane count (the pool itself would rethrow the
+  // lowest lane's, which depends on scheduling).
   const auto meta = snap.array<GraphMetaRecord>(
       require_count(snap, SectionKind::kGraphMeta, m));
-  out.graphs.reserve(m);
-  for (std::size_t i = 0; i < m; ++i)
-    out.graphs.push_back(
-        load_graph(snap, meta[i], n, static_cast<ChannelId>(i)));
+  out.graphs.resize(m);
+  std::vector<std::exception_ptr> errors(m);
+  parallel_for(0, m, [&](std::size_t i) {
+    try {
+      out.graphs[i] = load_graph(snap, meta[i], n, static_cast<ChannelId>(i));
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
 
   // The header's digest is outside the checksum: recompute it from the
   // contents, so a graph file only ever answers to its own identity.

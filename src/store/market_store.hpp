@@ -15,7 +15,10 @@
 // (InterferenceGraph::from_dense_view, from_csr_view) after checking it.
 // Fault-in cost is page-in, checks and small flat copies, not a rebuild, and
 // the carried matching comes back with the market so it warm-serves
-// immediately.
+// immediately. The two full passes over the graph file run on the engine
+// lanes: the block checksum (store/snapshot.hpp) and the channel checks, one
+// channel per lane, with the lowest failing channel's error rethrown so the
+// message does not depend on the lane count.
 //
 // File naming: the market id, percent-encoded (every byte outside
 // [A-Za-z0-9._-] becomes %XX), with ".spms" for the state file and ".spmg"
@@ -109,7 +112,9 @@ SnapshotImage build_graph_image(const MarketStateView& state);
 /// against its contents; validates every section's shape and each channel's
 /// adjacency — CSR: monotone offsets, in-range neighbour ids; dense: no
 /// padding or diagonal bit, degrees equal row popcounts — before handing out
-/// graphs. Throws SnapshotError on anything inconsistent.
+/// graphs. The channels are checked one per engine lane. Throws
+/// SnapshotError on anything inconsistent; when several channels are, the
+/// lowest one's error.
 LoadedMarket load_market(std::shared_ptr<MappedSnapshot> state,
                          std::shared_ptr<MappedSnapshot> graphs);
 

@@ -5,10 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
+
+#include "common/thread_pool.hpp"
 
 namespace specmatch::store {
 
@@ -40,6 +43,20 @@ std::uint64_t checksum64(const void* data, std::size_t bytes) {
   hash *= 0xC4CEB9FE1A85EC53ull;
   hash ^= hash >> 33;
   return hash;
+}
+
+std::uint64_t block_checksum64(const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const std::byte*>(data);
+  std::vector<std::uint64_t> sums((bytes + kChecksumBlockBytes - 1) /
+                                  kChecksumBlockBytes);
+  // Each block writes only its own slot, so the list — and the result — is
+  // the same at any lane count.
+  parallel_for(0, sums.size(), [&](std::size_t b) {
+    const std::size_t begin = b * kChecksumBlockBytes;
+    sums[b] = checksum64(p + begin,
+                         std::min(kChecksumBlockBytes, bytes - begin));
+  });
+  return checksum64(sums.data(), sums.size() * sizeof(std::uint64_t));
 }
 
 std::uint64_t fnv1a64(const void* data, std::size_t bytes) {
@@ -113,8 +130,8 @@ SnapshotImage SnapshotBuilder::finish(SnapshotHeader header) const {
 
   header.file_bytes = image.size();
   header.section_count = static_cast<std::uint32_t>(sections_.size());
-  header.checksum = checksum64(out + sizeof(SnapshotHeader),
-                               image.size() - sizeof(SnapshotHeader));
+  header.checksum = block_checksum64(out + sizeof(SnapshotHeader),
+                                     image.size() - sizeof(SnapshotHeader));
   std::memcpy(out, &header, sizeof(header));
   return image;
 }
@@ -218,8 +235,8 @@ void MappedSnapshot::verify() const {
   if (table_end > size_)
     fail("section table (" + std::to_string(h.section_count) +
          " entries) runs past the end of the file");
-  const std::uint64_t computed = checksum64(data_ + sizeof(SnapshotHeader),
-                                           size_ - sizeof(SnapshotHeader));
+  const std::uint64_t computed = block_checksum64(
+      data_ + sizeof(SnapshotHeader), size_ - sizeof(SnapshotHeader));
   if (computed != h.checksum) {
     std::ostringstream what;
     what << "checksum mismatch (stored 0x" << std::hex << h.checksum
@@ -272,6 +289,10 @@ const std::byte* MappedSnapshot::section_bytes(const SectionEntry& entry,
          std::to_string(bytes) + ") runs past section kind " +
          std::to_string(entry.kind));
   return data_ + entry.offset + offset;
+}
+
+void MappedSnapshot::release_pages() const {
+  (void)::madvise(const_cast<std::byte*>(data_), size_, MADV_DONTNEED);
 }
 
 void MappedSnapshot::check_array(const SectionEntry& entry,

@@ -20,13 +20,16 @@
 // (dense row blocks).
 //
 // Integrity is fail-loud: every load verifies magic, version, endianness
-// stamp, declared length against the real file size, and a word-wide
-// checksum (checksum64) over everything past the header before any byte is
-// interpreted. A snapshot that fails any check throws SnapshotError with an
-// actionable message — a corrupt file can never become a silently wrong
-// market. There is no cross-version or cross-endianness migration: a
-// mismatch is an error, and the market is rebuilt from its create request
-// instead (see docs/PERSISTENCE.md for the compatibility rules).
+// stamp, declared length against the real file size, and a block checksum
+// (block_checksum64) over everything past the header before any byte is
+// interpreted. The checksum hashes fixed 256 KiB blocks on the engine lanes
+// and then hashes the list of block sums, so its value is a function of the
+// bytes alone, whatever the lane count. A snapshot that fails any check
+// throws SnapshotError with an actionable message — a corrupt file can never
+// become a silently wrong market. There is no cross-version or
+// cross-endianness migration: a mismatch is an error, and the market is
+// rebuilt from its create request instead (see docs/PERSISTENCE.md for the
+// compatibility rules).
 #pragma once
 
 #include <cstddef>
@@ -49,9 +52,11 @@ class SnapshotError : public std::runtime_error {
 };
 
 inline constexpr std::uint64_t kSnapshotMagic = 0x3150414E534D5053ull;  // "SPMSNAP1" LE
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 inline constexpr std::uint32_t kEndianStamp = 0x01020304;
 inline constexpr std::size_t kSectionAlign = 64;
+/// The block size of block_checksum64: part of the format, not a knob.
+inline constexpr std::size_t kChecksumBlockBytes = std::size_t{256} << 10;
 
 /// What a snapshot file holds. Values are part of the on-disk format.
 enum class FileKind : std::uint32_t {
@@ -96,7 +101,7 @@ struct SnapshotHeader {
   std::uint32_t version = kSnapshotVersion;
   std::uint32_t endian = kEndianStamp;
   std::uint64_t file_bytes = 0;  ///< whole file, header included
-  std::uint64_t checksum = 0;    ///< checksum64 over bytes [64, file_bytes)
+  std::uint64_t checksum = 0;    ///< block_checksum64 of bytes [64, file_bytes)
   std::uint32_t section_count = 0;
   std::uint32_t num_channels = 0;  ///< M
   std::uint32_t num_buyers = 0;    ///< N
@@ -136,11 +141,18 @@ struct GraphMetaRecord {
 };
 static_assert(sizeof(GraphMetaRecord) == 56);
 
-/// The snapshot checksum: a 64-bit hash that consumes 8 bytes per step
-/// (xor, multiply by an odd constant, rotate — each step a bijection of the
-/// running state, so any single changed word or tail byte changes the
-/// result), a byte-wise tail, and a final avalanche.
+/// A 64-bit hash that consumes 8 bytes per step (xor, multiply by an odd
+/// constant, rotate — each step a bijection of the running state, so any
+/// single changed word or tail byte changes the result), a byte-wise tail,
+/// and a final avalanche.
 std::uint64_t checksum64(const void* data, std::size_t bytes);
+
+/// The snapshot checksum: checksum64 over the list of checksum64s of the
+/// consecutive kChecksumBlockBytes blocks of `bytes` (the last one may be
+/// shorter; zero bytes is the empty list). The blocks are hashed in a
+/// parallel_for on the engine pool; the result does not depend on the lane
+/// count.
+std::uint64_t block_checksum64(const void* data, std::size_t bytes);
 
 /// FNV-1a 64-bit over `bytes`, one byte per step. No longer the snapshot
 /// checksum; kept with its exact output as a general-purpose stable digest.
@@ -225,8 +237,8 @@ std::uint64_t write_snapshot_file(const std::string& path,
                                   bool sync);
 
 /// A read-only mmap of one snapshot file, fully verified at construction
-/// (magic, version, endianness, file kind, length, checksum, section table
-/// bounds and alignment). The mapping lives as long as the object; a
+/// (magic, version, endianness, file kind, length, block checksum, section
+/// table bounds and alignment). The mapping lives as long as the object; a
 /// MarketEntry holding view-backed graphs keeps a shared_ptr to it.
 class MappedSnapshot {
  public:
@@ -260,6 +272,12 @@ class MappedSnapshot {
   const std::byte* section_bytes(const SectionEntry& entry,
                                  std::uint64_t offset,
                                  std::uint64_t bytes) const;
+
+  /// Drops the pages this process has touched (madvise MADV_DONTNEED on the
+  /// private read-only mapping), so they leave its RSS. The contents do not
+  /// change: a later read faults each page back in from the file. Advisory:
+  /// if the kernel refuses, the pages just stay resident.
+  void release_pages() const;
 
  private:
   void verify() const;

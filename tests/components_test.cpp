@@ -112,7 +112,9 @@ TEST(ComponentIndexTest, PartitionInvariantsOnRandomGeometricGraphs) {
         largest = std::max(largest, verts.size());
         for (std::size_t l = 0; l < verts.size(); ++l) {
           EXPECT_EQ(index.component_of(verts[l]), c);
-          if (l > 0) EXPECT_LT(verts[l - 1], verts[l]) << "not ascending";
+          if (l > 0) {
+            EXPECT_LT(verts[l - 1], verts[l]) << "not ascending";
+          }
         }
       }
       EXPECT_EQ(total_vertices, n);
@@ -261,7 +263,9 @@ TEST(ShardSolveTest, ShardSolvesEqualTheWholeGraphSet) {
     // every sub-percolation channel fractures into many shards.
     const ComponentIndex& widest =
         base.graph(base.num_channels() - 1).components();
-    if (!sub_percolation) ASSERT_EQ(widest.num_components(), 1u);
+    if (!sub_percolation) {
+      ASSERT_EQ(widest.num_components(), 1u);
+    }
     if (sub_percolation) {
       build_shards(widest, 64, shards);
       ASSERT_GT(shards.size(), 10u);
@@ -495,9 +499,10 @@ TEST(RestrictedStageIITest, NonParticipantsCarryOverVerbatim) {
         }
       }
     }
-    if (!shares)
+    if (!shares) {
       EXPECT_EQ(result.matching.seller_of(j), stage1.matching.seller_of(j))
           << "untouched buyer " << j << " moved";
+    }
   }
 }
 

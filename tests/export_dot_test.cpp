@@ -20,7 +20,8 @@ TEST(ExportDotTest, ChannelGraphContainsAllVerticesAndEdges) {
   const std::string dot = os.str();
   EXPECT_NE(dot.find("graph channel_1"), std::string::npos);
   for (BuyerId j = 0; j < market.num_buyers(); ++j)
-    EXPECT_NE(dot.find("b" + std::to_string(j) + " ["), std::string::npos);
+    EXPECT_NE(dot.find(std::string("b").append(std::to_string(j)).append(" [")),
+              std::string::npos);
   // Channel b's edges in the toy example: 1-3, 2-3, 3-4 (paper numbering),
   // 0-based 0-2, 1-2, 2-3.
   EXPECT_NE(dot.find("b0 -- b2"), std::string::npos);
@@ -61,7 +62,8 @@ TEST(ExportDotTest, FullPipelineOutputIsNonTrivial) {
   EXPECT_GT(os.str().size(), 500u);
   // Every matched buyer appears inside some cluster.
   for (BuyerId j = 0; j < market.num_buyers(); ++j)
-    EXPECT_NE(os.str().find("b" + std::to_string(j)), std::string::npos);
+    EXPECT_NE(os.str().find(std::string("b").append(std::to_string(j))),
+              std::string::npos);
 }
 
 }  // namespace

@@ -247,7 +247,9 @@ TEST(GeneratorsTest, SquaredThresholdIsExactlyTheSqrtTest) {
     const double t = squared_threshold(r);
     EXPECT_LE(std::sqrt(t), r);
     EXPECT_GT(std::sqrt(std::nextafter(t, inf)), r);
-    if (t > 0.0) EXPECT_LE(std::sqrt(std::nextafter(t, -inf)), r);
+    if (t > 0.0) {
+      EXPECT_LE(std::sqrt(std::nextafter(t, -inf)), r);
+    }
     for (int k = 0; k < 8; ++k) {
       const double d2 = r * r * rng.uniform(0.999999, 1.000001);
       EXPECT_EQ(d2 <= t, std::sqrt(d2) <= r) << "d2=" << d2;

@@ -70,9 +70,14 @@ INSTANTIATE_TEST_SUITE_P(
       const int N = std::get<1>(info.param);
       const int sim = std::get<2>(info.param);
       const int range = static_cast<int>(std::get<3>(info.param));
-      return "M" + std::to_string(M) + "_N" + std::to_string(N) + "_sim" +
-             (sim < 0 ? std::string("iid") : std::to_string(sim)) + "_r" +
-             std::to_string(range);
+      return std::string("M")
+          .append(std::to_string(M))
+          .append("_N")
+          .append(std::to_string(N))
+          .append("_sim")
+          .append(sim < 0 ? std::string("iid") : std::to_string(sim))
+          .append("_r")
+          .append(std::to_string(range));
     });
 
 }  // namespace

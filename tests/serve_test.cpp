@@ -561,7 +561,7 @@ TEST(MatchServerTest, EveryDrainLaneDrainsConcurrently) {
     for (int m = 0; m < lanes; ++m)
       ASSERT_TRUE(server
                       .handle(create_request(
-                          "m" + std::to_string(m),
+                          std::string("m").append(std::to_string(m)),
                           random_scenario(90 + static_cast<std::uint64_t>(m),
                                           2, 6)))
                       .ok);
@@ -571,7 +571,8 @@ TEST(MatchServerTest, EveryDrainLaneDrainsConcurrently) {
     int met = 0;
     for (int m = 0; m < lanes; ++m) {
       ASSERT_TRUE(server.submit(
-          make_request(RequestType::kStats, "m" + std::to_string(m)),
+          make_request(RequestType::kStats,
+                       std::string("m").append(std::to_string(m))),
           [&](const Response&) {
             std::unique_lock<std::mutex> lock(mutex);
             ++arrived;

@@ -308,6 +308,63 @@ TEST(SnapshotIntegrityTest, Version2ImageFailsLoudly) {
   expect_old_version_fails("store_v2", 2);
 }
 
+TEST(SnapshotIntegrityTest, Version3ImageFailsLoudly) {
+  expect_old_version_fails("store_v3", 3);
+}
+
+TEST(SnapshotIntegrityTest, BlockChecksumKnownAnswers) {
+  // Pins the on-disk checksum of version 4: lengths straddle one block
+  // boundary and end inside a fourth block, and the values must not depend
+  // on how many lanes hash the blocks.
+  constexpr std::size_t kBlock = kChecksumBlockBytes;
+  std::vector<unsigned char> bytes(3 * kBlock + 7);
+  for (std::size_t k = 0; k < bytes.size(); ++k)
+    bytes[k] = static_cast<unsigned char>(k * 37 + 11);
+  const std::vector<std::pair<std::size_t, std::uint64_t>> known = {
+      {0, 0x6C8BCC51EDB91D2Bull},
+      {1, 0xC95CE09C7166ACFCull},
+      {kBlock - 1, 0x850EAFA9C3CCA5FAull},
+      {kBlock, 0xDF08E2D5BE260CA4ull},
+      {kBlock + 1, 0x4E65346CB27C717Full},
+      {3 * kBlock + 7, 0xA23DDF7198161127ull},
+  };
+  for (const int lanes : {1, testutil::contract_lanes()}) {
+    ScopedThreads scope(lanes);
+    for (const auto& [length, want] : known)
+      EXPECT_EQ(block_checksum64(bytes.data(), length), want)
+          << "length " << length << ", lanes " << lanes;
+  }
+}
+
+/// The pair of a spill_churn-channel-shaped dense market whose graph file
+/// spans several checksum blocks (N = 1000, M = 16: about 2 MiB).
+Images multi_block_images() {
+  Rng rng(9);
+  const auto scenario = std::make_shared<const market::Scenario>(
+      testutil::stratified_scenario(rng, 1000, 0.0));
+  return sample_images(scenario);
+}
+
+TEST(SnapshotIntegrityTest, FlippedByteInAnyBlockFailsChecksum) {
+  const fs::path dir = scratch_dir("store_block_flip");
+  const Images pristine = multi_block_images();
+  const std::size_t payload = pristine.graph.size() - sizeof(SnapshotHeader);
+  const std::size_t blocks =
+      (payload + kChecksumBlockBytes - 1) / kChecksumBlockBytes;
+  ASSERT_GE(blocks, 3u);
+  for (const std::size_t at :
+       {sizeof(SnapshotHeader) + 5,
+        sizeof(SnapshotHeader) + blocks / 2 * kChecksumBlockBytes + 5,
+        pristine.graph.size() - 1}) {
+    SCOPED_TRACE(testing::Message() << "byte " << at << " of "
+                                    << pristine.graph.size());
+    Images images = pristine;
+    images.graph[at] ^= std::byte{0x04};
+    const auto [state, graph] = write_pair(dir, "m", images);
+    expect_load_error(state, graph, {"checksum mismatch", graph.string()});
+  }
+}
+
 // --- the pair: kinds and identities -----------------------------------------
 
 TEST(SnapshotPairTest, StateFileNamingAnotherMarketsGraphFileFailsLoudly) {
@@ -396,8 +453,9 @@ SectionEntry section_of(const SnapshotImage& image, SectionKind kind) {
 /// Recomputes the header checksum so a deliberate mutation gets past the
 /// checksum and reaches the section parsers.
 void restamp(SnapshotImage& image) {
-  const std::uint64_t sum = checksum64(image.data() + sizeof(SnapshotHeader),
-                                       image.size() - sizeof(SnapshotHeader));
+  const std::uint64_t sum = block_checksum64(
+      image.data() + sizeof(SnapshotHeader),
+      image.size() - sizeof(SnapshotHeader));
   std::memcpy(image.data() + offsetof(SnapshotHeader, checksum), &sum,
               sizeof(sum));
 }
@@ -510,23 +568,32 @@ TEST(SnapshotFuzzTest, MutatedSectionsLoadOrFailWithSnapshotError) {
   }
 }
 
-/// Graph image of a dense market with one bit of channel 0's row `v`
-/// toggled, the checksum re-stamped.
-Images with_row_bit_toggled(std::size_t v, std::size_t bit) {
-  Images images = images_as(82, graph::GraphRep::kDense);
-  SnapshotImage& image = images.graph;
+/// Toggles one bit of dense channel `channel`'s row `v` in a graph image
+/// (the checksum is left stale).
+void toggle_row_bit(SnapshotImage& image, std::size_t channel, std::size_t v,
+                    std::size_t bit) {
   SnapshotHeader header;
   std::memcpy(&header, image.data(), sizeof(header));
   const std::size_t words_per_row = (header.num_buyers + 63) / 64;
   const SectionEntry rows = section_of(image, SectionKind::kGraphRows);
   GraphMetaRecord meta;
-  std::memcpy(&meta, image.data() + section_of(image, SectionKind::kGraphMeta).offset,
+  std::memcpy(&meta,
+              image.data() + section_of(image, SectionKind::kGraphMeta).offset +
+                  channel * sizeof(GraphMetaRecord),
               sizeof(meta));
+  ASSERT_EQ(meta.rep, static_cast<std::uint32_t>(graph::GraphRep::kDense));
   const std::size_t at = rows.offset + meta.rows_off +
                          (v * words_per_row + bit / 64) * sizeof(std::uint64_t) +
                          (bit % 64) / 8;
   image[at] ^= static_cast<std::byte>(1u << (bit % 8));
-  restamp(image);
+}
+
+/// Graph image of a dense market with one bit of channel 0's row `v`
+/// toggled, the checksum re-stamped.
+Images with_row_bit_toggled(std::size_t v, std::size_t bit) {
+  Images images = images_as(82, graph::GraphRep::kDense);
+  toggle_row_bit(images.graph, 0, v, bit);
+  restamp(images.graph);
   return images;
 }
 
@@ -547,6 +614,35 @@ TEST(SnapshotFuzzTest, DenseRowDefectsFailWithTheirOwnMessage) {
   // Toggling an off-diagonal bit keeps every structural rule but one: the
   // row's popcount no longer matches its cached degree.
   expect(with_row_bit_toggled(7, 9), "disagrees with its row popcount");
+}
+
+TEST(SnapshotFuzzTest, LowestDefectiveChannelNamesTheErrorAtAnyLaneCount) {
+  // Channels are checked one per lane; with defects in channels 3 and 11,
+  // the error is channel 3's whichever lane finishes first.
+  const fs::path dir = scratch_dir("store_two_defects");
+  const auto scenario = random_scenario(84, 16, 100);
+  Images images = images_of(market::build_market(*scenario), *scenario);
+  toggle_row_bit(images.graph, 3, 5, 9);   // off-diagonal: popcount
+  toggle_row_bit(images.graph, 11, 7, 7);  // its own diagonal bit
+  restamp(images.graph);
+  const auto [state, graph] = write_pair(dir, "m", images);
+  std::string first;
+  for (const int lanes : {1, testutil::contract_lanes()}) {
+    SCOPED_TRACE(testing::Message() << "lanes " << lanes);
+    ScopedThreads scope(lanes);
+    try {
+      (void)load_pair(state, graph);
+      FAIL() << "a graph file with two defective channels loaded";
+    } catch (const SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("channel 3: cached degree of vertex 5 disagrees "
+                          "with its row popcount"),
+                std::string::npos)
+          << what;
+      if (first.empty()) first = what;
+      EXPECT_EQ(what, first);
+    }
+  }
 }
 
 TEST(SnapshotFuzzTest, WrappingEdgeCountFailsLoudly) {
@@ -710,6 +806,66 @@ TEST(SnapshotRoundTripTest, OneCsrChannelKeepsTheMapping) {
   const LoadedMarket loaded = round_trip("store_mixed", mixed, *scenario);
   expect_faithful_round_trip(mixed, loaded);
   EXPECT_NE(loaded.backing, nullptr);
+}
+
+TEST(SnapshotRoundTripTest, FaultInIsIdenticalAtAnyLaneCount) {
+  // Dense and CSR channels side by side. Each lane count must hand out the
+  // same rows and arrays and label the same components.
+  const auto scenario = sparse_scenario(27, 16, 300);
+  const market::SpectrumMarket mixed =
+      regraphed(market::build_market(*scenario), [](ChannelId i) {
+        return i % 2 == 0 ? graph::GraphRep::kCsr : graph::GraphRep::kDense;
+      });
+  MarketStore store(dir_config(scratch_dir("store_lanes")));
+  const FreshState fresh(mixed);
+  store.write("m", fresh.view(mixed, *scenario));
+  const auto fault_in = [&](int lanes) {
+    ScopedThreads scope(lanes);
+    return std::make_unique<serve::MarketEntry>(store.load("m"));
+  };
+  const auto one = fault_in(1);
+  const auto many = fault_in(testutil::contract_lanes());
+
+  const auto n = static_cast<std::size_t>(mixed.num_buyers());
+  const auto same_bytes = [](const void* a, const void* b, std::size_t bytes) {
+    return std::memcmp(a, b, bytes) == 0;
+  };
+  for (ChannelId i = 0; i < mixed.num_channels(); ++i) {
+    SCOPED_TRACE(testing::Message() << "channel " << i);
+    const graph::InterferenceGraph& a = one->market.graph(i);
+    const graph::InterferenceGraph& b = many->market.graph(i);
+    ASSERT_EQ(a.representation(), b.representation());
+    if (a.representation() == graph::GraphRep::kDense) {
+      const auto a_rows = a.dense_rows();
+      const auto b_rows = b.dense_rows();
+      EXPECT_TRUE(std::equal(a_rows.begin(), a_rows.end(), b_rows.begin(),
+                             b_rows.end()));
+    } else {
+      const graph::CsrView x = a.csr_export();
+      const graph::CsrView y = b.csr_export();
+      ASSERT_EQ(x.num_edges, y.num_edges);
+      ASSERT_EQ(x.narrow, y.narrow);
+      EXPECT_TRUE(same_bytes(x.offsets, y.offsets,
+                             (n + 1) * sizeof(std::uint32_t)));
+      EXPECT_TRUE(same_bytes(x.degrees, y.degrees, n * sizeof(std::uint32_t)));
+      EXPECT_TRUE(x.narrow ? same_bytes(x.ids16, y.ids16,
+                                        2 * x.num_edges * sizeof(std::uint16_t))
+                           : same_bytes(x.ids32, y.ids32,
+                                        2 * x.num_edges * sizeof(std::uint32_t)));
+    }
+    const graph::ComponentIndex& p = a.components();
+    const graph::ComponentIndex& q = b.components();
+    ASSERT_EQ(p.num_components(), q.num_components());
+    for (BuyerId v = 0; v < mixed.num_buyers(); ++v)
+      ASSERT_EQ(p.component_of(v), q.component_of(v)) << "vertex " << v;
+    for (std::size_t c = 0; c <= p.num_components(); ++c)
+      ASSERT_EQ(p.offset(c), q.offset(c)) << "component " << c;
+    const auto p_lists = p.vertices(0, p.num_components());
+    const auto q_lists = q.vertices(0, q.num_components());
+    EXPECT_TRUE(std::equal(p_lists.begin(), p_lists.end(), q_lists.begin(),
+                           q_lists.end()));
+  }
+  EXPECT_EQ(one->bytes, many->bytes);
 }
 
 TEST(SnapshotRoundTripTest, CarriedStateSurvives) {
@@ -939,6 +1095,73 @@ TEST(RegistrySpillTest, EvictionSpillsAndFaultBackRestoresWithZeroDiscards) {
   EXPECT_EQ(registry.discarded(), 0);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_TRUE(registry.is_spilled(evicted[0]));
+}
+
+/// Expects every channel of `got` to hold `want`'s dense rows word for word.
+void expect_same_rows(const market::SpectrumMarket& got,
+                      const market::SpectrumMarket& want) {
+  ASSERT_EQ(got.num_channels(), want.num_channels());
+  for (ChannelId i = 0; i < want.num_channels(); ++i) {
+    SCOPED_TRACE(testing::Message() << "channel " << i);
+    ASSERT_EQ(got.graph(i).representation(), graph::GraphRep::kDense);
+    const auto got_rows = got.graph(i).dense_rows();
+    const auto want_rows = want.graph(i).dense_rows();
+    EXPECT_TRUE(std::equal(got_rows.begin(), got_rows.end(),
+                           want_rows.begin(), want_rows.end()));
+    EXPECT_EQ(got.graph(i), want.graph(i));
+  }
+}
+
+TEST(RegistrySpillTest, ReleasedPagesReadBackWordForWord) {
+  const auto scenario = sparse_scenario(43, 3, 300);
+  const market::SpectrumMarket built = market::build_market(*scenario);
+  MarketStore store(dir_config(scratch_dir("store_release")));
+  const FreshState fresh(built);
+  store.write("m", fresh.view(built, *scenario));
+  serve::MarketEntry entry(store.load("m"));
+  ASSERT_NE(entry.backing, nullptr);
+  entry.backing->release_pages();
+  expect_same_rows(entry.market, built);
+  EXPECT_EQ(matching::run_two_stage(entry.market).final_matching(),
+            matching::run_two_stage(built).final_matching());
+}
+
+TEST(RegistrySpillTest, FailedFaultInLeavesTheReleasedVictimServing) {
+  // A budget of one market: faulting "b" in releases the pages of "a", its
+  // would-be victim, before "b"'s graph file is read. "b"'s is corrupt, so
+  // the fault-in fails and "a" stays resident, reading its rows back from
+  // its graph file.
+  const auto scenario = sparse_scenario(44, 3, 300);
+  const market::SpectrumMarket built = market::build_market(*scenario);
+  const fs::path dir = scratch_dir("store_release_failed");
+  serve::MarketRegistry probe(std::size_t{1} << 30, StoreConfig{});
+  const std::size_t one = probe.create("probe", scenario, 0, nullptr).bytes;
+
+  serve::MarketRegistry registry(one, dir_config(dir));
+  registry.create("a", scenario, 1, nullptr);
+  registry.create("b", scenario, 2, nullptr);  // spills "a"
+  registry.fault_in("a", 3, nullptr);          // spills "b"
+  serve::MarketEntry* a = registry.find("a", 4);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(a->backing, nullptr);
+  const matching::Matching before =
+      matching::run_two_stage(a->market).final_matching();
+  const std::size_t total = registry.total_bytes();
+  const std::int64_t faults = registry.faults();
+
+  damage(registry.store().graph_path_for("b"));
+  EXPECT_THROW(registry.fault_in("b", 5, nullptr), SnapshotError);
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_TRUE(registry.contains("a"));
+  EXPECT_TRUE(registry.is_spilled("b"));
+  EXPECT_EQ(registry.total_bytes(), total);
+  EXPECT_EQ(registry.faults(), faults);
+  EXPECT_EQ(registry.discarded(), 0);
+
+  a = registry.find("a", 6);
+  ASSERT_NE(a, nullptr);
+  expect_same_rows(a->market, built);
+  EXPECT_EQ(matching::run_two_stage(a->market).final_matching(), before);
 }
 
 TEST(RegistrySpillTest, SpillDisabledDiscardsButCountsHonestly) {
@@ -1183,7 +1406,7 @@ TEST(ServerStoreTest, MemoryCappedServingSpillsWithZeroDiscards) {
 
   constexpr int kMarkets = 6;
   for (int k = 0; k < kMarkets; ++k) {
-    const std::string id = "m" + std::to_string(k);
+    const std::string id = std::string("m").append(std::to_string(k));
     ASSERT_TRUE(
         server.handle(create_request(id, random_scenario(60 + k, 2, 6))).ok);
     ASSERT_TRUE(server.handle(verb_request(serve::RequestType::kSolve, id)).ok);
