@@ -11,8 +11,8 @@
 // per-channel graphs still straddle the MWIS dense/sparse strategy split.
 // Extra legs at fixed points: a fresh-workspace run and a dense-vs-CSR run
 // at N=8000, M=16; the whole solve under every SIMD tier the CPU supports at
-// M=16 on the dense N=2000 and CSR N=8000 points; and component-sharded
-// sub-percolation markets.
+// M=16 on the dense N=2000 and CSR N=8000 points; and sub-percolation
+// markets whose channel graphs fracture into many components.
 //
 // Knobs: SPECMATCH_BENCH_SMOKE shrinks the grid to smoke size,
 // SPECMATCH_SCALE_MAX_N caps the N sweep, SPECMATCH_BENCH_JSON overrides
@@ -28,16 +28,13 @@
 
 #include "bench_util.hpp"
 #include "common/alloc_count.hpp"
-#include "common/bitset.hpp"
 #include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/components.hpp"
 #include "market/market.hpp"
-#include "matching/component_solve.hpp"
 #include "matching/two_stage.hpp"
 #include "matching/workspace.hpp"
 #include "workload/generator.hpp"
@@ -77,8 +74,7 @@ market::SpectrumMarket scale_market(int M, int N) {
 
 /// The component leg's market: the same density-preserving area growth, but
 /// transmission ranges capped at 0.25 so the geometric graphs sit below the
-/// percolation threshold and fracture into many small components — the
-/// regime connected-component sharding targets.
+/// percolation threshold and fracture into many small components.
 market::SpectrumMarket component_market(int M, int N) {
   workload::WorkloadParams params;
   params.num_sellers = M;
@@ -154,9 +150,8 @@ void run_scale_sweep() {
                 << " rounds=" << record.rounds
                 << " peak_rss_mb=" << record.peak_rss_mb
                 << " steady_allocs=" << record.steady_allocs << std::endl;
-      // `result:` lines carry only timing-free, thread-count-free values —
-      // bench_smoke diffs them across SPECMATCH_COMPONENT_MIN settings to
-      // pin the sharded/unsharded bit-identity end to end.
+      // `result:` lines carry only timing-free, thread-count-free values, so
+      // runs at different thread counts or on different trees diff clean.
       std::cout << "result: scale N=" << N << " M=" << M
                 << " welfare=" << result.welfare_final
                 << " matched=" << result.final_matching().num_matched()
@@ -300,12 +295,9 @@ void run_scale_sweep() {
     simd::force_tier(saved_tier);
   }
 
-  // Component-sharding leg: sub-percolation sparse markets whose channel
-  // graphs fracture into many components, the regime the sharded coalition
-  // solver targets. Each point records the component census (power-of-two
-  // size buckets), direct per-component MWIS solve times, and the
-  // sharded-vs-unsharded wall clock — with the matchings CHECKed identical,
-  // the theorem the sharding rests on.
+  // Component leg: sub-percolation sparse markets whose channel graphs
+  // fracture into many components. Each point records the component census
+  // (power-of-two size buckets) and the two-stage wall clock.
   {
     std::vector<int> comp_grid = smoke
                                      ? std::vector<int>{200}
@@ -331,27 +323,6 @@ void run_scale_sweep() {
         }
       }
 
-      // Direct per-component solve times on channel 0: every vertex a
-      // candidate, one timed solve_shard call per component — the cost
-      // profile the sharded lanes see.
-      Summary comp_ms;
-      {
-        const graph::InterferenceGraph& graph = market.graph(0);
-        const graph::ComponentIndex& index = graph.components();
-        DynamicBitset candidates;
-        graph::MwisScratch scratch;
-        scratch.reserve(graph.num_vertices(), 2 * graph.num_edges());
-        std::vector<BuyerId> out(static_cast<std::size_t>(N));
-        for (std::size_t c = 0; c < index.num_components(); ++c) {
-          bench::WallTimer timer;
-          matching::solve_shard(
-              graph, market.channel_prices(0), static_cast<std::uint32_t>(c),
-              static_cast<std::uint32_t>(c + 1), [](BuyerId) { return true; },
-              graph::MwisAlgorithm::kGwmin, candidates, scratch, out.data());
-          comp_ms.add(timer.elapsed_ms());
-        }
-      }
-
       matching::TwoStageResult result;
       result = matching::run_two_stage(market, {}, workspace);  // warm-up
       double best_ms = 0.0;
@@ -361,22 +332,6 @@ void run_scale_sweep() {
         best_ms = r == 0 ? timer.elapsed_ms()
                          : std::min(best_ms, timer.elapsed_ms());
       }
-
-      matching::TwoStageConfig unsharded_config;
-      unsharded_config.component_min = -1;
-      matching::TwoStageResult unsharded;
-      unsharded = matching::run_two_stage(market, unsharded_config, workspace);
-      double unsharded_ms = 0.0;
-      for (int r = 0; r < reps; ++r) {
-        bench::WallTimer timer;
-        unsharded =
-            matching::run_two_stage(market, unsharded_config, workspace);
-        unsharded_ms = r == 0 ? timer.elapsed_ms()
-                              : std::min(unsharded_ms, timer.elapsed_ms());
-      }
-      SPECMATCH_CHECK_MSG(
-          result.final_matching() == unsharded.final_matching(),
-          "component sharding changed the matching at N=" << N);
 
       bench::BenchRecord record{"two_stage_scale_components",
                                 M,
@@ -392,19 +347,13 @@ void run_scale_sweep() {
            << " hist=";
       for (std::size_t b = 0; b < hist.size(); ++b)
         note << (b == 0 ? "" : ",") << (std::size_t{1} << b) << ":" << hist[b];
-      note << "; per_component_solve_ms mean=" << comp_ms.mean()
-           << " max=" << comp_ms.max() << " n=" << comp_ms.count()
-           << "; unsharded_wall_ms=" << unsharded_ms
-           << " (matchings verified identical)";
       record.note = note.str();
       records.push_back(record);
 
       std::cout << "components: N=" << N << " M=" << M
                 << " wall_ms=" << best_ms
-                << " unsharded_ms=" << unsharded_ms
                 << " components=" << total_components
                 << " largest=" << largest
-                << " per_comp_mean_ms=" << comp_ms.mean()
                 << " peak_rss_mb=" << record.peak_rss_mb
                 << " steady_allocs=" << record.steady_allocs << std::endl;
       std::cout << "result: components N=" << N << " M=" << M

@@ -100,10 +100,6 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
      "fsync every snapshot file before its rename-commit, default off; "
      "turn on when snapshots must survive power loss "
      "(store/market_store.cpp)"},
-    {"SPECMATCH_COMPONENT_MIN",
-     "minimum vertices per component shard of the coalition solves, default "
-     "64; shards batch consecutive components up to the minimum "
-     "(graph/components.cpp)"},
     {"SPECMATCH_SANITIZE",
      "CMake option (not an env var): build with address/undefined/thread "
      "sanitizer (CMakeLists.txt)"},

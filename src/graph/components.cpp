@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-#include "common/config.hpp"
-
 namespace specmatch::graph {
 
 ComponentIndex::ComponentIndex(const InterferenceGraph& graph) {
@@ -57,55 +54,12 @@ ComponentIndex::ComponentIndex(const InterferenceGraph& graph) {
                                 comp_offsets_.end() - (num_comps ? 1 : 0));
   for (std::size_t v = 0; v < n; ++v)
     comp_vertices_[fill[comp_of_[v]]++] = static_cast<BuyerId>(v);
-
-  // Pass 3: per-component edge/degree summaries (degrees are cached on the
-  // graph, so this is O(V); each edge has both endpoints in one component).
-  comp_edges_.assign(num_comps, 0);
-  comp_max_degree_.assign(num_comps, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t d = graph.degree(static_cast<BuyerId>(v));
-    comp_edges_[comp_of_[v]] += d;
-    comp_max_degree_[comp_of_[v]] =
-        std::max(comp_max_degree_[comp_of_[v]], d);
-  }
-  for (auto& e : comp_edges_) e /= 2;
 }
 
 std::size_t ComponentIndex::bytes() const {
   return comp_of_.capacity() * sizeof(std::uint32_t) +
          comp_vertices_.capacity() * sizeof(BuyerId) +
-         comp_offsets_.capacity() * sizeof(std::size_t) +
-         comp_edges_.capacity() * sizeof(std::size_t) +
-         comp_max_degree_.capacity() * sizeof(std::size_t);
-}
-
-std::size_t component_min_default() {
-  static const auto value =
-      static_cast<std::size_t>(env_count("SPECMATCH_COMPONENT_MIN", 1, 64));
-  return value;
-}
-
-void build_shards(const ComponentIndex& index, std::size_t min_vertices,
-                  std::vector<std::uint32_t>& shard_offsets) {
-  shard_offsets.clear();
-  const std::size_t num_comps = index.num_components();
-  shard_offsets.push_back(0);
-  std::size_t acc = 0;
-  for (std::size_t c = 0; c < num_comps; ++c) {
-    acc += index.size(c);
-    if (acc >= min_vertices) {
-      shard_offsets.push_back(static_cast<std::uint32_t>(c + 1));
-      acc = 0;
-    }
-  }
-  if (acc > 0) {
-    // Undersized remainder: fold it into the preceding shard rather than
-    // paying a lane for it (or make it the only shard when nothing closed).
-    if (shard_offsets.size() > 1)
-      shard_offsets.back() = static_cast<std::uint32_t>(num_comps);
-    else
-      shard_offsets.push_back(static_cast<std::uint32_t>(num_comps));
-  }
+         comp_offsets_.capacity() * sizeof(std::size_t);
 }
 
 }  // namespace specmatch::graph

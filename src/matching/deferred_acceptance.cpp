@@ -83,11 +83,6 @@ StageIResult run_deferred_acceptance_prepared(
         [&](ChannelId i, DynamicBitset& candidates) {
           candidates.assign_or(result.matching.members_of(i),
                                ws.proposers[static_cast<std::size_t>(i)]);
-        },
-        [&](ChannelId i, BuyerId v) {
-          const auto vu = static_cast<std::size_t>(v);
-          return result.matching.members_of(i).test(vu) ||
-                 ws.proposers[static_cast<std::size_t>(i)].test(vu);
         });
     for (std::size_t k = 0; k < ws.round_channels.size(); ++k) {
       const ChannelId i = ws.round_channels[k];

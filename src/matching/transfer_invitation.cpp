@@ -8,6 +8,7 @@
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "graph/components.hpp"
 #include "market/coalition.hpp"
 #include "market/preferences.hpp"
 #include "matching/workspace.hpp"
@@ -36,7 +37,7 @@ StageIIResult run_transfer_invitation(const market::SpectrumMarket& market,
                                       const Matching& stage1,
                                       const StageIIConfig& config,
                                       MatchWorkspace& workspace) {
-  workspace.prepare(market, config.component_min);
+  workspace.prepare(market);
   return detail::run_transfer_invitation_prepared(market, stage1, config,
                                                   workspace);
 }
@@ -229,11 +230,6 @@ StageIIResult run_transfer_invitation_prepared(
               [&](std::size_t j) {
                 if (admissible(i, static_cast<BuyerId>(j))) candidates.set(j);
               });
-        },
-        [&](ChannelId i, BuyerId v) {
-          return ws.applicants[static_cast<std::size_t>(i)].test(
-                     static_cast<std::size_t>(v)) &&
-                 admissible(i, v);
         });
     ws.moves.clear();
     for (std::size_t k = 0; k < ws.round_channels.size(); ++k) {

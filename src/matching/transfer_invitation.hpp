@@ -27,10 +27,9 @@ struct StageIIConfig {
   /// member departs, recovering invitations the literal algorithm misses —
   /// an extension quantified by bench/ablation_rescreen.
   bool rescreen_on_departure = false;
-  /// Connected-component sharding threshold, forwarded to
-  /// MatchWorkspace::prepare by the workspace-taking overload: 0 resolves
-  /// SPECMATCH_COMPONENT_MIN, >= 1 is an explicit minimum shard size, < 0
-  /// disables sharding (whole-graph reference path).
+  /// Read by nothing. It stays only so that perfbench/twin.cpp, which
+  /// passes it to MatchWorkspace::prepare, keeps compiling; delete it with
+  /// that call.
   int component_min = 0;
   /// Restricted mode (the serve warm path): when non-null, only buyers with
   /// their bit set participate in Phase 1 applications; everyone else keeps

@@ -21,7 +21,7 @@ TwoStageResult run_two_stage(const market::SpectrumMarket& market,
   // kernels (common/simd.hpp); the SPECMATCH_SIMD tier never changes the
   // matching — tiers are bit-identical by contract, enforced by the
   // simd_equivalence ctest.
-  workspace.prepare(market, config.component_min);
+  workspace.prepare(market);
   TwoStageResult result;
 
   StageIConfig stage1_config;

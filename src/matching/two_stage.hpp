@@ -14,7 +14,7 @@ struct TwoStageConfig {
   graph::MwisAlgorithm coalition_policy = graph::MwisAlgorithm::kGwmin;
   bool record_trace = false;
   bool rescreen_on_departure = false;
-  /// Component sharding threshold for both stages (see StageIIConfig).
+  /// Read by nothing; kept for perfbench/twin.cpp (see StageIIConfig).
   int component_min = 0;
 };
 

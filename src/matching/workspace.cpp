@@ -2,14 +2,12 @@
 
 #include <algorithm>
 
-#include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/components.hpp"
 
 namespace specmatch::matching {
 
-void MatchWorkspace::prepare(const market::SpectrumMarket& market,
-                             int component_min) {
+void MatchWorkspace::prepare(const market::SpectrumMarket& market, int) {
   const int M = market.num_channels();
   const int N = market.num_buyers();
   const auto mu = static_cast<std::size_t>(M);
@@ -53,55 +51,14 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
 
   apply_set.assign_zero(nu);
 
-  // Component shard plans: one per channel, from the graph's (lazily built,
-  // cached) component index. Built here on the serial path, so the parallel
-  // rounds only ever read the index. A channel stays whole-graph when
-  // sharding is off, the graph is one component, or batching under the
-  // minimum leaves a single shard.
-  const bool sharding = component_min >= 0;
-  const std::size_t min_vertices =
-      component_min > 0 ? static_cast<std::size_t>(component_min)
-                        : graph::component_min_default();
-  if (shard_plans.size() < mu) shard_plans.resize(mu);
-  std::size_t total_tasks = 0;
-  std::size_t out_bound = 0;
-  for (ChannelId i = 0; i < M; ++i) {
-    ShardPlan& plan = shard_plans[static_cast<std::size_t>(i)];
-    plan.shard_comps.clear();
-    // Built even when sharding is off: the restricted Stage II departure
-    // cascade reads it too.
-    const graph::ComponentIndex& index = market.graph(i).components();
-    if (!sharding) {
-      ++total_tasks;
-      continue;
-    }
-    if (metrics::enabled())
-      metrics::observe("component.per_channel",
-                       static_cast<double>(index.num_components()));
-    // A channel dominated by one huge component (> half the vertices) has
-    // little to parallelise — its largest shard is most of the solve — so it
-    // goes whole-graph.
-    if (index.num_components() >= 2 && index.largest_component() * 2 <= nu)
-      graph::build_shards(index, min_vertices, plan.shard_comps);
-    if (!plan.sharded()) {
-      plan.shard_comps.clear();
-      ++total_tasks;
-      continue;
-    }
-    if (metrics::enabled())
-      metrics::observe("component.shards_per_channel",
-                       static_cast<double>(plan.num_shards()));
-    total_tasks += plan.num_shards();
-    out_bound += nu;  // a channel's shards partition its vertices
-  }
-  coal_tasks.clear();
-  coal_tasks.reserve(total_tasks);
-  if (coal_out.size() < out_bound) coal_out.resize(out_bound);
+  // Force each channel's (lazily built, cached) component index here, so no
+  // round builds one: the restricted Stage II departure cascade reads it.
+  for (ChannelId i = 0; i < M; ++i) (void)market.graph(i).components();
 
   // One solver scratch per pool lane, sized for an all-candidate solve on
   // the widest channel: its induced adjacency holds at most the summed
-  // degree of the graph, 2E, which also bounds any shard's. The capacity is
-  // left uninitialised; a solve writes only the rows it keeps.
+  // degree of the graph, 2E. The capacity is left uninitialised; a solve
+  // writes only the rows it keeps.
   const std::size_t lanes = ThreadPool::global().num_threads();
   if (lane_set.size() < lanes) lane_set.resize(lanes);
   if (lane_scratch.size() < lanes) lane_scratch.resize(lanes);

@@ -34,26 +34,25 @@
 
 #include "common/bitset.hpp"
 #include "common/ids.hpp"
-#include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/mwis.hpp"
 #include "market/market.hpp"
-#include "matching/component_solve.hpp"
 #include "matching/matching.hpp"
 
 namespace specmatch::matching {
 
 struct MatchWorkspace {
   /// Sizes every container for `market` and rebuilds the market-derived
-  /// tables (the CSR preference orders and the per-channel component shard
-  /// plans). Grow-only for capacities: repeated runs over same-shaped (or
+  /// tables (the CSR preference orders), and forces every channel graph's
+  /// component index on this serial path, since the restricted Stage II
+  /// departure cascade and the serve registry's mark_dirty read it.
+  /// Grow-only for capacities: repeated runs over same-shaped (or
   /// smaller) markets never allocate here beyond the first call. Called by
   /// every workspace-taking run_* entry point.
   ///
-  /// `component_min` controls connected-component sharding of the coalition
-  /// solves: 0 resolves SPECMATCH_COMPONENT_MIN (default 64), >= 1 is an
-  /// explicit minimum shard vertex count, < 0 disables sharding (every
-  /// channel solves whole-graph — the unsharded reference path).
+  /// `component_min` is read by nothing. It stays only so that
+  /// perfbench/twin.cpp's two-argument prepare calls keep compiling; delete
+  /// it with them.
   void prepare(const market::SpectrumMarket& market, int component_min = 0);
 
   /// Buyer j's admissible channels, best-first (the CSR row built from
@@ -107,21 +106,6 @@ struct MatchWorkspace {
   std::vector<DynamicBitset> lane_set;            ///< candidate/admissible set
   std::vector<graph::MwisScratch> lane_scratch;   ///< MWIS induced graphs
 
-  // --- component sharding (read only by solve_coalition_round) ------------
-  /// Per-channel shard plan: component-id offsets from graph::build_shards.
-  /// sharded() false (0 or 1 shards) means the channel solves whole-graph —
-  /// single-component channels, sharding disabled, or a kExact run.
-  struct ShardPlan {
-    std::vector<std::uint32_t> shard_comps;  ///< num_shards + 1 offsets
-    std::size_t num_shards() const {
-      return shard_comps.empty() ? 0 : shard_comps.size() - 1;
-    }
-    bool sharded() const { return num_shards() >= 2; }
-  };
-  std::vector<ShardPlan> shard_plans;    ///< per channel
-  std::vector<CoalitionTask> coal_tasks; ///< the round's solve tasks
-  std::vector<BuyerId> coal_out;         ///< flat chosen-id slices per task
-
   // Stage II restricted mode: the active participant set (config copy plus
   /// buyers activated by departure cascades).
   DynamicBitset stage2_active;
@@ -136,74 +120,26 @@ struct MatchWorkspace {
 /// (Algorithm 2 line 13): every seller in ws.round_channels takes a
 /// maximum-weight independent set of her candidates on her own channel
 /// graph, and slot k of ws.coalitions receives the choice of
-/// ws.round_channels[k]. The stage supplies the candidates twice over:
-/// `fill(i, set)` writes channel i's candidate set into `set` (whole-graph
-/// solves), and `is_candidate(i, v)` answers per vertex (sharded channels).
-///
-/// The driver owns the sharding decision. A fractured channel is solved as
-/// one task per component shard (solve_shard: the channel graph, with the
-/// shard's candidates set in the lane's N-bit set), each writing a disjoint
-/// slice of ws.coal_out that is merged serially in fixed task order; every
-/// other channel, and every channel under kExact (its tie-breaking is not
-/// component-local), is one whole-graph task. Tasks run in
-/// parallel_for_lanes lanes on per-lane scratch, so the result is
-/// bit-for-bit the serial whole-graph one at any thread count (see
-/// matching/component_solve.hpp).
-template <typename FillFn, typename CandidateFn>
+/// ws.round_channels[k]. `fill(i, set)` writes channel i's candidate set
+/// into `set`. Each seller is one whole-graph solve_mwis task (the solver
+/// works on the candidate-induced subgraph, so a fractured channel costs
+/// only its candidates' rows); the tasks run in parallel_for_lanes lanes on
+/// per-lane scratch and each writes only its own slot, so the result is
+/// bit-for-bit the serial one at any thread count.
+template <typename FillFn>
 void solve_coalition_round(const market::SpectrumMarket& market,
                            graph::MwisAlgorithm policy, MatchWorkspace& ws,
-                           FillFn&& fill, CandidateFn&& is_candidate) {
-  const bool shard_ok = policy != graph::MwisAlgorithm::kExact;
-  ws.coal_tasks.clear();
-  std::size_t out_cursor = 0;
-  for (std::size_t k = 0; k < ws.round_channels.size(); ++k) {
-    const ChannelId i = ws.round_channels[k];
-    const MatchWorkspace::ShardPlan& plan =
-        ws.shard_plans[static_cast<std::size_t>(i)];
-    const auto slot = static_cast<std::uint32_t>(k);
-    if (!shard_ok || !plan.sharded()) {
-      ws.coal_tasks.push_back({i, slot, CoalitionTask::kWholeGraph, 0, 0});
-      continue;
-    }
-    ws.coalitions[k].assign_zero(
-        static_cast<std::size_t>(market.num_buyers()));
-    const graph::ComponentIndex& index = market.graph(i).components();
-    for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
-      ws.coal_tasks.push_back({i, slot, s, out_cursor, 0});
-      out_cursor += index.offset(plan.shard_comps[s + 1]) -
-                    index.offset(plan.shard_comps[s]);
-    }
-  }
+                           FillFn&& fill) {
   parallel_for_lanes(
-      0, ws.coal_tasks.size(), [&](std::size_t lane, std::size_t t) {
-        CoalitionTask& task = ws.coal_tasks[t];
-        const ChannelId i = task.channel;
-        if (task.shard == CoalitionTask::kWholeGraph) {
-          DynamicBitset& candidates = ws.lane_set[lane];
-          fill(i, candidates);
-          ws.coalitions[task.slot] = graph::solve_mwis(
-              market.graph(i), market.channel_prices(i), candidates, policy,
-              ws.lane_scratch[lane]);
-          return;
-        }
-        const MatchWorkspace::ShardPlan& plan =
-            ws.shard_plans[static_cast<std::size_t>(i)];
-        task.out_count = solve_shard(
-            market.graph(i), market.channel_prices(i),
-            plan.shard_comps[task.shard], plan.shard_comps[task.shard + 1],
-            [&](BuyerId v) { return is_candidate(i, v); }, policy,
-            ws.lane_set[lane], ws.lane_scratch[lane],
-            ws.coal_out.data() + task.out_begin);
+      0, ws.round_channels.size(), [&](std::size_t lane, std::size_t k) {
+        const ChannelId i = ws.round_channels[k];
+        DynamicBitset& candidates = ws.lane_set[lane];
+        fill(i, candidates);
+        ws.coalitions[k] = graph::solve_mwis(market.graph(i),
+                                             market.channel_prices(i),
+                                             candidates, policy,
+                                             ws.lane_scratch[lane]);
       });
-  // Merge the shard slices into their slots (disjoint, so order cannot
-  // change the set; fixed task order keeps it obviously deterministic).
-  for (const CoalitionTask& task : ws.coal_tasks) {
-    if (task.shard == CoalitionTask::kWholeGraph) continue;
-    DynamicBitset& coalition = ws.coalitions[task.slot];
-    for (std::size_t c = 0; c < task.out_count; ++c)
-      coalition.set(static_cast<std::size_t>(ws.coal_out[task.out_begin + c]));
-    if (metrics::enabled()) metrics::count("component.shard_solves");
-  }
 }
 
 }  // namespace specmatch::matching

@@ -588,12 +588,17 @@ MarketStore::MarketStore(StoreConfig config) : config_(std::move(config)) {
                         ": cannot create: " + ec.message());
   // Markets are listed by state file; a graph file alone is the residue of
   // a spill cut between its two renames, and the id's next write replaces
-  // it. Graph digests start unknown, so that write does not trust it.
+  // it. Graph digests start unknown, so that write does not trust it. A
+  // stem that is not its id's canonical encoding (say "m%2f" for "m/",
+  // whose files are "m%2F.*") is no file of this store's: listing it would
+  // name an id that loads and removes other paths.
   for (const auto& entry : fs::directory_iterator(config_.dir, ec)) {
     if (!entry.is_regular_file()) continue;
     const fs::path& p = entry.path();
     if (p.extension() != kExtension) continue;
-    const std::string id = decode_market_id(p.stem().string());
+    const std::string stem = p.stem().string();
+    const std::string id = decode_market_id(stem);
+    if (encode_market_id(id) != stem) continue;
     OnDisk& on_disk = index_[id];
     on_disk.has_state = true;
     on_disk.state_bytes = static_cast<std::uint64_t>(entry.file_size());

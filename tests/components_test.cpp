@@ -1,22 +1,17 @@
-// Component index structure, shard batching, and the headline equivalence
-// property of the sharded coalition solver: two-stage results are bit-for-bit
-// identical whether channels are solved whole-graph or per component shard,
-// at any thread count and any shard minimum (the determinism contract of
-// graph/components.hpp). Also pins the restricted Stage II mode the serve
-// warm path runs on.
+// Component index structure, and the determinism contract of the coalition
+// rounds on fractured, single-component and edgeless markets: two-stage and
+// Stage II results are bit-for-bit identical at any thread count. Also pins
+// the restricted Stage II mode the serve warm path runs on.
 #include "graph/components.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "graph/coloring.hpp"
-#include "matching/component_solve.hpp"
 #include "matching/stability.hpp"
 #include "matching/transfer_invitation.hpp"
 #include "matching/two_stage.hpp"
@@ -74,11 +69,6 @@ TEST(ComponentIndexTest, LabelsAKnownGraph) {
   EXPECT_EQ(index.size(0), 3u);
   EXPECT_EQ(index.size(1), 1u);
   EXPECT_EQ(index.size(2), 2u);
-  EXPECT_EQ(index.edges(0), 2u);
-  EXPECT_EQ(index.edges(1), 0u);
-  EXPECT_EQ(index.edges(2), 1u);
-  EXPECT_EQ(index.max_degree(0), 2u);
-  EXPECT_EQ(index.max_degree(2), 1u);
   EXPECT_EQ(index.largest_component(), 3u);
 
   const auto c0 = index.vertices(0);
@@ -86,10 +76,11 @@ TEST(ComponentIndexTest, LabelsAKnownGraph) {
   EXPECT_EQ(c0[0], 0);
   EXPECT_EQ(c0[1], 1);
   EXPECT_EQ(c0[2], 2);
-  // A component range is the components' lists back to back.
-  const auto c12 = index.vertices(1, 3);
-  EXPECT_EQ(std::vector<BuyerId>(c12.begin(), c12.end()),
-            (std::vector<BuyerId>{3, 4, 5}));
+  // Consecutive components hold consecutive vertex lists.
+  std::vector<BuyerId> c12;
+  for (std::size_t c = 1; c < 3; ++c)
+    for (const BuyerId v : index.vertices(c)) c12.push_back(v);
+  EXPECT_EQ(c12, (std::vector<BuyerId>{3, 4, 5}));
   EXPECT_GT(index.bytes(), 0u);
 }
 
@@ -102,13 +93,11 @@ TEST(ComponentIndexTest, PartitionInvariantsOnRandomGeometricGraphs) {
       const std::size_t n = graph.num_vertices();
 
       std::size_t total_vertices = 0;
-      std::size_t total_edges = 0;
       std::size_t largest = 0;
       for (std::size_t c = 0; c < index.num_components(); ++c) {
         const auto verts = index.vertices(c);
-        ASSERT_EQ(index.offset(c + 1) - index.offset(c), verts.size());
+        ASSERT_EQ(index.size(c), verts.size());
         total_vertices += verts.size();
-        total_edges += index.edges(c);
         largest = std::max(largest, verts.size());
         for (std::size_t l = 0; l < verts.size(); ++l) {
           EXPECT_EQ(index.component_of(verts[l]), c);
@@ -118,7 +107,6 @@ TEST(ComponentIndexTest, PartitionInvariantsOnRandomGeometricGraphs) {
         }
       }
       EXPECT_EQ(total_vertices, n);
-      EXPECT_EQ(total_edges, graph.num_edges());
       EXPECT_EQ(index.largest_component(), largest);
 
       // No edge crosses a component boundary.
@@ -148,15 +136,12 @@ TEST(ComponentIndexTest, DenseAndCsrIndicesAreIdentical) {
            ++v) {
         EXPECT_EQ(a.component_of(v), b.component_of(v)) << "vertex " << v;
       }
-      for (std::size_t c = 0; c <= a.num_components(); ++c)
-        EXPECT_EQ(a.offset(c), b.offset(c)) << "component " << c;
       for (std::size_t c = 0; c < a.num_components(); ++c) {
+        EXPECT_EQ(a.size(c), b.size(c)) << "component " << c;
         const auto va = a.vertices(c);
         const auto vb = b.vertices(c);
         EXPECT_TRUE(std::equal(va.begin(), va.end(), vb.begin(), vb.end()))
             << "component " << c;
-        EXPECT_EQ(a.edges(c), b.edges(c)) << "component " << c;
-        EXPECT_EQ(a.max_degree(c), b.max_degree(c)) << "component " << c;
       }
     }
   }
@@ -164,22 +149,22 @@ TEST(ComponentIndexTest, DenseAndCsrIndicesAreIdentical) {
 
 /// Expects `index` to hold exactly coloring.cpp's connected_components of
 /// `graph`: the same components in the same order, the same vertex lists,
-/// offsets and per-vertex labels.
+/// sizes and per-vertex labels.
 void expect_matches_connected_components(const InterferenceGraph& graph,
                                          const ComponentIndex& index) {
   const std::vector<DynamicBitset> want = connected_components(graph);
   ASSERT_EQ(index.num_components(), want.size());
-  std::size_t offset = 0;
+  std::size_t total = 0;
   for (std::size_t c = 0; c < want.size(); ++c) {
-    ASSERT_EQ(index.offset(c), offset) << "component " << c;
     const auto verts = index.vertices(c);
     std::vector<std::size_t> got(verts.begin(), verts.end());
     ASSERT_EQ(got, want[c].to_indices()) << "component " << c;
+    ASSERT_EQ(index.size(c), got.size()) << "component " << c;
     for (const std::size_t v : got)
       ASSERT_EQ(index.component_of(static_cast<BuyerId>(v)), c);
-    offset += got.size();
+    total += got.size();
   }
-  EXPECT_EQ(index.offset(want.size()), graph.num_vertices());
+  EXPECT_EQ(total, graph.num_vertices());
 }
 
 TEST(ComponentIndexTest, EarlyExitLabellingMatchesConnectedComponents) {
@@ -208,147 +193,39 @@ TEST(ComponentIndexTest, EarlyExitLabellingMatchesConnectedComponents) {
   }
 }
 
-TEST(ComponentIndexTest, BuildShardsBatchesToMinimum) {
-  // 5 singletons + one pair: min 3 -> shards of >= 3 vertices except that
-  // the undersized remainder folds into the last shard.
-  std::vector<std::pair<BuyerId, BuyerId>> edges = {{5, 6}};
-  const auto graph = InterferenceGraph::from_edges(7, edges);
-  const ComponentIndex index(graph);
-  ASSERT_EQ(index.num_components(), 6u);
-
-  std::vector<std::uint32_t> shards;
-  build_shards(index, 3, shards);
-  ASSERT_GE(shards.size(), 2u);
-  EXPECT_EQ(shards.front(), 0u);
-  EXPECT_EQ(shards.back(), index.num_components());
-  for (std::size_t s = 0; s + 1 < shards.size(); ++s) {
-    EXPECT_LT(shards[s], shards[s + 1]);
-    const std::size_t shard_vertices =
-        index.offset(shards[s + 1]) - index.offset(shards[s]);
-    EXPECT_GE(shard_vertices, 3u) << "undersized shard " << s;
-  }
-
-  // A minimum larger than the graph collapses to one shard (the caller's
-  // cue to solve whole-graph).
-  build_shards(index, 100, shards);
-  EXPECT_EQ(shards.size(), 2u);
-
-  // min 1: every component its own shard.
-  build_shards(index, 1, shards);
-  EXPECT_EQ(shards.size(), index.num_components() + 1);
-}
-
 // ---------------------------------------------------------------------------
-// Shard solves on the channel graph: every shard of build_shards solved by
-// solve_shard in parallel lanes, merged, equals the whole-graph solve_mwis
-// set, on both perfbench shapes, both representations, both greedy policies
-// and component minimums {1, 64, N}.
+// Coalition rounds across lanes: identical results at threads {1, 4}
+// against a 1-thread reference, for both greedy policies, on fractured,
+// single-component, and edgeless markets.
 // ---------------------------------------------------------------------------
 
-TEST(ShardSolveTest, ShardSolvesEqualTheWholeGraphSet) {
-  ScopedThreads scope(testutil::contract_lanes());
-  const std::size_t lanes = ThreadPool::global().num_threads();
-  std::vector<DynamicBitset> lane_set(lanes);
-  std::vector<MwisScratch> lane_scratch(lanes);
-  std::vector<std::uint32_t> shards;
-  for (const bool sub_percolation : {false, true}) {
-    const auto base = perfbench_shaped_market(sub_percolation);
-    const std::size_t n = static_cast<std::size_t>(base.num_buyers());
-    Rng rng(sub_percolation ? 5 : 4);
-    DynamicBitset candidates(n);
-    for (std::size_t v = 0; v < n; ++v)
-      if (rng.bernoulli(0.7)) candidates.set(v);
-    std::vector<BuyerId> out(n);
-    // The shapes hold: the widest spill_churn channel is one component, and
-    // every sub-percolation channel fractures into many shards.
-    const ComponentIndex& widest =
-        base.graph(base.num_channels() - 1).components();
-    if (!sub_percolation) {
-      ASSERT_EQ(widest.num_components(), 1u);
-    }
-    if (sub_percolation) {
-      build_shards(widest, 64, shards);
-      ASSERT_GT(shards.size(), 10u);
-    }
-    for (const GraphRep rep : {GraphRep::kDense, GraphRep::kCsr}) {
-      const auto market = market::with_graph_representation(base, rep);
-      for (ChannelId i = 0; i < market.num_channels(); ++i) {
-        const InterferenceGraph& graph = market.graph(i);
-        const auto weights = market.channel_prices(i);
-        for (const auto policy :
-             {MwisAlgorithm::kGwmin, MwisAlgorithm::kGwmin2}) {
-          const DynamicBitset want =
-              solve_mwis(graph, weights, candidates, policy);
-          for (const std::size_t min : {std::size_t{1}, std::size_t{64}, n}) {
-            SCOPED_TRACE(testing::Message()
-                         << (sub_percolation ? "sub-percolation" : "spill")
-                         << (rep == GraphRep::kDense ? " dense" : " csr")
-                         << " channel " << i << " " << to_string(policy)
-                         << " min " << min);
-            build_shards(graph.components(), min, shards);
-            const ComponentIndex& index = graph.components();
-            std::vector<std::size_t> count(shards.size() - 1);
-            parallel_for_lanes(
-                0, count.size(), [&](std::size_t lane, std::size_t s) {
-                  count[s] = matching::solve_shard(
-                      graph, weights, shards[s], shards[s + 1],
-                      [&](BuyerId v) {
-                        return candidates.test(static_cast<std::size_t>(v));
-                      },
-                      policy, lane_set[lane], lane_scratch[lane],
-                      out.data() + index.offset(shards[s]));
-                });
-            DynamicBitset merged(n);
-            for (std::size_t s = 0; s < count.size(); ++s)
-              for (std::size_t k = 0; k < count[s]; ++k)
-                merged.set(static_cast<std::size_t>(
-                    out[index.offset(shards[s]) + k]));
-            ASSERT_EQ(merged, want);
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded vs whole-graph equivalence (the tentpole property): identical
-// results across thread counts {1, 4} x component_min {-1 (off), 1, 7} x
-// greedy policies, on fractured, single-component, and edgeless markets.
-// ---------------------------------------------------------------------------
-
-class ShardEquivalenceTest
+class LaneEquivalenceTest
     : public ::testing::TestWithParam<
           std::tuple<std::uint64_t, int, int, double, double>> {};
 
-TEST_P(ShardEquivalenceTest, TwoStageBitForBitAcrossShardingAndThreads) {
+TEST_P(LaneEquivalenceTest, TwoStageBitForBitAcrossThreads) {
   const auto [seed, M, N, area, range] = GetParam();
   const auto market = geometric_market(seed, M, N, area, range);
   for (auto policy : {MwisAlgorithm::kGwmin, MwisAlgorithm::kGwmin2}) {
-    matching::TwoStageConfig reference_config;
-    reference_config.coalition_policy = policy;
-    reference_config.component_min = -1;  // sharding off: whole-graph path
-    const auto reference = run_two_stage(market, reference_config);
-    for (int component_min : {1, 7}) {
-      for (int threads : {1, 4}) {
-        ScopedThreads scope(threads);
-        matching::TwoStageConfig config;
-        config.coalition_policy = policy;
-        config.component_min = component_min;
-        const auto sharded = run_two_stage(market, config);
-        EXPECT_EQ(sharded.final_matching(), reference.final_matching())
-            << "seed " << seed << " min " << component_min << " threads "
-            << threads;
-        EXPECT_EQ(sharded.stage1.matching, reference.stage1.matching);
-        EXPECT_EQ(sharded.stage1.rounds, reference.stage1.rounds);
-        EXPECT_EQ(sharded.stage1.total_evictions,
-                  reference.stage1.total_evictions);
-        EXPECT_EQ(sharded.stage2.transfers_accepted,
-                  reference.stage2.transfers_accepted);
-        EXPECT_EQ(sharded.welfare_stage1, reference.welfare_stage1);
-        EXPECT_EQ(sharded.welfare_phase1, reference.welfare_phase1);
-        EXPECT_EQ(sharded.welfare_final, reference.welfare_final);
-      }
+    matching::TwoStageConfig config;
+    config.coalition_policy = policy;
+    const auto reference = [&] {
+      ScopedThreads scope(1);
+      return run_two_stage(market, config);
+    }();
+    for (int threads : {1, 4}) {
+      ScopedThreads scope(threads);
+      const auto got = run_two_stage(market, config);
+      EXPECT_EQ(got.final_matching(), reference.final_matching())
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(got.stage1.matching, reference.stage1.matching);
+      EXPECT_EQ(got.stage1.rounds, reference.stage1.rounds);
+      EXPECT_EQ(got.stage1.total_evictions, reference.stage1.total_evictions);
+      EXPECT_EQ(got.stage2.transfers_accepted,
+                reference.stage2.transfers_accepted);
+      EXPECT_EQ(got.welfare_stage1, reference.welfare_stage1);
+      EXPECT_EQ(got.welfare_phase1, reference.welfare_phase1);
+      EXPECT_EQ(got.welfare_final, reference.welfare_final);
     }
   }
 }
@@ -374,7 +251,7 @@ matching::Matching worst_fit_matching(const market::SpectrumMarket& market) {
 // the two paths the full runs above never take: restricted mode (every third
 // buyer plus channel 0's largest component participates) and re-screening on
 // departure.
-TEST_P(ShardEquivalenceTest, StageIIBitForBitAcrossShardingAndThreads) {
+TEST_P(LaneEquivalenceTest, StageIIBitForBitAcrossThreads) {
   const auto [seed, M, N, area, range] = GetParam();
   const auto market = geometric_market(seed, M, N, area, range);
   const matching::Matching input = worst_fit_matching(market);
@@ -389,36 +266,32 @@ TEST_P(ShardEquivalenceTest, StageIIBitForBitAcrossShardingAndThreads) {
 
   for (auto policy : {MwisAlgorithm::kGwmin, MwisAlgorithm::kGwmin2}) {
     for (const bool restricted : {true, false}) {
-      matching::StageIIConfig reference_config;
-      reference_config.coalition_policy = policy;
-      reference_config.component_min = -1;  // sharding off: whole-graph path
+      matching::StageIIConfig config;
+      config.coalition_policy = policy;
       if (restricted)
-        reference_config.participants = &participants;
+        config.participants = &participants;
       else
-        reference_config.rescreen_on_departure = true;
-      const auto reference =
-          run_transfer_invitation(market, input, reference_config);
-      for (int component_min : {1, 7}) {
-        for (int threads : {1, 4}) {
-          ScopedThreads scope(threads);
-          matching::StageIIConfig config = reference_config;
-          config.component_min = component_min;
-          const auto sharded = run_transfer_invitation(market, input, config);
-          EXPECT_EQ(sharded.matching, reference.matching)
-              << "seed " << seed << " restricted " << restricted << " min "
-              << component_min << " threads " << threads;
-          EXPECT_EQ(sharded.after_phase1, reference.after_phase1);
-          EXPECT_EQ(sharded.transfers_accepted, reference.transfers_accepted);
-          EXPECT_EQ(sharded.invitations_accepted,
-                    reference.invitations_accepted);
-        }
+        config.rescreen_on_departure = true;
+      const auto reference = [&] {
+        ScopedThreads scope(1);
+        return run_transfer_invitation(market, input, config);
+      }();
+      for (int threads : {1, 4}) {
+        ScopedThreads scope(threads);
+        const auto got = run_transfer_invitation(market, input, config);
+        EXPECT_EQ(got.matching, reference.matching)
+            << "seed " << seed << " restricted " << restricted << " threads "
+            << threads;
+        EXPECT_EQ(got.after_phase1, reference.after_phase1);
+        EXPECT_EQ(got.transfers_accepted, reference.transfers_accepted);
+        EXPECT_EQ(got.invitations_accepted, reference.invitations_accepted);
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Markets, ShardEquivalenceTest,
+    Markets, LaneEquivalenceTest,
     ::testing::Values(
         // Fractured sparse geometric markets (many components per channel).
         std::make_tuple(101u, 4, 60, 40.0, 2.0),
@@ -429,26 +302,10 @@ INSTANTIATE_TEST_SUITE_P(
         // All vertices isolated: ranges ~0 leave the graphs edgeless.
         std::make_tuple(105u, 4, 32, 10.0, 1e-9)));
 
-TEST(ShardEquivalenceTest, EdgelessMarketReallyIsEdgeless) {
+TEST(LaneEquivalenceTest, EdgelessMarketReallyIsEdgeless) {
   const auto market = geometric_market(105u, 4, 32, 10.0, 1e-9);
   for (ChannelId i = 0; i < market.num_channels(); ++i)
     EXPECT_EQ(market.graph(i).num_edges(), 0u);
-}
-
-TEST(ShardEquivalenceTest, ExactPolicyIgnoresShardingSafely) {
-  // kExact must never shard (cross-component tie-breaking); forcing a tiny
-  // component_min must not change its results.
-  const auto market = geometric_market(106u, 3, 14, 20.0, 2.0);
-  matching::TwoStageConfig reference_config;
-  reference_config.coalition_policy = MwisAlgorithm::kExact;
-  reference_config.component_min = -1;
-  const auto reference = run_two_stage(market, reference_config);
-  matching::TwoStageConfig config;
-  config.coalition_policy = MwisAlgorithm::kExact;
-  config.component_min = 1;
-  const auto sharded = run_two_stage(market, config);
-  EXPECT_EQ(sharded.final_matching(), reference.final_matching());
-  EXPECT_EQ(sharded.welfare_final, reference.welfare_final);
 }
 
 // ---------------------------------------------------------------------------

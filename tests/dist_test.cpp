@@ -104,9 +104,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Short ranges split the channel graphs into many interference components
 // (1.8-112 per channel on average across this grid), the regime where the
-// engine shards its coalition solves and restricts warm Stage II runs by
-// component. The engine and the message-passing runtime follow the same
-// per-seller rules; these inputs check that sharding keeps it that way.
+// engine restricts warm Stage II runs by component and each coalition solve
+// sees many small induced components. The engine and the message-passing
+// runtime follow the same per-seller rules; these inputs check that
+// fractured graphs keep it that way.
 INSTANTIATE_TEST_SUITE_P(
     Sparse, DistEquivalenceTest,
     ::testing::Combine(::testing::Values(4, 6, 8),

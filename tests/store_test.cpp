@@ -858,12 +858,14 @@ TEST(SnapshotRoundTripTest, FaultInIsIdenticalAtAnyLaneCount) {
     ASSERT_EQ(p.num_components(), q.num_components());
     for (BuyerId v = 0; v < mixed.num_buyers(); ++v)
       ASSERT_EQ(p.component_of(v), q.component_of(v)) << "vertex " << v;
-    for (std::size_t c = 0; c <= p.num_components(); ++c)
-      ASSERT_EQ(p.offset(c), q.offset(c)) << "component " << c;
-    const auto p_lists = p.vertices(0, p.num_components());
-    const auto q_lists = q.vertices(0, q.num_components());
-    EXPECT_TRUE(std::equal(p_lists.begin(), p_lists.end(), q_lists.begin(),
-                           q_lists.end()));
+    for (std::size_t c = 0; c < p.num_components(); ++c) {
+      ASSERT_EQ(p.size(c), q.size(c)) << "component " << c;
+      const auto p_list = p.vertices(c);
+      const auto q_list = q.vertices(c);
+      EXPECT_TRUE(std::equal(p_list.begin(), p_list.end(), q_list.begin(),
+                             q_list.end()))
+          << "component " << c;
+    }
   }
   EXPECT_EQ(one->bytes, many->bytes);
 }
@@ -1033,6 +1035,29 @@ TEST(MarketStoreLifecycleTest, ColdBootIgnoresAGraphFileWithoutAStateFile) {
   store.write("b", b.view());
   EXPECT_TRUE(store.contains("b"));
   expect_faithful_round_trip(b.market, store.load("b"));
+}
+
+TEST(MarketStoreLifecycleTest, ColdBootIgnoresANonCanonicalStem) {
+  // "m%2f" decodes to "m/", whose canonical stem is "m%2F". Listing the
+  // file under "m/" would name an id whose load reads another path, whose
+  // remove cannot delete the file, and whose bytes disk_bytes would count.
+  const fs::path dir = scratch_dir("store_noncanonical");
+  const Sample a(98);
+  {
+    MarketStore store(dir_config(dir));
+    store.write("a", a.view());
+    ASSERT_EQ(fs::path(store.path_for("m/")).filename(), "m%2F.spms");
+    fs::copy_file(store.path_for("a"), dir / "m%2f.spms");
+    fs::copy_file(store.graph_path_for("a"), dir / "m%2f.spmg");
+  }
+  MarketStore store(dir_config(dir));
+  EXPECT_EQ(store.ids(), std::vector<std::string>{"a"});
+  EXPECT_FALSE(store.contains("m/"));
+  EXPECT_EQ(store.bytes_for("m/"), 0u);
+  EXPECT_EQ(store.disk_bytes(), store.bytes_for("a"));
+  // The canonical id is still free to use.
+  store.write("m/", a.view());
+  expect_faithful_round_trip(a.market, store.load("m/"));
 }
 
 TEST(MarketStoreLifecycleTest, NewCreateAfterAFailedSpillWritesItsOwnGraphs) {

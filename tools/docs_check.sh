@@ -3,10 +3,13 @@
 #
 # 1. Every intra-repo markdown link in the checked docs must resolve to an
 #    existing file (anchors and external URLs are skipped).
-# 2. Every SPECMATCH_* token mentioned in the checked docs must be a knob
-#    registered in src/common/config.* (known_env_knobs), so docs and code
-#    cannot drift apart. The checking macros (SPECMATCH_CHECK etc.) are code
-#    identifiers, not env knobs, and are whitelisted.
+# 2. Every SPECMATCH_* token mentioned in the checked docs, or in the
+#    scripts and CMake files that set knobs for tests and bench legs, must
+#    be a knob registered in src/common/config.* (known_env_knobs), so docs,
+#    harnesses and code cannot drift apart: a leftover setting of a removed
+#    knob fails here instead of silently doing nothing. The checking macros
+#    (SPECMATCH_CHECK etc.) are code identifiers, not env knobs, and are
+#    whitelisted.
 # 3. Every wire-protocol verb the server implements (the request_keyword
 #    switch in src/serve/protocol.cpp) must be documented in
 #    docs/PROTOCOL.md, so the protocol spec cannot silently fall behind the
@@ -26,6 +29,8 @@ repo_root="${1:-$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)}"
 cd "$repo_root"
 
 docs=(README.md EXPERIMENTS.md DESIGN.md docs/*.md)
+knob_setters=(tools/*.sh tools/CMakeLists.txt tests/CMakeLists.txt
+              bench/CMakeLists.txt)
 config_files=(src/common/config.hpp src/common/config.cpp)
 macro_whitelist='SPECMATCH_CHECK|SPECMATCH_CHECK_MSG|SPECMATCH_DCHECK'
 
@@ -50,10 +55,10 @@ for doc in "${docs[@]}"; do
   done < <(grep -oE '\]\(([^)]+)\)' "$doc" | sed -E 's/^\]\((.*)\)$/\1/')
 done
 
-# ---- 2. SPECMATCH_* tokens in docs are registered knobs ---------------------
+# ---- 2. SPECMATCH_* tokens in docs and knob setters are registered knobs ----
 known="$(grep -ohE 'SPECMATCH_[A-Z_]+' "${config_files[@]}" | sort -u)"
-for doc in "${docs[@]}"; do
-  [[ -f "$doc" ]] || continue
+for doc in "${docs[@]}" "${knob_setters[@]}"; do
+  [[ -f "$doc" ]] || { echo "docs_check: MISSING $doc" >&2; status=1; continue; }
   while IFS= read -r token; do
     [[ "$token" =~ ^($macro_whitelist)$ ]] && continue
     if ! grep -qx "$token" <<< "$known"; then
@@ -125,6 +130,6 @@ for knob in $knobs; do
 done
 
 if [[ "$status" -eq 0 ]]; then
-  echo "docs_check: OK (${#docs[@]} docs checked)"
+  echo "docs_check: OK (${#docs[@]} docs, ${#knob_setters[@]} knob setters checked)"
 fi
 exit "$status"

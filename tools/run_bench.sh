@@ -61,7 +61,6 @@ ablation_pricing|-|ablation_pricing||||||
 core|default|micro_core|||--benchmark_filter=BM_BitsetIntersects/64 --benchmark_min_time=0.01|"bench": "two_stage"|
 fig8_running_time|default|fig8_running_time||||||
 scale|--scale|large_market|SPECMATCH_COUNT_ALLOCS=1|SPECMATCH_THREADS=1||"bench": "two_stage_scale"|zero_allocs rss_budget
-scale_components|-|large_market|SPECMATCH_COUNT_ALLOCS=1 SPECMATCH_COMPONENT_MIN=1|SPECMATCH_THREADS=1|||zero_allocs same_results
 scale_csr|-|large_market|SPECMATCH_COUNT_ALLOCS=1 SPECMATCH_GRAPH_DENSE_MAX=32|SPECMATCH_THREADS=1||"bench": "two_stage_scale"|zero_allocs rss_budget
 serve|--serve|serve_load||||"bench": "serve_shed";"algorithm": "rebuild";"algorithm": "snapshot_load"|compare_gate
 kernels|--kernels|micro_kernels||||"schema": "specmatch-kernels-v1";"kernel": "and_popcount";"dispatch": "scalar"|
@@ -84,19 +83,6 @@ zero_allocs() {
   fi
   grep -q '"steady_allocs": 0' "$tmpdir/$1.json" ||
     fail "$1 missing steady_allocs measurements"
-}
-
-# Every component in its own shard (SPECMATCH_COMPONENT_MIN=1): the
-# deterministic `result:` transcript must be byte-identical to the default
-# scale run — the merge-order guarantee, enforced end to end.
-same_results() {
-  grep '^result:' "$tmpdir/scale.log" > "$tmpdir/results_default.txt" || true
-  grep '^result:' "$tmpdir/$1.log" > "$tmpdir/results_$1.txt" || true
-  if [[ ! -s "$tmpdir/results_default.txt" ]]; then
-    fail "large_market emitted no result: transcript lines"
-  elif ! diff -u "$tmpdir/results_default.txt" "$tmpdir/results_$1.txt" >&2; then
-    fail "$1 transcript differs from the default scale run"
-  fi
 }
 
 # The smoke grid tops out at N=200 x M=8, where either representation fits
