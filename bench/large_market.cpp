@@ -259,8 +259,7 @@ void run_scale_sweep() {
       const bool dense =
           market.graph(0).representation() == graph::GraphRep::kDense;
       matching::Matching reference;
-      for (const simd::Tier tier :
-           {simd::Tier::kAvx2, simd::Tier::kSse2, simd::Tier::kScalar}) {
+      for (const simd::Tier tier : {simd::Tier::kAvx2, simd::Tier::kScalar}) {
         if (!simd::force_tier(tier)) continue;
         matching::TwoStageResult result;
         result = matching::run_two_stage(market, {}, workspace);  // warm-up

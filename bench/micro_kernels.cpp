@@ -179,8 +179,8 @@ void write_kernels_json(const std::string& path,
 
 int run(int argc, char** argv) {
   std::vector<simd::Tier> supported = {simd::Tier::kScalar};
-  for (const simd::Tier t : {simd::Tier::kSse2, simd::Tier::kAvx2})
-    if (simd::tier_supported(t)) supported.push_back(t);
+  if (simd::tier_supported(simd::Tier::kAvx2))
+    supported.push_back(simd::Tier::kAvx2);
 
   if (argc > 1 && std::strcmp(argv[1], "--probe") == 0) {
     for (const simd::Tier t : supported) std::cout << to_string(t) << "\n";

@@ -8,7 +8,7 @@
 // fast on a single core. The interface is deliberately small and
 // bounds-checked. The word loops themselves live in common/simd.hpp: every
 // counting, masking, and scanning method routes through the
-// runtime-dispatched kernel layer (AVX2/SSE2/scalar, bit-identical across
+// runtime-dispatched kernel layer (AVX2 or scalar, bit-identical across
 // tiers by contract).
 #pragma once
 

@@ -54,16 +54,12 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
      "use the CSR representation, default 2048 "
      "(graph/interference_graph.cpp)"},
     {"SPECMATCH_SIMD",
-     "kernel dispatch tier: auto|avx2|sse2|scalar, default auto (highest "
-     "tier the CPU supports); results are bit-identical at every setting "
-     "(common/simd.cpp)"},
+     "kernel dispatch tier: auto|avx2|scalar, default auto (AVX2 when the "
+     "CPU supports it, else scalar); results are bit-identical at every "
+     "setting (common/simd.cpp)"},
     {"SPECMATCH_BENCH_THREADS",
      "parallel lane count of the micro_core trajectory, default 4 "
      "(bench/micro_core.cpp)"},
-    {"SPECMATCH_SERVE_THREADS",
-     "MatchServer drain lanes (resident workspaces), default "
-     "SPECMATCH_THREADS; responses are identical at any setting "
-     "(serve/server.cpp)"},
     {"SPECMATCH_SERVE_QUEUE",
      "MatchServer admission queue capacity in requests, default 1024; "
      "overflow blocks or sheds per the configured policy (serve/server.cpp)"},

@@ -96,18 +96,17 @@ constexpr Kernels kScalarKernels = {
 
 // --- dispatch resolution ----------------------------------------------------
 
-/// Parses SPECMATCH_SIMD. Unset/empty/"auto" -> nullopt-style auto (returned
-/// as kAvx2 + auto flag via the bool). Invalid values warn once and mean
+/// Parses SPECMATCH_SIMD: true with *out set for "scalar" or "avx2", false
+/// for auto (unset, empty or "auto"). Invalid values warn once and mean
 /// auto; they never abort a run over a typo'd knob.
 bool requested_tier(Tier* out) {
   const char* env = std::getenv("SPECMATCH_SIMD");
   if (env == nullptr || env[0] == '\0' || std::strcmp(env, "auto") == 0)
     return false;
   if (std::strcmp(env, "scalar") == 0) return *out = Tier::kScalar, true;
-  if (std::strcmp(env, "sse2") == 0) return *out = Tier::kSse2, true;
   if (std::strcmp(env, "avx2") == 0) return *out = Tier::kAvx2, true;
   std::fprintf(stderr,
-               "specmatch: SPECMATCH_SIMD='%s' is not auto|avx2|sse2|scalar; "
+               "specmatch: SPECMATCH_SIMD='%s' is not auto|avx2|scalar; "
                "using auto\n",
                env);
   return false;
@@ -117,19 +116,10 @@ const Kernels* table_or_null(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return &kScalarKernels;
-    case Tier::kSse2:
-      return detail::sse2_kernels_or_null();
     case Tier::kAvx2:
       return detail::avx2_kernels_or_null();
   }
   return nullptr;
-}
-
-/// Best supported tier at or below `want` (kScalar is always supported).
-const Kernels* best_table_at_or_below(Tier want) {
-  for (int t = static_cast<int>(want); t > 0; --t)
-    if (const Kernels* k = table_or_null(static_cast<Tier>(t))) return k;
-  return &kScalarKernels;
 }
 
 /// One-time simd.dispatch.* info gauges: the chosen tier plus the CPUID/build
@@ -138,7 +128,6 @@ void record_dispatch_metrics(const Kernels* chosen) {
   if (!metrics::enabled()) return;
   metrics::gauge_set("simd.dispatch.tier",
                      static_cast<double>(static_cast<int>(chosen->tier)));
-  metrics::gauge_set("simd.cpu.sse2", tier_supported(Tier::kSse2) ? 1.0 : 0.0);
   metrics::gauge_set("simd.cpu.avx2", tier_supported(Tier::kAvx2) ? 1.0 : 0.0);
 }
 
@@ -148,8 +137,6 @@ const char* to_string(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kAvx2:
       return "avx2";
   }
@@ -213,14 +200,17 @@ namespace detail {
 const Kernels* resolve() {
   // One probe per process; concurrent first calls race benignly (same value).
   static const Kernels* const resolved = [] {
-    Tier want = Tier::kAvx2;  // auto: the highest tier this build knows
-    if (requested_tier(&want) && table_or_null(want) == nullptr) {
-      std::fprintf(stderr,
-                   "specmatch: SPECMATCH_SIMD=%s unsupported on this "
-                   "CPU/build; falling back\n",
-                   to_string(want));
+    Tier want = Tier::kAvx2;  // auto: AVX2 when the CPU runs it
+    const bool forced = requested_tier(&want);
+    const Kernels* chosen = table_or_null(want);
+    if (chosen == nullptr) {  // only AVX2 can be missing
+      if (forced)
+        std::fprintf(stderr,
+                     "specmatch: SPECMATCH_SIMD=%s unsupported on this "
+                     "CPU/build; falling back to scalar\n",
+                     to_string(want));
+      chosen = &kScalarKernels;
     }
-    const Kernels* chosen = best_table_at_or_below(want);
     record_dispatch_metrics(chosen);
     return chosen;
   }();

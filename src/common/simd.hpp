@@ -9,11 +9,11 @@
 // exposes those primitives once, behind a function-pointer table resolved
 // at runtime:
 //
-//   AVX2 (256-bit, CPUID-probed)  ->  SSE2 (128-bit)  ->  scalar
+//   AVX2 (256-bit, CPUID-probed)  ->  scalar
 //
-// The SPECMATCH_SIMD knob (auto | avx2 | sse2 | scalar) forces a tier; a
-// forced tier the CPU cannot run falls back to the best supported tier below
-// it with one stderr warning. On non-x86 builds only the scalar tier exists.
+// The SPECMATCH_SIMD knob (auto | avx2 | scalar) forces a tier; a forced
+// AVX2 the CPU cannot run falls back to scalar with one stderr warning. On
+// non-x86 builds only the scalar tier exists.
 //
 // Hard contract: every tier returns bit-identical results. All kernels are
 // pure integer/bitwise operations, so this holds by construction — there is
@@ -38,14 +38,13 @@
 namespace specmatch::simd {
 
 /// Dispatch tier, lowest to highest. Values are stable (they appear in the
-/// simd.dispatch.tier gauge and the bench JSON).
+/// simd.dispatch.tier gauge and the bench JSON), so 1 stays unused.
 enum class Tier : std::uint8_t {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 const char* to_string(Tier tier);
 
 /// Kernel identifiers, used for the per-kernel invocation counters and the
@@ -145,10 +144,9 @@ inline void count_call(KernelId id) {
   if (metrics::enabled()) count_call_slow(id);
 }
 
-// Per-ISA tables, defined in simd_sse2.cpp / simd_avx2.cpp. Null when the
-// translation unit was built without the ISA (non-x86 targets): the files
-// always compile, only the kernels inside are conditional.
-const Kernels* sse2_kernels_or_null();
+// The AVX2 table, defined in simd_avx2.cpp. Null when the translation unit
+// was built without the ISA (non-x86 targets) or the CPU lacks it: the file
+// always compiles, only the kernels inside are conditional.
 const Kernels* avx2_kernels_or_null();
 
 }  // namespace detail

@@ -1,7 +1,7 @@
 // AVX2 kernel tier (256-bit). Built with -mavx2 on x86 (see src/CMakeLists);
 // the table is only handed out when CPUID confirms the CPU actually runs
-// AVX2, so a binary built here still dispatches correctly on an SSE2-only
-// machine. Popcount uses the Mula nibble-LUT (PSHUFB lookup + PSADBW
+// AVX2, so a binary built here still dispatches correctly (to scalar) on a
+// machine without it. Popcount uses the Mula nibble-LUT (PSHUFB lookup + PSADBW
 // accumulate); the emptiness/subset/scan kernels lean on VPTEST early exits.
 // All operations are integer/bitwise, so results are bit-identical to the
 // scalar reference by construction.

@@ -7,7 +7,7 @@
 //  * kDense — one N-bit adjacency row per vertex, all rows in one contiguous
 //    word block (row v at word v·⌈N/64⌉), so "does buyer j interfere with
 //    anyone in coalition C" is a word-parallel intersection test running on
-//    the runtime-dispatched kernels of common/simd.hpp (AVX2/SSE2/scalar,
+//    the runtime-dispatched kernels of common/simd.hpp (AVX2 or scalar,
 //    bit-identical across tiers). O(N²) bits per graph: perfect for the
 //    paper-sized markets, ruinous at ROADMAP scale (M dense graphs at
 //    N = 20000 cost gigabytes).

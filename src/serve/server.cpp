@@ -52,8 +52,7 @@ Response error_response(const Request& request, const std::string& detail) {
 
 ServeConfig ServeConfig::from_env() {
   ServeConfig config;
-  config.drain_lanes = env_count("SPECMATCH_SERVE_THREADS", 1,
-                                 SpecmatchConfig::global().num_threads);
+  config.drain_lanes = SpecmatchConfig::global().num_threads;
   config.queue_capacity = env_count("SPECMATCH_SERVE_QUEUE", 1, 1024);
   config.mem_budget_mb =
       static_cast<std::size_t>(env_count("SPECMATCH_SERVE_MEM_MB", 1, 4096));

@@ -11,7 +11,7 @@
 // Determinism contract (what serve_smoke pins bit-for-bit): the content of
 // every response depends only on the per-market request order, which equals
 // admission order; a transcript re-sequenced by Request::seq is therefore
-// identical across SPECMATCH_THREADS / SPECMATCH_SERVE_THREADS settings.
+// identical across SPECMATCH_THREADS settings.
 // Everything timing-dependent — batch sizes, coalescing, solve dedup, shed
 // counts, latencies — is reported through common/metrics only and never
 // appears in a response. See docs/SERVING.md.
@@ -44,8 +44,8 @@ struct ServeConfig {
   };
 
   /// Drain lanes: markets drained concurrently, each on its own worker
-  /// thread with a resident workspace. Default: SPECMATCH_SERVE_THREADS,
-  /// falling back to the engine thread count.
+  /// thread with a resident workspace. Default: the engine thread count
+  /// (SPECMATCH_THREADS).
   int drain_lanes = 1;
   /// Admission queue capacity in requests. Default: SPECMATCH_SERVE_QUEUE
   /// (1024).

@@ -9,6 +9,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -22,7 +24,6 @@ using simd::Tier;
 
 std::vector<Tier> supported_tiers() {
   std::vector<Tier> tiers = {Tier::kScalar};
-  if (simd::tier_supported(Tier::kSse2)) tiers.push_back(Tier::kSse2);
   if (simd::tier_supported(Tier::kAvx2)) tiers.push_back(Tier::kAvx2);
   return tiers;
 }
@@ -40,9 +41,9 @@ class ScopedTier {
   Tier saved_;
 };
 
-// The lengths every kernel is exercised at: empty, shorter than any SIMD
-// block, exactly one SSE2 block (2) / AVX2 block (4), block multiples, and
-// ragged tails around them.
+// The lengths every kernel is exercised at: empty, shorter than an AVX2
+// block, exactly one AVX2 block (4), block multiples, and ragged tails
+// around them.
 const std::size_t kSizes[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
                               15, 16, 17, 31, 32, 33, 63, 100, 257};
 
@@ -78,7 +79,6 @@ TEST(SimdTest, ScalarTierAlwaysSupported) {
 
 TEST(SimdTest, TierNamesRoundTrip) {
   EXPECT_STREQ(to_string(Tier::kScalar), "scalar");
-  EXPECT_STREQ(to_string(Tier::kSse2), "sse2");
   EXPECT_STREQ(to_string(Tier::kAvx2), "avx2");
   for (std::size_t k = 0; k < simd::kNumKernels; ++k)
     EXPECT_STRNE(simd::kernel_name(static_cast<simd::KernelId>(k)), "unknown");
@@ -233,6 +233,21 @@ TEST(SimdTest, ForceTierRoundTrip) {
   }
   EXPECT_TRUE(simd::force_tier(original));
   EXPECT_EQ(simd::active_tier(), original);
+}
+
+TEST(SimdTest, AutoResolvesToTheBestSupportedTier) {
+  // Only SPECMATCH_SIMD=scalar may settle on scalar where the CPU runs AVX2:
+  // unset, auto, avx2 and invalid values all resolve to the best tier.
+  const char* env = std::getenv("SPECMATCH_SIMD");
+  const bool scalar_requested =
+      env != nullptr && std::strcmp(env, "scalar") == 0;
+  const Tier want = scalar_requested || !simd::tier_supported(Tier::kAvx2)
+                        ? Tier::kScalar
+                        : Tier::kAvx2;
+  const Kernels* saved = simd::detail::active.load();
+  EXPECT_STREQ(to_string(simd::detail::resolve()->tier), to_string(want))
+      << "SPECMATCH_SIMD=" << (env != nullptr ? env : "(unset)");
+  simd::detail::active.store(saved);  // resolve() re-stores the table
 }
 
 TEST(SimdTest, UnsupportedForceIsRefused) {

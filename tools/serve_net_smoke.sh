@@ -34,7 +34,7 @@ for threads in 1 4; do
   for conns in 1 8; do
     tag="t${threads}_c${conns}"
     rm -f "$TMP/port"
-    SPECMATCH_THREADS="$threads" SPECMATCH_SERVE_THREADS="$threads" \
+    SPECMATCH_THREADS="$threads" \
       "$CLI" serve --listen 0 --port-file "$TMP/port" 2>"$TMP/$tag.err" &
     SRV_PID=$!
     wait_for_port "$TMP/port"

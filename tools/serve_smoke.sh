@@ -3,7 +3,7 @@
 # and pins the serving determinism contract (docs/SERVING.md):
 #
 #   * transcripts are byte-identical across repeated runs AND across
-#     SPECMATCH_THREADS / SPECMATCH_SERVE_THREADS 1 vs 4;
+#     SPECMATCH_THREADS 1 vs 4;
 #   * the serial steady state allocates nothing (SPECMATCH_COUNT_ALLOCS=1,
 #     asserted via the CLI's stderr summary);
 #   * warm fallback, semantic errors, and solve responses all appear.
@@ -18,8 +18,7 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 run() { # <threads> <out> <err>
-  SPECMATCH_THREADS="$1" SPECMATCH_SERVE_THREADS="$1" \
-    SPECMATCH_COUNT_ALLOCS=1 \
+  SPECMATCH_THREADS="$1" SPECMATCH_COUNT_ALLOCS=1 \
     "$CLI" serve "$REQ" --out "$2" 2>"$3"
 }
 

@@ -83,16 +83,17 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
   return flags;
 }
 
-int flag_int(const std::map<std::string, std::string>& flags,
-             const std::string& key, int fallback) {
+/// Value of numeric flag --key, or `fallback` when absent. The whole token
+/// must parse (workload::parse_token): "5x" or "abc" fails through usage().
+template <typename T>
+T flag_number(const std::map<std::string, std::string>& flags,
+              const std::string& key, T fallback) {
   const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoi(it->second);
-}
-
-double flag_double(const std::map<std::string, std::string>& flags,
-                   const std::string& key, double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
+  if (it == flags.end()) return fallback;
+  T value{};
+  if (!workload::parse_token(it->second, value))
+    usage("flag --" + key + " needs a number, got '" + it->second + "'");
+  return value;
 }
 
 std::string flag_string(const std::map<std::string, std::string>& flags,
@@ -103,19 +104,19 @@ std::string flag_string(const std::map<std::string, std::string>& flags,
 
 int cmd_generate(const std::map<std::string, std::string>& flags) {
   workload::WorkloadParams params;
-  params.num_sellers = flag_int(flags, "sellers", 5);
-  params.num_buyers = flag_int(flags, "buyers", 8);
-  params.max_channels_per_seller = flag_int(flags, "supply-max", 1);
-  params.max_demand_per_buyer = flag_int(flags, "demand-max", 1);
-  params.max_range = flag_double(flags, "max-range", 5.0);
-  params.min_range = flag_double(flags, "min-range", 0.0);
-  params.max_reserve = flag_double(flags, "max-reserve", 0.0);
+  params.num_sellers = flag_number(flags, "sellers", 5);
+  params.num_buyers = flag_number(flags, "buyers", 8);
+  params.max_channels_per_seller = flag_number(flags, "supply-max", 1);
+  params.max_demand_per_buyer = flag_number(flags, "demand-max", 1);
+  params.max_range = flag_number(flags, "max-range", 5.0);
+  params.min_range = flag_number(flags, "min-range", 0.0);
+  params.max_reserve = flag_number(flags, "max-reserve", 0.0);
   params.similarity_permutation =
-      flag_int(flags, "similarity", workload::WorkloadParams::kIidUtilities);
+      flag_number(flags, "similarity", workload::WorkloadParams::kIidUtilities);
   const auto out = flags.find("out");
   if (out == flags.end()) usage("generate requires --out FILE");
 
-  Rng rng(static_cast<std::uint64_t>(flag_int(flags, "seed", 1)));
+  Rng rng(static_cast<std::uint64_t>(flag_number(flags, "seed", 1)));
   const auto scenario = workload::generate_scenario(params, rng);
   workload::save_scenario_file(out->second, scenario);
   std::cout << "wrote " << out->second << " (M = " << scenario.num_channels()
@@ -195,7 +196,7 @@ int cmd_run(const std::string& path,
   } else if (mechanism == "greedy") {
     report(market, optimal::solve_greedy(market), "centralised greedy");
   } else if (mechanism == "random") {
-    Rng rng(static_cast<std::uint64_t>(flag_int(flags, "seed", 1)));
+    Rng rng(static_cast<std::uint64_t>(flag_number(flags, "seed", 1)));
     report(market, optimal::solve_random_serial(market, rng),
            "random serial dictatorship");
   } else {
@@ -213,10 +214,10 @@ int cmd_dist(const std::string& path,
   if (rule == "adaptive")
     config = dist::DistConfig::adaptive();
   else if (rule == "quiescence")
-    config = dist::DistConfig::quiescence(flag_int(flags, "window", 3));
+    config = dist::DistConfig::quiescence(flag_number(flags, "window", 3));
   else if (rule != "default")
     usage("unknown rule '" + rule + "'");
-  config.max_message_delay = flag_int(flags, "delay", 0);
+  config.max_message_delay = flag_number(flags, "delay", 0);
 
   const auto result = dist::run_distributed(market, config);
   report(market, result.matching, "distributed run (" + rule + ")");
@@ -258,7 +259,7 @@ class TranscriptWriter {
 void run_listener(serve::MatchServer& server,
                   const std::map<std::string, std::string>& flags) {
   serve::NetConfig net = serve::NetConfig::from_env();
-  net.port = flag_int(flags, "listen", 0);
+  net.port = flag_number(flags, "listen", 0);
   serve::NetServer listener(server, net);
   const int port = listener.listen_on_loopback();
   const std::string port_file = flag_string(flags, "port-file", "");
@@ -347,9 +348,9 @@ int cmd_serve(int argc, char** argv) {
   std::ostream& out = file_out.is_open() ? file_out : std::cout;
 
   if (flags.count("connect") != 0) {
-    const int port = flag_int(flags, "connect", 0);
+    const int port = flag_number(flags, "connect", 0);
     if (port <= 0) usage("--connect needs a port");
-    const int conns = flag_int(flags, "conns", 1);
+    const int conns = flag_number(flags, "conns", 1);
     if (conns < 1) usage("--conns must be >= 1");
     std::vector<serve::Request> requests;
     serve::RequestReader reader(in);

@@ -5,7 +5,7 @@
 #   * snapshot + cold boot: a server booted cold against the snapshot
 #     directory (no create requests) answers a request suffix byte-identically
 #     to the continuously running server that wrote the snapshots, at
-#     SPECMATCH_THREADS / SPECMATCH_SERVE_THREADS 1 vs 4;
+#     SPECMATCH_THREADS 1 vs 4;
 #   * memory-capped spill/fault-back: under SPECMATCH_SERVE_MEM_MB=1 the
 #     same workload answers byte-identically to the uncapped run, with
 #     spills > 0 and discarded=0 (nothing is ever lost while the store is on).
@@ -45,8 +45,7 @@ done
 PHASE2_LINES=$(grep -c . "$PHASE2")
 
 run() { # <threads> <mem-mb> <store-dir> <req> <out> <err>
-  SPECMATCH_THREADS="$1" SPECMATCH_SERVE_THREADS="$1" \
-    SPECMATCH_SERVE_MEM_MB="$2" \
+  SPECMATCH_THREADS="$1" SPECMATCH_SERVE_MEM_MB="$2" \
     "$CLI" serve "$4" --store "$3" --out "$5" 2>"$6"
 }
 
